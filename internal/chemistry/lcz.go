@@ -28,7 +28,6 @@ type Operator struct {
 	geo   *ColumnGeometry
 	integ *Integrator
 	vert  *VerticalSolver
-	layer []float64
 
 	// rates caches the rate-constant vector per layer: temperature is a
 	// per-layer hourly forcing and the actinic flux an hourly scalar, so
@@ -58,7 +57,6 @@ func NewOperator(mech *species.Mechanism, geo *ColumnGeometry, cfg Config) (*Ope
 		geo:   geo,
 		integ: integ,
 		vert:  NewVerticalSolver(geo),
-		layer: make([]float64, mech.N()),
 		rates: make([]layerRates, geo.Layers()),
 	}
 	for l := range op.rates {
@@ -133,14 +131,12 @@ func (op *Operator) Apply(conc []float64, env *CellEnv, dtSeconds float64) (Cell
 			op.mech.RateConstants(env.TempK[l], env.Sun, lr.k)
 			lr.t, lr.sun, lr.valid = env.TempK[l], env.Sun, true
 		}
-		block := conc[n*l : n*(l+1)]
-		copy(op.layer, block)
-		cw, err := op.integ.IntegrateWithRates(op.layer, dtMin, lr.k)
+		// In place: the integrator writes the block only on commit.
+		cw, err := op.integ.IntegrateWithRates(conc[n*l:n*(l+1)], dtMin, lr.k)
 		if err != nil {
 			return w, err
 		}
 		w.Chem.Add(cw)
-		copy(block, op.layer)
 	}
 
 	fl, err = op.vert.Step(conc, n, env.Vert, half)

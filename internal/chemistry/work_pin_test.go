@@ -1,6 +1,9 @@
 package chemistry_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"airshed/internal/chemistry"
@@ -13,7 +16,10 @@ import (
 // would silently invalidate every recorded trace and virtual-time figure;
 // an optimisation of the integrator must leave every number here alone.
 // The values were recorded before the compiled ProdLoss kernel and the
-// division-free convergence test went in.
+// division-free convergence test went in. The last parcels run with a
+// coarse MinDt so that rejected steps at the floor are committed anyway —
+// the one path where a non-converged corrector iterate reaches c — and
+// pin the final state's bits as well.
 func TestWorkCountersPinned(t *testing.T) {
 	la, err := datasets.LA()
 	if err != nil {
@@ -50,18 +56,22 @@ func TestWorkCountersPinned(t *testing.T) {
 		minutes float64
 		T, sun  float64
 		want    chemistry.Work
+		minDt   float64 // 0: DefaultConfig's
+		bits    uint64  // FNV-1a of the final state's bits; 0: not pinned
 	}
 	parcels := []parcel{
-		{"urban noon 30min", urban(), 30, 305, 1, w(44, 40, 277)},
-		{"urban noon 5min", urban(), 5, 305, 1, w(37, 34, 230)},
-		{"urban dusk", urban(), 30, 295, 0.1, w(69, 65, 415)},
-		{"urban night", urban(), 30, 288, 0, w(117, 115, 728)},
-		{"rural noon", mech.Backgrounds(), 30, 298, 1, w(75, 71, 480)},
-		{"rural night", mech.Backgrounds(), 30, 283, 0, w(75, 73, 478)},
-		{"rural night 60min", mech.Backgrounds(), 60, 283, 0, w(103, 99, 649)},
-		{"fresh NO plume noon", plume(), 30, 300, 1, w(53, 46, 321)},
-		{"fresh NO plume night", plume(), 30, 288, 0, w(89, 79, 514)},
-		{"all zero", make([]float64, mech.N()), 30, 298, 1, w(5, 0, 10)},
+		{"urban noon 30min", urban(), 30, 305, 1, w(44, 40, 277), 0, 0},
+		{"urban noon 5min", urban(), 5, 305, 1, w(37, 34, 230), 0, 0},
+		{"urban dusk", urban(), 30, 295, 0.1, w(69, 65, 415), 0, 0},
+		{"urban night", urban(), 30, 288, 0, w(117, 115, 728), 0, 0},
+		{"rural noon", mech.Backgrounds(), 30, 298, 1, w(75, 71, 480), 0, 0},
+		{"rural night", mech.Backgrounds(), 30, 283, 0, w(75, 73, 478), 0, 0},
+		{"rural night 60min", mech.Backgrounds(), 60, 283, 0, w(103, 99, 649), 0, 0},
+		{"fresh NO plume noon", plume(), 30, 300, 1, w(53, 46, 321), 0, 0},
+		{"fresh NO plume night", plume(), 30, 288, 0, w(89, 79, 514), 0, 0},
+		{"all zero", make([]float64, mech.N()), 30, 298, 1, w(5, 0, 10), 0, 0},
+		{"floored urban noon", urban(), 30, 305, 1, w(14, 7, 76), 0.5, 0x127a97e53efd5c4c},
+		{"floored plume night", plume(), 30, 288, 0, w(25, 10, 119), 0.5, 0x222155980f37ec7b},
 	}
 	for l, T := range in12.TempK {
 		parcels = append(parcels,
@@ -70,18 +80,32 @@ func TestWorkCountersPinned(t *testing.T) {
 		)
 	}
 
-	in, err := chemistry.NewIntegrator(mech, chemistry.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range parcels {
-		in.ResetStep()
+		cfg := chemistry.DefaultConfig()
+		if p.minDt != 0 {
+			cfg.MinDt = p.minDt
+		}
+		in, err := chemistry.NewIntegrator(mech, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := in.Integrate(p.c, p.minutes, p.T, p.sun)
 		if err != nil {
 			t.Fatalf("%s (T=%g): %v", p.name, p.T, err)
 		}
 		if got != p.want {
 			t.Errorf("%s (T=%g sun=%g): work %+v, pinned %+v", p.name, p.T, p.sun, got, p.want)
+		}
+		if p.bits != 0 {
+			h := fnv.New64a()
+			for _, v := range p.c {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			if h.Sum64() != p.bits {
+				t.Errorf("%s: final state hashes to %#x, pinned %#x", p.name, h.Sum64(), p.bits)
+			}
 		}
 	}
 

@@ -102,11 +102,11 @@ type Integrator struct {
 	mech *species.Mechanism
 	cfg  Config
 
-	k      []float64 // rate constants
+	k      []float64 // Integrate's rate constants
 	p0, l0 []float64 // production/loss at substep start
 	p1, l1 []float64 // production/loss at predicted state
-	cPred  []float64
-	cCorr  []float64
+	cPred  []float64 // previous corrector iterate (swaps with cCorr)
+	cCorr  []float64 // latest corrector iterate; commit copies it out
 	cFirst []float64 // first predictor, kept for the truncation estimate
 	dt     float64   // persistent adaptive step across calls
 
@@ -148,7 +148,7 @@ func (in *Integrator) Mechanism() *species.Mechanism { return in.mech }
 // (K) and actinic flux sun in [0, 1]. It returns the work performed.
 func (in *Integrator) Integrate(c []float64, total, T, sun float64) (Work, error) {
 	in.mech.RateConstants(T, sun, in.k)
-	return in.integrate(c, total)
+	return in.integrate(c, total, in.k)
 }
 
 // IntegrateWithRates is Integrate with the rate constants supplied by
@@ -161,13 +161,13 @@ func (in *Integrator) IntegrateWithRates(c []float64, total float64, k []float64
 	if len(k) != len(in.k) {
 		return Work{}, fmt.Errorf("chemistry: rate vector has %d reactions, want %d", len(k), len(in.k))
 	}
-	copy(in.k, k)
-	return in.integrate(c, total)
+	return in.integrate(c, total, k)
 }
 
-// integrate advances c by total minutes under the rate constants already
-// loaded into in.k.
-func (in *Integrator) integrate(c []float64, total float64) (Work, error) {
+// integrate advances c by total minutes under the rate constants k. It
+// reads c throughout and writes it only in commit, so callers may pass a
+// block of a larger array to be integrated in place.
+func (in *Integrator) integrate(c []float64, total float64, k []float64) (Work, error) {
 	if len(c) != in.mech.N() {
 		return Work{}, fmt.Errorf("chemistry: concentration vector has %d species, want %d", len(c), in.mech.N())
 	}
@@ -186,7 +186,7 @@ func (in *Integrator) integrate(c []float64, total float64) (Work, error) {
 		if h > remaining {
 			h = remaining
 		}
-		err2, ok := in.substep(c, h, &w)
+		err2, ok := in.substep(c, k, h, &w)
 		if !ok {
 			// Step rejected: halve and retry unless at the floor.
 			if h <= in.cfg.MinDt*(1+1e-9) {
@@ -217,21 +217,29 @@ func (in *Integrator) integrate(c []float64, total float64) (Work, error) {
 }
 
 // substep attempts one hybrid step of size h from c into in.cCorr. It
-// returns the normalised error measure and whether the step converged.
-func (in *Integrator) substep(c []float64, h float64, w *Work) (float64, bool) {
-	n := in.mech.N()
+// returns the normalised error measure and whether the step converged;
+// either way in.cCorr holds the last corrector iterate, which the floored
+// step in integrate commits even when rejected.
+func (in *Integrator) substep(c, k []float64, h float64, w *Work) (float64, bool) {
 	cfg := &in.cfg
+	// Reslice every per-species buffer to len(c) once, so the loops
+	// below run without bounds checks.
+	n := len(c)
+	p0, l0, p1, l1 := in.p0[:n], in.l0[:n], in.p1[:n], in.l1[:n]
+	cFirst := in.cFirst[:n]
 
 	// A retry after a rejection sees the same c and k; p0/l0 still hold.
 	if !in.p0Valid {
-		in.mech.ProdLoss(c, in.k, in.p0, in.l0)
+		in.mech.ProdLoss(c, k, p0, l0)
 		w.Evals++
 		in.p0Valid = true
 	}
 
-	// Predictor.
-	for i := 0; i < n; i++ {
-		lh := in.l0[i] * h
+	// Predictor, written straight into cFirst: it is both the first
+	// corrector's input and the low-order state of the truncation
+	// estimate.
+	for i := range cFirst {
+		lh := l0[i] * h
 		var v float64
 		if lh > cfg.StiffThreshold && !cfg.DisableStiff {
 			// Stiff branch: exact integral for frozen P and L,
@@ -239,32 +247,34 @@ func (in *Integrator) substep(c []float64, h float64, w *Work) (float64, bool) {
 			// stable and positivity preserving, and it tends to
 			// the asymptotic state P/L as L h -> infinity, which
 			// is the regime the Young-Boris hybrid targets.
-			eq := in.p0[i] / in.l0[i]
+			eq := p0[i] / l0[i]
 			if lh > 36 {
 				v = eq // fully relaxed: exp(-lh) underflows the tolerance
 			} else {
 				v = eq + (c[i]-eq)*math.Exp(-lh)
 			}
 		} else {
-			v = c[i] + h*(in.p0[i]-in.l0[i]*c[i])
+			v = c[i] + h*(p0[i]-l0[i]*c[i])
 		}
 		if v < cfg.Floor {
 			v = 0
 		}
-		in.cPred[i] = v
+		cFirst[i] = v
 	}
-	copy(in.cFirst, in.cPred)
 
-	// Corrector iterations, to convergence of the iterate.
-	prev := in.cPred
-	converged := false
-	for iter := 0; iter < cfg.MaxCorrector; iter++ {
-		in.mech.ProdLoss(prev, in.k, in.p1, in.l1)
+	// Corrector iterations, to convergence of the iterate. Iterates
+	// alternate between cCorr and cPred by swapping the slice headers.
+	prev := cFirst
+	var cCorr []float64
+	for iter := 1; ; iter++ {
+		// The swap below hides the lengths from the compiler.
+		prev, cCorr = prev[:n], in.cCorr[:n]
+		in.mech.ProdLoss(prev, k, p1, l1)
 		w.Evals++
-		delta := 0.0
-		for i := 0; i < n; i++ {
-			pBar := 0.5 * (in.p0[i] + in.p1[i])
-			lBar := 0.5 * (in.l0[i] + in.l1[i])
+		converged := true
+		for i := range cCorr {
+			pBar := 0.5 * (p0[i] + p1[i])
+			lBar := 0.5 * (l0[i] + l1[i])
 			lh := lBar * h
 			var v float64
 			if lh > cfg.StiffThreshold && !cfg.DisableStiff {
@@ -275,26 +285,30 @@ func (in *Integrator) substep(c []float64, h float64, w *Work) (float64, bool) {
 					v = eq + (c[i]-eq)*math.Exp(-lh)
 				}
 			} else {
-				v = c[i] + 0.5*h*((in.p0[i]-in.l0[i]*c[i])+(in.p1[i]-in.l1[i]*prev[i]))
+				v = c[i] + 0.5*h*((p0[i]-l0[i]*c[i])+(p1[i]-l1[i]*prev[i]))
 			}
 			if v < cfg.Floor {
 				v = 0
 			}
-			e := math.Abs(v-prev[i]) / (cfg.AbsTol + cfg.RelTol*math.Abs(v))
-			if e > delta {
-				delta = e
+			// The iterate has converged when every species moved by
+			// less than its tolerance: |v-prev|/(AbsTol+RelTol|v|) < 1,
+			// tested without the divide. Comparing the difference with
+			// zero (rather than the two sides with each other) keeps
+			// the quotient's behaviour in every case: a NaN on either
+			// side, or Inf on both, never blocks convergence.
+			if math.Abs(v-prev[i])-(cfg.AbsTol+cfg.RelTol*math.Abs(v)) >= 0 {
+				converged = false
 			}
-			in.cCorr[i] = v
+			cCorr[i] = v
 		}
-		if delta < 1 {
-			converged = true
+		if converged {
 			break
 		}
-		copy(in.cPred, in.cCorr)
+		if iter == cfg.MaxCorrector {
+			return math.Inf(1), false
+		}
+		in.cPred, in.cCorr = in.cCorr, in.cPred
 		prev = in.cPred
-	}
-	if !converged {
-		return math.Inf(1), false
 	}
 
 	// Local truncation estimate: the distance between the first
@@ -304,12 +318,12 @@ func (in *Integrator) substep(c []float64, h float64, w *Work) (float64, bool) {
 	// solution changes violently (Young & Boris select their timestep
 	// from exactly this kind of predictor-corrector discrepancy).
 	errNorm := 0.0
-	for i := 0; i < n; i++ {
+	for i := range cCorr {
 		scale := math.Abs(c[i])
-		if v := math.Abs(in.cCorr[i]); v > scale {
+		if v := math.Abs(cCorr[i]); v > scale {
 			scale = v
 		}
-		e := math.Abs(in.cCorr[i]-in.cFirst[i]) / (cfg.AbsTol + cfg.RelTol*scale)
+		e := math.Abs(cCorr[i]-cFirst[i]) / (cfg.AbsTol + cfg.RelTol*scale)
 		if e > errNorm {
 			errNorm = e
 		}

@@ -127,6 +127,13 @@ type Mechanism struct {
 	prodOff, prodEnd []int32
 	prodSpec         []int32
 	prodYield        []float64
+	flopsPerProdLoss float64
+
+	// kernel, when set, is the reaction table compiled to straight-line
+	// code by GenerateKernel; ProdLoss then runs it instead of
+	// interpreting the tables above, with bit-identical results. Only
+	// StandardMechanism attaches one.
+	kernel func(c, k, P, L []float64)
 }
 
 // NewMechanism builds a mechanism and validates it: species names must be
@@ -197,6 +204,7 @@ func (m *Mechanism) compile() {
 		}
 		m.prodEnd[ri] = int32(len(m.prodSpec))
 	}
+	m.flopsPerProdLoss = float64(8*nr + 2*len(m.prodSpec))
 }
 
 // N returns the number of species.
@@ -246,6 +254,18 @@ func (m *Mechanism) ProdLoss(c, k, P, L []float64) {
 	if len(c) != n || len(P) != n || len(L) != n {
 		panic("species: ProdLoss buffer size mismatch")
 	}
+	if m.kernel != nil {
+		m.kernel(c, k, P, L)
+		return
+	}
+	m.interpret(c, k, P, L)
+}
+
+// interpret is ProdLoss by walking the compiled tables: the only path for
+// mechanisms without a generated kernel, and the reference the generated
+// kernel is differentially tested against.
+func (m *Mechanism) interpret(c, k, P, L []float64) {
+	n := m.N()
 	clear(P[:n])
 	clear(L[:n])
 	// Local aliases of the compiled tables keep the hot loop free of
@@ -295,13 +315,7 @@ func (m *Mechanism) ProdLoss(c, k, P, L []float64) {
 // FlopsPerProdLoss estimates the floating point work of one ProdLoss
 // evaluation, used by the cost model: roughly 8 flops per reaction plus 2
 // per product term.
-func (m *Mechanism) FlopsPerProdLoss() float64 {
-	terms := 0
-	for i := range m.Reactions {
-		terms += len(m.Reactions[i].Products)
-	}
-	return float64(8*len(m.Reactions) + 2*terms)
-}
+func (m *Mechanism) FlopsPerProdLoss() float64 { return m.flopsPerProdLoss }
 
 // Backgrounds returns a fresh concentration vector set to every species'
 // background value.

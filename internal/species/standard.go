@@ -17,6 +17,12 @@ package species
 // stiffness profile (rate constants spanning ~10 orders of magnitude) that
 // makes the chemistry phase of Airshed expensive and highly parallel, not
 // to be a reference photochemistry.
+//
+// The returned mechanism carries standardKernel, the reaction table below
+// compiled to straight-line code (standard_kernel.go). After editing the
+// table, regenerate it:
+//
+//	go test ./internal/species -run TestStandardKernelUpToDate -update
 func StandardMechanism() *Mechanism {
 	specs := []Spec{
 		{Name: "NO", MW: 30, Dep: DepSlow, Background: 1e-4},
@@ -202,5 +208,6 @@ func StandardMechanism() *Mechanism {
 	if err != nil {
 		panic("species: StandardMechanism is invalid: " + err.Error())
 	}
+	m.kernel = standardKernel
 	return m
 }
