@@ -39,6 +39,23 @@ var goldenCases = []struct {
 }{
 	{"mini/t3e/4/h11-12", Mini, 4, 11, 2, false},
 	{"la/t3e/8/h11-13", LA, 8, 11, 3, true}, // the bench's la-cold spec
+	// The two shapes of internal/core's determinism matrices, recorded
+	// from the GoParallel=false serial path (see goldenHosts).
+	{"mini/t3e/3/h7-13", Mini, 3, 7, 7, false},   // ragged P=3 decomposition
+	{"mini/t3e/1/h11-13", Mini, 1, 11, 3, false}, // the P=1 paper baseline
+}
+
+// goldenHosts are the host execution paths that must each reproduce an
+// entry. -update records from the first one a case runs. The paper-scale
+// case runs on the shared engine only, as it always has.
+var goldenHosts = []struct {
+	name        string
+	goParallel  bool
+	hostWorkers int
+}{
+	{"serial", false, 0},
+	{"engine-1", true, 1},
+	{"engine-shared", true, 0},
 }
 
 func fingerprint(res *Result) goldenRun {
@@ -78,24 +95,31 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(Config{
-				Dataset: ds, Machine: CrayT3E(), Nodes: gc.nodes,
-				StartHour: gc.startHour, Hours: gc.hours, GoParallel: true,
-			})
-			if err != nil {
-				t.Fatal(err)
+			hosts := goldenHosts
+			if gc.long {
+				hosts = hosts[len(hosts)-1:]
 			}
-			got := fingerprint(res)
-			if *updateGolden {
-				want[gc.name] = got
-				return
-			}
-			w, ok := want[gc.name]
-			if !ok {
-				t.Fatalf("%s has no entry %q; record it with -update", path, gc.name)
-			}
-			if got != w {
-				t.Errorf("results moved:\n got  %+v\n want %+v", got, w)
+			for _, host := range hosts {
+				res, err := Run(Config{
+					Dataset: ds, Machine: CrayT3E(), Nodes: gc.nodes,
+					StartHour: gc.startHour, Hours: gc.hours,
+					GoParallel: host.goParallel, HostWorkers: host.hostWorkers,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", host.name, err)
+				}
+				got := fingerprint(res)
+				if *updateGolden {
+					want[gc.name] = got
+					return
+				}
+				w, ok := want[gc.name]
+				if !ok {
+					t.Fatalf("%s has no entry %q; record it with -update", path, gc.name)
+				}
+				if got != w {
+					t.Errorf("%s: results moved:\n got  %+v\n want %+v", host.name, got, w)
+				}
 			}
 		})
 	}
