@@ -38,7 +38,7 @@ func srBenchMatrix(b *testing.B) *sr.Matrix {
 	if srBenchM != nil {
 		return srBenchM
 	}
-	s := sched.New(sched.Options{Workers: 2, GoParallel: true})
+	s := sched.New(sched.Options{Workers: 2})
 	defer s.Shutdown(context.Background()) //nolint:errcheck
 	m, err := sr.NewBuilder(sweep.NewEngine(s)).Build(context.Background(),
 		sr.Set{Base: srBenchSpec(), Groups: 4})

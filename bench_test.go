@@ -413,11 +413,9 @@ func BenchmarkCoupledReplay(b *testing.B) {
 
 // BenchmarkRunLAHour measures one fully physical daytime LA hour — the
 // whole-run unit behind daemon jobs and sweeps — at virtual nodes = 1
-// (the paper's sequential baseline) under each execution path: fully
-// serial, the legacy one-goroutine-per-virtual-node path (which at P=1
-// is also single-threaded), and the host engine, whose worker pool is
-// sized by GOMAXPROCS independently of the virtual decomposition. On a
-// multi-core host only the host engine spreads this load.
+// (the paper's sequential baseline) on the host engine at one worker
+// (the serial reference) and on the shared engine, whose worker pool is
+// sized by GOMAXPROCS independently of the virtual decomposition.
 func BenchmarkRunLAHour(b *testing.B) {
 	ds, err := datasets.LA()
 	if err != nil {
@@ -425,20 +423,17 @@ func BenchmarkRunLAHour(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name        string
-		goParallel  bool
 		hostWorkers int
 	}{
-		{"serial", false, 0},
-		{"node-parallel", true, -1},
-		{"host-engine", true, 0},
+		{"engine-1", 1},
+		{"engine-shared", 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Run(core.Config{
 					Dataset: ds, Machine: machine.CrayT3E(), Nodes: 1,
-					Hours: 1, StartHour: 12,
-					GoParallel: tc.goParallel, HostWorkers: tc.hostWorkers,
+					Hours: 1, StartHour: 12, HostWorkers: tc.hostWorkers,
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -94,8 +94,8 @@ func run() error {
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to drain the queue on shutdown")
 		storeDir     = flag.String("store", "", "artifact store directory (empty disables persistence)")
 		storeMB      = flag.Int64("store-mb", 2048, "artifact store size cap in MiB (<= 0 unlimited)")
-		hostWorkers  = flag.Int("host-workers", 0, "host engine workers per job (0 = shared GOMAXPROCS pool, <0 = legacy per-node goroutines)")
-		pipeline     = flag.Int("pipeline", 0, "streaming hour-pipeline depth per run: overlap input prefetch and async snapshot writes with compute (0 = serial hour loop)")
+		hostWorkers  = flag.Int("host-workers", 0, "host engine workers per job (0 = shared GOMAXPROCS pool, 1 = serial reference)")
+		pipeline     = flag.Int("pipeline", 0, "hour-pipeline depth per run: overlap input prefetch and async snapshot writes with compute (0 = both stages inline)")
 		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 		journalPath  = flag.String("journal", "", "crash-recovery journal file (default <store>/journal.wal when -store is set; \"off\" disables)")
 		retries      = flag.Int("retries", 3, "attempts per job for transiently-failed runs (1 = no retries)")
@@ -138,6 +138,14 @@ func run() error {
 	}
 	if *fleetCoordinator && *fleetWorker != "" {
 		return fmt.Errorf("-fleet-coordinator and -fleet-worker are mutually exclusive")
+	}
+	// Rejected here, not per job: core.Config.Validate would otherwise fail
+	// every admitted (and journaled) run.
+	if *hostWorkers < 0 {
+		return fmt.Errorf("-host-workers must be >= 0, got %d", *hostWorkers)
+	}
+	if *pipeline < 0 {
+		return fmt.Errorf("-pipeline must be >= 0, got %d", *pipeline)
 	}
 
 	// Fault injection arms before any subsystem starts, so boot-time
@@ -215,7 +223,6 @@ func run() error {
 		CacheEntries:   *cacheEntries,
 		CacheBytes:     *cacheMB << 20,
 		JobTimeout:     *jobTimeout,
-		GoParallel:     true,
 		HostWorkers:    *hostWorkers,
 		PipelineDepth:  *pipeline,
 		Store:          artifacts,

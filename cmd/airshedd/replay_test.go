@@ -45,7 +45,7 @@ func TestReplayJournalAvoidsStaleIDCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	scheduler := sched.New(sched.Options{Workers: 1, GoParallel: true, Journal: j2})
+	scheduler := sched.New(sched.Options{Workers: 1, Journal: j2})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()

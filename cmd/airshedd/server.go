@@ -487,7 +487,6 @@ func (s *server) traceFor(spec scenario.Spec) (*core.Trace, error) {
 			e.err = err
 			return
 		}
-		cfg.GoParallel = true
 		res, err := core.Run(cfg)
 		if err != nil {
 			e.err = err

@@ -30,7 +30,6 @@ func testServer(t *testing.T, opts sched.Options) (*httptest.Server, *sched.Sche
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
-	opts.GoParallel = true
 	scheduler := sched.New(opts)
 	ts := httptest.NewServer(newServer(scheduler, opts.Store, true, nil, "").handler())
 	t.Cleanup(func() {
@@ -622,7 +621,7 @@ func TestHealthzSurfacesJournalWarnings(t *testing.T) {
 		return j2
 	}
 
-	scheduler := sched.New(sched.Options{Workers: 1, GoParallel: true})
+	scheduler := sched.New(sched.Options{Workers: 1})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -52,8 +52,8 @@ func run() error {
 		jsonOut  = flag.Bool("json", false, "emit the run summary as JSON instead of tables")
 		saveTr   = flag.String("save-trace", "", "save the work trace to this file for later replay")
 		restart  = flag.String("restart", "", "resume from this hourly snapshot file (sets the start hour and initial state)")
-		workers  = flag.Int("workers", 0, "host engine workers (0 = shared GOMAXPROCS pool, <0 = legacy per-node goroutines)")
-		pipeline = flag.Int("pipeline", 0, "streaming hour-pipeline depth: overlap input prefetch and async snapshot writes with compute (0 = serial hour loop)")
+		workers  = flag.Int("workers", 0, "host engine workers (0 = shared GOMAXPROCS pool, 1 = serial reference)")
+		pipeline = flag.Int("pipeline", 0, "hour-pipeline depth: overlap input prefetch and async snapshot writes with compute (0 = both stages inline)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the run to this file")
 
@@ -71,6 +71,12 @@ func run() error {
 		maxRunSecs  = flag.Float64("max-run-seconds", 0, "abort the run after this many wall seconds (0 = no deadline)")
 	)
 	flag.Parse()
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	}
+	if *pipeline < 0 {
+		return fmt.Errorf("-pipeline must be >= 0, got %d", *pipeline)
+	}
 
 	spec := scenario.Spec{
 		Dataset:  *dataset,
@@ -89,7 +95,6 @@ func run() error {
 		return err
 	}
 	cfg.SnapshotDir = *snapDir
-	cfg.GoParallel = true
 	cfg.HostWorkers = *workers
 	cfg.PipelineDepth = *pipeline
 	cfg.DisableSentinels = *noSentinels

@@ -85,7 +85,7 @@ func runBuild(args []string) error {
 		return err
 	}
 
-	opts := sched.Options{Workers: *workers, GoParallel: true}
+	opts := sched.Options{Workers: *workers}
 	if *dir != "" {
 		st, err := store.Open(*dir, 0)
 		if err != nil {

@@ -104,9 +104,8 @@ func run() error {
 			}
 		}
 		scheduler := sched.New(sched.Options{
-			Workers:    *workers,
-			GoParallel: true,
-			Store:      artifacts,
+			Workers: *workers,
+			Store:   artifacts,
 		})
 		defer scheduler.Shutdown(context.Background()) //nolint:errcheck
 		engine = sweep.NewEngine(scheduler)

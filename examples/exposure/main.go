@@ -66,7 +66,6 @@ func run(hours, workers int) error {
 		Nodes:       16,
 		Hours:       hours,
 		SnapshotDir: snapDir,
-		GoParallel:  true,
 	})
 	if err != nil {
 		return err

@@ -68,11 +68,10 @@ func run(hours int) error {
 			}
 		}
 		res, err := airshed.Run(airshed.Config{
-			Dataset:    ds,
-			Machine:    airshed.CrayT3E(),
-			Nodes:      16,
-			Hours:      hours,
-			GoParallel: true,
+			Dataset: ds,
+			Machine: airshed.CrayT3E(),
+			Nodes:   16,
+			Hours:   hours,
 		})
 		if err != nil {
 			return err

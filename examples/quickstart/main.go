@@ -32,12 +32,11 @@ func run(hours, nodes int) error {
 	fmt.Printf("grid: %s\n\n", ds.Grid().Stats())
 
 	res, err := airshed.Run(airshed.Config{
-		Dataset:    ds,
-		Machine:    airshed.CrayT3E(),
-		Nodes:      nodes,
-		Hours:      hours,
-		Mode:       airshed.DataParallel,
-		GoParallel: true,
+		Dataset: ds,
+		Machine: airshed.CrayT3E(),
+		Nodes:   nodes,
+		Hours:   hours,
+		Mode:    airshed.DataParallel,
 	})
 	if err != nil {
 		return err

@@ -31,11 +31,10 @@ func run(hours int, dataset string) error {
 	}
 	fmt.Printf("Tracing %s (%v) for %d hours...\n\n", ds.Name, ds.Shape, hours)
 	res, err := airshed.Run(airshed.Config{
-		Dataset:    ds,
-		Machine:    airshed.CrayT3E(),
-		Nodes:      1,
-		Hours:      hours,
-		GoParallel: true,
+		Dataset: ds,
+		Machine: airshed.CrayT3E(),
+		Nodes:   1,
+		Hours:   hours,
 	})
 	if err != nil {
 		return err

@@ -40,22 +40,27 @@ var goldenCases = []struct {
 	{"mini/t3e/4/h11-12", Mini, 4, 11, 2, false},
 	{"la/t3e/8/h11-13", LA, 8, 11, 3, true}, // the bench's la-cold spec
 	// The two shapes of internal/core's determinism matrices, recorded
-	// from the GoParallel=false serial path (see goldenHosts).
+	// from the serial hour loop and the per-node execution path before
+	// both were deleted: these entries are that reference now.
 	{"mini/t3e/3/h7-13", Mini, 3, 7, 7, false},   // ragged P=3 decomposition
 	{"mini/t3e/1/h11-13", Mini, 1, 11, 3, false}, // the P=1 paper baseline
 }
 
-// goldenHosts are the host execution paths that must each reproduce an
-// entry. -update records from the first one a case runs. The paper-scale
-// case runs on the shared engine only, as it always has.
+// goldenHosts are the host mappings that must each reproduce an entry:
+// the engine at one worker (the serial reference) and the shared engine,
+// with the hour loop's stages inline (depth 0) and overlapped. -update
+// records from the first one a case runs. The paper-scale case runs on
+// the shared engine at depth 0 only, as the bench's la-cold does.
 var goldenHosts = []struct {
-	name        string
-	goParallel  bool
-	hostWorkers int
+	name               string
+	hostWorkers, depth int
 }{
-	{"serial", false, 0},
-	{"engine-1", true, 1},
-	{"engine-shared", true, 0},
+	{"engine-1", 1, 0},
+	{"engine-1/pipe1", 1, 1},
+	{"engine-1/pipe2", 1, 2},
+	{"engine-shared/pipe1", 0, 1},
+	{"engine-shared/pipe2", 0, 2},
+	{"engine-shared", 0, 0},
 }
 
 func fingerprint(res *Result) goldenRun {
@@ -103,7 +108,7 @@ func TestGoldenResults(t *testing.T) {
 				res, err := Run(Config{
 					Dataset: ds, Machine: CrayT3E(), Nodes: gc.nodes,
 					StartHour: gc.startHour, Hours: gc.hours,
-					GoParallel: host.goParallel, HostWorkers: host.hostWorkers,
+					HostWorkers: host.hostWorkers, PipelineDepth: host.depth,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", host.name, err)

@@ -23,11 +23,10 @@ func miniResult(t *testing.T) *Result {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Dataset:    ds,
-		Machine:    CrayT3E(),
-		Nodes:      4,
-		Hours:      2,
-		GoParallel: true,
+		Dataset: ds,
+		Machine: CrayT3E(),
+		Nodes:   4,
+		Hours:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +179,10 @@ func TestPhotochemicalDayProducesOzone(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Dataset:    ds,
-		Machine:    CrayT3E(),
-		Nodes:      2,
-		Hours:      11, // midnight through late morning
-		GoParallel: true,
+		Dataset: ds,
+		Machine: CrayT3E(),
+		Nodes:   2,
+		Hours:   11, // midnight through late morning
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,11 +207,10 @@ func TestDiurnalOzonePeakTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Dataset:    ds,
-		Machine:    CrayT3E(),
-		Nodes:      2,
-		Hours:      20,
-		GoParallel: true,
+		Dataset: ds,
+		Machine: CrayT3E(),
+		Nodes:   2,
+		Hours:   20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,11 +245,10 @@ func TestTaskParallelWinsAtScaleLA(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Dataset:    ds,
-		Machine:    IntelParagon(),
-		Nodes:      1,
-		Hours:      2,
-		GoParallel: true,
+		Dataset: ds,
+		Machine: IntelParagon(),
+		Nodes:   1,
+		Hours:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

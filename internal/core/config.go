@@ -98,38 +98,40 @@ type Config struct {
 	// concentrations (canonical layout, length Shape.Len()); used to
 	// restart from an hourly snapshot.
 	InitialConc []float64
-	// GoParallel enables host goroutine parallelism for the node
-	// bodies. It does not affect results.
+	// Ignored: every run executes on the host engine. The field survives
+	// only because the frozen bench/ sources still set it, and goes away
+	// with the next benchmark PR.
 	GoParallel bool
-	// HostWorkers selects the host execution engine used when GoParallel
-	// is set. 0 (the default) schedules work chunks onto the process-wide
-	// shared engine (GOMAXPROCS workers); > 0 runs this simulation on a
-	// dedicated engine with that many workers; < 0 falls back to the
-	// legacy one-goroutine-per-virtual-node path. The engine decouples
+	// HostWorkers sizes the host execution engine: 0 (the default)
+	// schedules work chunks onto the process-wide shared engine
+	// (GOMAXPROCS workers); > 0 runs this simulation on a dedicated engine
+	// with that many workers. One worker executes every chunk in index
+	// order on one goroutine — the serial reference. The engine decouples
 	// host parallelism from the virtual node count — a nodes=1 paper
 	// baseline still uses every core — and its deterministic reduction
-	// keeps results and ledgers bit-identical across all settings. It
-	// does not affect results. Ignored when GoParallel is false.
+	// keeps results and ledgers bit-identical at any worker count.
 	HostWorkers int
 	// MaxStepsPerHour caps the runtime-determined step count (safety
 	// valve; 0 means the default cap of 6).
 	MaxStepsPerHour int
-	// PipelineDepth enables the wall-clock streaming hour pipeline: a
+	// PipelineDepth maps the hour loop's input and output stages onto
+	// goroutines: at 0 both run inline on the driver goroutine; at > 0 a
 	// prefetch slot decodes hour i+1's input while hour i computes, and
 	// an async writer moves hour i-1's snapshot encode and sink calls
 	// off the compute critical path. The value is the input lookahead in
 	// hours (1 reproduces the paper's Section 5 three-stage pipeline;
-	// larger values absorb burstier I/O). 0 runs the serial loop. The
-	// pipeline changes only wall-clock overlap — results, ledgers,
-	// traces and virtual-time accounting are bit-identical to serial
-	// (pinned by the pipeline determinism matrix).
+	// larger values absorb burstier I/O). The depth changes only
+	// wall-clock overlap — results, ledgers, traces and virtual-time
+	// accounting are bit-identical at any depth (pinned by the pipeline
+	// determinism matrix).
 	PipelineDepth int
 	// OnHourEnd, when non-nil, is called after every simulated hour's
 	// output accounting with that hour's summary — the streaming hook
 	// the scenario service uses to emit per-hour progress while the run
 	// is still in flight. Called from the driver goroutine in hour
-	// order, in both the serial and pipelined paths; implementations
-	// must not block for long (they ride the hour loop).
+	// order; at PipelineDepth 0 the hour's SnapshotFunc has already
+	// returned. Implementations must not block for long (they ride the
+	// hour loop).
 	OnHourEnd func(HourSummary)
 	// DisableSentinels turns off the per-hour physics sentinels (the
 	// NaN/Inf/negative scan of the replicated field and the domain-total
@@ -148,9 +150,9 @@ type Config struct {
 	// benchmark uses to model the paper's I/O-bound hours on hardware
 	// whose real hour files are too small to measure. The throttle
 	// charges wall-clock only — virtual time and results are untouched.
-	// In the serial path the sleep lands on the critical path; in the
-	// pipelined path it lands on the prefetch and writer slots, which is
-	// exactly the overlap being measured.
+	// At PipelineDepth 0 the sleep lands on the critical path; at depth
+	// > 0 it lands on the prefetch and writer slots, which is exactly the
+	// overlap being measured.
 	IOBytesPerSec float64
 }
 
@@ -188,6 +190,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: StartHour must be non-negative, got %d", c.StartHour)
 	case c.ControlStartHour < 0:
 		return fmt.Errorf("core: ControlStartHour must be non-negative, got %d", c.ControlStartHour)
+	case c.HostWorkers < 0:
+		return fmt.Errorf("core: HostWorkers must be non-negative, got %d", c.HostWorkers)
 	case c.PipelineDepth < 0:
 		return fmt.Errorf("core: PipelineDepth must be non-negative, got %d", c.PipelineDepth)
 	case c.IOBytesPerSec < 0:

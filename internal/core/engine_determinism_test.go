@@ -12,25 +12,22 @@ import (
 )
 
 // engineConfigs is the execution matrix of the host-engine determinism
-// guarantee: fully serial, the legacy one-goroutine-per-virtual-node
-// path, and the chunk engine at 1, 2 and NumCPU workers must all produce
-// byte-identical results — warm-start assembly in internal/sched/warm.go
-// depends on it.
+// guarantee: the engine at one worker (every chunk in index order on one
+// goroutine — the serial reference, itself pinned by testdata/golden.json
+// in the module root), at 2 workers and on the shared GOMAXPROCS engine
+// must all produce byte-identical results — warm-start assembly in
+// internal/sched/warm.go depends on it.
 func engineConfigs() []struct {
 	name        string
-	goParallel  bool
 	hostWorkers int
 } {
 	return []struct {
 		name        string
-		goParallel  bool
 		hostWorkers int
 	}{
-		{"serial", false, 0},
-		{"legacy-node-parallel", true, -1},
-		{"engine-1", true, 1},
-		{"engine-2", true, 2},
-		{fmt.Sprintf("engine-shared-%d", runtime.GOMAXPROCS(0)), true, 0},
+		{"engine-1", 1},
+		{"engine-2", 2},
+		{fmt.Sprintf("engine-shared-%d", runtime.GOMAXPROCS(0)), 0},
 	}
 }
 
@@ -66,13 +63,11 @@ func compareResults(t *testing.T, name string, base, got *Result) {
 // everything to the first configuration's result.
 func runMatrix(t *testing.T, cfg Config, configs []struct {
 	name        string
-	goParallel  bool
 	hostWorkers int
 }) {
 	var base *Result
 	for _, ec := range configs {
 		c := cfg
-		c.GoParallel = ec.goParallel
 		c.HostWorkers = ec.hostWorkers
 		res, err := Run(c)
 		if err != nil {
@@ -116,10 +111,9 @@ func TestEngineDeterminismMiniSingleNode(t *testing.T) {
 
 // TestEngineDeterminismLA runs the real LA basin at peak chemistry load
 // (daytime, where adaptive substepping is most active). The default
-// compares the legacy node-parallel path against the shared engine —
-// serial/legacy/engine identity is covered exhaustively on Mini above —
-// and set AIRSHED_DETERMINISM_FULL=1 for the full 24-hour day under the
-// whole execution matrix; -short skips the LA run entirely.
+// compares engine-1 against the shared engine — the 2-worker column is
+// covered on Mini above — and AIRSHED_DETERMINISM_FULL=1 runs the full
+// 24-hour day under the whole matrix; -short skips the LA run entirely.
 func TestEngineDeterminismLA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LA determinism matrix skipped in short mode")
@@ -129,11 +123,11 @@ func TestEngineDeterminismLA(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Dataset: ds, Machine: machine.CrayT3E(), Nodes: 4, StartHour: 12, Hours: 1}
-	configs := engineConfigs()[1:2:2]             // legacy baseline...
-	configs = append(configs, engineConfigs()[4]) // ...vs the shared engine
+	configs := engineConfigs()
 	if os.Getenv("AIRSHED_DETERMINISM_FULL") != "" {
 		cfg.StartHour, cfg.Hours = 0, 24
-		configs = engineConfigs()
+	} else {
+		configs = append(configs[:1:1], configs[2])
 	}
 	runMatrix(t, cfg, configs)
 }

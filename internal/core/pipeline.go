@@ -14,28 +14,32 @@ import (
 	"airshed/internal/vm"
 )
 
-// This file implements the wall-clock streaming hour pipeline — the real
-// (host-time) counterpart of the paper's Section 5 three-stage task
-// pipeline that replay.go only models in virtual time. Three stages
-// overlap:
+// This file is the hour loop — the paper's Figure 1 program — and its
+// two I/O stages. Each hour the driver pulls a decoded hourItem from the
+// input stage, computes, and pushes a writeJob to the output stage:
 //
-//	prefetch  — decodes hour i+1's input (provider call, hourio envelope
-//	            encode/decode, transport envs, substep count) on its own
-//	            goroutine while hour i computes;
-//	compute   — the unchanged inner step loop on the main driver
-//	            goroutine (and the host engine under it);
-//	writeback — encodes and persists hour i−1's snapshot (file +
-//	            SnapshotFunc sink) on a bounded async writer.
+//	input   — provider call, hourio envelope encode/decode, transport
+//	          envs, substep count (prefetchHour);
+//	compute — the inner step loop on the driver goroutine (and the host
+//	          engine under it);
+//	output  — snapshot encode and persistence, file + SnapshotFunc sink
+//	          (writeOne).
+//
+// Config.PipelineDepth is the mapping directive, not a second program:
+// at depth 0 both stages are called inline on the driver goroutine; at
+// depth > 0 they run on their own goroutines — the wall-clock
+// counterpart of the Section 5 three-stage task pipeline that replay.go
+// models in virtual time — decoding hour i+1 and persisting hour i−1
+// while hour i computes.
 //
 // The determinism contract: every virtual-machine interaction
 // (ChargeIO, ChargeCompute, Barrier) stays on the driver goroutine in
-// exactly the serial loop's order and values. The stages move only
-// wall-clock work. Input volume is charged from the prefetch's single
-// encode (the serial path's encode-to-Discard, now feeding the real
-// decode — satellite fix 2); output volume is charged analytically via
-// hourio.SnapshotSize, which the writer verifies against the bytes it
-// actually produces. The pipeline determinism matrix pins results,
-// ledgers and traces bit-identical to serial.
+// one fixed order with the same values at any depth. The stages move
+// only wall-clock work. Input volume is charged from the input stage's
+// single encode, whose bytes feed the real decode; output volume is
+// charged analytically via hourio.SnapshotSize, which the output stage
+// verifies against the bytes it actually produces. golden.json and the
+// pipeline determinism matrix pin results, ledgers and traces.
 
 // pipelineStats holds the process-wide streaming-pipeline gauges served
 // by airshedd's /metrics.
@@ -80,12 +84,11 @@ func ReadPipelineStats() PipelineStats {
 	}
 }
 
-// hourItem is one decoded hour handed from the prefetch stage to
-// compute: everything the serial loop derives between the provider call
-// and the first inner step. A prefetch failure travels in-band via err
-// so compute surfaces it at the same hour the serial loop would.
+// hourItem is one decoded hour handed from the input stage to compute:
+// everything derived between the provider call and the first inner step.
+// An input failure travels in-band via err so compute surfaces it at the
+// hour it belongs to, however far ahead the stage runs.
 type hourItem struct {
-	hour    int
 	in      *meteo.HourInput
 	inBytes int64
 	nsteps  int
@@ -99,7 +102,7 @@ type hourItem struct {
 // decode from those same bytes, transport envs and the substep count on
 // the stage's dedicated operator.
 func (s *Simulation) prefetchHour(ctx context.Context, op *transport.Operator2D, hour int) *hourItem {
-	it := &hourItem{hour: hour}
+	it := &hourItem{}
 	fail := func(err error) *hourItem {
 		it.err = err
 		return it
@@ -117,8 +120,7 @@ func (s *Simulation) prefetchHour(ctx context.Context, op *transport.Operator2D,
 	// One encode yields both the charged I/O volume and the byte stream
 	// the real decode consumes — the envelope round trip is bit-exact
 	// (little-endian float64), so the decoded input is physics-identical
-	// to the provider's. The serial path instead encodes to io.Discard
-	// purely for the byte count.
+	// to the provider's.
 	var buf bytes.Buffer
 	inBytes, err := hourio.WriteHourInput(&buf, in0)
 	if err != nil {
@@ -142,21 +144,44 @@ func (s *Simulation) prefetchHour(ctx context.Context, op *transport.Operator2D,
 	if err != nil {
 		return fail(err)
 	}
-	pipelineStats.prefetched.Add(1)
 	return it
 }
 
-// writeJob is one hour's output work queued on the async writer.
+// writeJob is one hour's output work.
 type writeJob struct {
 	hour int
 	conc []float64
 	size int64 // analytic snapshot size already charged by compute
 }
 
-// hourWriter is the bounded async output stage: compute enqueues the
-// hour's replica copy and moves on; the writer encodes the snapshot,
-// verifies the analytic size, throttles, and feeds the SnapshotFunc
-// sink. The first error is latched and surfaced to the hour loop (which
+// writeOne performs the output stage for one hour: encode the snapshot
+// (to SnapshotDir, or a byte counter), verify the analytic size compute
+// charged, throttle, and feed the SnapshotFunc sink.
+func (s *Simulation) writeOne(ctx context.Context, job writeJob) error {
+	if err := resilience.Fire(resilience.PointPipeWrite); err != nil {
+		return fmt.Errorf("core: outputhour %d: %w", job.hour, err)
+	}
+	n, err := s.writeSnapshot(job.hour, job.conc)
+	if err != nil {
+		return resilience.MarkTransient(fmt.Errorf("core: outputhour %d: %w", job.hour, err))
+	}
+	if n != job.size {
+		return fmt.Errorf("core: outputhour %d wrote %d bytes, charged %d", job.hour, n, job.size)
+	}
+	if err := s.throttleIO(ctx, n); err != nil {
+		return err
+	}
+	if s.cfg.SnapshotFunc != nil {
+		if err := s.cfg.SnapshotFunc(job.hour, job.conc); err != nil {
+			return fmt.Errorf("core: snapshot sink at hour %d: %w", job.hour, err)
+		}
+	}
+	return nil
+}
+
+// hourWriter is the bounded async output stage: compute enqueues a copy
+// of the hour's replica and moves on; the writer runs writeOne behind
+// it. The first error is latched and surfaced to the hour loop (which
 // checks before each hour and at the final join). Queue capacity bounds
 // memory: when the writer falls behind, enqueue blocks — backpressure,
 // not unbounded buffering.
@@ -166,7 +191,6 @@ type hourWriter struct {
 	ch   chan writeJob
 	pool chan []float64
 	wg   sync.WaitGroup
-	once sync.Once
 
 	mu  sync.Mutex
 	err error
@@ -187,71 +211,48 @@ func newHourWriter(ctx context.Context, s *Simulation, depth int) *hourWriter {
 func (w *hourWriter) run() {
 	defer w.wg.Done()
 	for job := range w.ch {
-		if w.takeErr() != nil {
-			// Already failed: drain remaining jobs without touching disk.
-			pipelineStats.writerQueue.Add(-1)
-			continue
-		}
-		if err := w.writeOne(job); err != nil {
-			w.setErr(err)
+		// After a failure, drain remaining jobs without touching disk.
+		if w.takeErr() == nil {
+			if err := w.s.writeOne(w.ctx, job); err != nil {
+				w.setErr(err)
+			} else {
+				pipelineStats.written.Add(1)
+				select {
+				case w.pool <- job.conc:
+				default:
+				}
+			}
 		}
 		pipelineStats.writerQueue.Add(-1)
 	}
 }
 
-func (w *hourWriter) writeOne(job writeJob) error {
-	if err := resilience.Fire(resilience.PointPipeWrite); err != nil {
-		return fmt.Errorf("core: outputhour %d: %w", job.hour, err)
-	}
-	n, err := w.s.writeSnapshot(job.hour, job.conc)
-	if err != nil {
-		return resilience.MarkTransient(fmt.Errorf("core: outputhour %d: %w", job.hour, err))
-	}
-	if n != job.size {
-		return fmt.Errorf("core: outputhour %d wrote %d bytes, charged %d", job.hour, n, job.size)
-	}
-	if err := w.s.throttleIO(w.ctx, n); err != nil {
-		return err
-	}
-	if w.s.cfg.SnapshotFunc != nil {
-		if err := w.s.cfg.SnapshotFunc(job.hour, job.conc); err != nil {
-			return fmt.Errorf("core: snapshot sink at hour %d: %w", job.hour, err)
-		}
-	}
-	pipelineStats.written.Add(1)
-	select {
-	case w.pool <- job.conc:
-	default:
-	}
-	return nil
-}
-
-// enqueue copies repl into a pooled buffer and queues the hour's output.
+// enqueue copies the job's replica into a pooled buffer and queues it.
 // Blocks when the writer queue is full (bounded backpressure); honours
 // cancellation while blocked.
-func (w *hourWriter) enqueue(ctx context.Context, hour int, repl []float64, size int64) error {
+func (w *hourWriter) enqueue(ctx context.Context, job writeJob) error {
 	var buf []float64
 	select {
 	case buf = <-w.pool:
 	default:
-		buf = make([]float64, len(repl))
+		buf = make([]float64, len(job.conc))
 	}
-	copy(buf, repl)
+	copy(buf, job.conc)
+	job.conc = buf
 	pipelineStats.writerQueue.Add(1)
 	select {
-	case w.ch <- writeJob{hour: hour, conc: buf, size: size}:
+	case w.ch <- job:
 		return nil
 	case <-ctx.Done():
 		pipelineStats.writerQueue.Add(-1)
-		return fmt.Errorf("core: run abandoned queueing hour %d output: %w", hour, ctx.Err())
+		return fmt.Errorf("core: run abandoned queueing hour %d output: %w", job.hour, ctx.Err())
 	}
 }
 
-// close stops accepting work; idempotent.
-func (w *hourWriter) close() { w.once.Do(func() { close(w.ch) }) }
-
-// wait joins the writer and returns its latched error, if any.
+// wait stops accepting work, joins the writer and returns its latched
+// error, if any. The hour loop calls it exactly once.
 func (w *hourWriter) wait() error {
+	close(w.ch)
 	w.wg.Wait()
 	return w.takeErr()
 }
@@ -270,82 +271,95 @@ func (w *hourWriter) takeErr() error {
 	return w.err
 }
 
-// runPipelined is the streaming hour loop. The prefetch goroutine keeps
-// up to PipelineDepth decoded hours ahead of compute; the async writer
-// persists completed hours behind it. All vm accounting happens here, on
-// the driver goroutine, in the serial loop's exact order.
-func (s *Simulation) runPipelined(ctx context.Context) (err error) {
+// runHours is the hour loop. next yields hour i's decoded input and
+// write takes its output; at PipelineDepth 0 they are the two stages
+// called inline, at depth > 0 a prefetch goroutine keeps up to depth
+// decoded hours ahead of compute and the hourWriter persists completed
+// hours behind it.
+func (s *Simulation) runHours(ctx context.Context) (err error) {
 	sh := s.cfg.Dataset.Shape
 	depth := s.cfg.PipelineDepth
+	first, end := s.cfg.StartHour, s.cfg.StartHour+s.cfg.Hours
 
-	pipelineStats.activeRuns.Add(1)
-	pipelineStats.depth.Store(int64(depth))
-	defer pipelineStats.activeRuns.Add(-1)
-
-	// Stage-private substep-counting operator: transport.Prepare mutates
-	// operator state, so the prefetch cannot share compute's workers.
+	// Substep-counting operator private to the input stage:
+	// transport.Prepare mutates operator state, so a prefetch running
+	// beside compute cannot share compute's workers.
 	preOp, err := transport.New2D(s.cfg.Dataset.Grid())
 	if err != nil {
 		return err
 	}
+	next := func(hour int) *hourItem { return s.prefetchHour(ctx, preOp, hour) }
+	write := func(job writeJob) error { return s.writeOne(ctx, job) }
 
-	pctx, cancel := context.WithCancel(ctx)
-	items := make(chan *hourItem, depth)
-	var pfWG sync.WaitGroup
-	pfWG.Add(1)
-	go func() {
-		defer pfWG.Done()
-		defer close(items)
-		for hour := s.cfg.StartHour; hour < s.cfg.StartHour+s.cfg.Hours; hour++ {
-			it := s.prefetchHour(pctx, preOp, hour)
+	if depth > 0 {
+		pipelineStats.activeRuns.Add(1)
+		pipelineStats.depth.Store(int64(depth))
+		defer pipelineStats.activeRuns.Add(-1)
+
+		pctx, cancel := context.WithCancel(ctx)
+		items := make(chan *hourItem, depth) // the input lookahead
+		var pfWG sync.WaitGroup
+		pfWG.Add(1)
+		go func() {
+			defer pfWG.Done()
+			defer close(items)
+			for h := first; h < end; h++ {
+				it := s.prefetchHour(pctx, preOp, h)
+				select {
+				case items <- it:
+				case <-pctx.Done():
+					return
+				}
+				if it.err != nil {
+					return
+				}
+				pipelineStats.prefetched.Add(1)
+			}
+		}()
+		w := newHourWriter(pctx, s, depth)
+
+		// Join both stages on every exit path so no goroutine outlives the
+		// run. A failed run cancels first, unblocking a prefetch mid-send
+		// and aborting throttled writer sleeps; a clean one lets queued
+		// snapshots finish writing before the cancel.
+		defer func() {
+			if err != nil {
+				cancel()
+			}
+			if werr := w.wait(); err == nil {
+				err = werr
+			}
+			cancel()
+			pfWG.Wait()
+		}()
+
+		next = func(hour int) *hourItem {
+			if werr := w.takeErr(); werr != nil {
+				return &hourItem{err: werr}
+			}
+			var it *hourItem
 			select {
-			case items <- it:
-			case <-pctx.Done():
-				return
+			case it = <-items:
+				pipelineStats.hits.Add(1)
+			default:
+				pipelineStats.stalls.Add(1)
+				select {
+				case it = <-items:
+				case <-ctx.Done():
+				}
 			}
-			if it.err != nil {
-				return
+			if it == nil {
+				// Cancelled: ctx is done, or the prefetch saw that first
+				// and closed items (the only reason it closes early).
+				it = &hourItem{err: fmt.Errorf("core: run abandoned before hour %d: %w", hour, ctx.Err())}
 			}
+			return it
 		}
-	}()
-	w := newHourWriter(pctx, s, depth)
+		write = func(job writeJob) error { return w.enqueue(ctx, job) }
+	}
 
-	// Cleanup on every exit path: cancel unblocks a prefetch mid-send
-	// and aborts throttled writer sleeps, then both stages are joined so
-	// no goroutine outlives the run. The clean path has already joined
-	// the writer (close+wait are idempotent) before this cancel fires.
-	defer func() {
-		cancel()
-		w.close()
-		if werr := w.wait(); err == nil && werr != nil {
-			err = werr
-		}
-		pfWG.Wait()
-	}()
-
-	for hour := s.cfg.StartHour; hour < s.cfg.StartHour+s.cfg.Hours; hour++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("core: run abandoned before hour %d: %w", hour, cerr)
-		}
-		if werr := w.takeErr(); werr != nil {
-			return werr
-		}
-		var it *hourItem
-		var ok bool
-		select {
-		case it, ok = <-items:
-			pipelineStats.hits.Add(1)
-		default:
-			pipelineStats.stalls.Add(1)
-			select {
-			case it, ok = <-items:
-			case <-ctx.Done():
-				return fmt.Errorf("core: run abandoned before hour %d: %w", hour, ctx.Err())
-			}
-		}
-		if !ok {
-			return fmt.Errorf("core: pipeline input ended before hour %d", hour)
-		}
+	for hour := first; hour < end; hour++ {
+		it := next(hour)
 		if it.err != nil {
 			return it.err
 		}
@@ -353,26 +367,26 @@ func (s *Simulation) runPipelined(ctx context.Context) (err error) {
 			return err
 		}
 
-		// --- inputhour accounting + pretrans (serial order) ---
+		// --- inputhour accounting + pretrans: sequential on node 0 ---
 		s.vm.ChargeIO(0, it.inBytes)
 		pretransFlops := float64(12*sh.Layers*sh.Cells + 4*sh.Species*sh.Cells)
 		s.vm.ChargeCompute(0, vm.CatIO, pretransFlops)
 		s.vm.Barrier()
 
 		ht := HourTrace{InBytes: it.inBytes, PretransFlops: pretransFlops}
-		if err := s.runHourSteps(ctx, it.hour, it.in, it.envs, it.nsteps, it.nsub, &ht); err != nil {
+		if err := s.runHourSteps(ctx, hour, it.in, it.envs, it.nsteps, it.nsub, &ht); err != nil {
 			return err
 		}
 
-		// --- outputhour: charge the analytic volume now, write async ---
+		// --- outputhour: sequential on node 0 ---
 		repl, err := s.gatherReplica()
 		if err != nil {
 			return err
 		}
-		// Sentinels run before the hour is charged, recorded or queued
-		// for writeback: a tripped hour never reaches the writer, so no
-		// snapshot or checkpoint of it exists anywhere.
-		if err := s.sentinelCheck(it.hour, repl); err != nil {
+		// Sentinels run before the hour is charged, recorded or handed to
+		// the output stage: a NaN/negative/mass-drift hour never reaches a
+		// snapshot, checkpoint or result.
+		if err := s.sentinelCheck(hour, repl); err != nil {
 			return err
 		}
 		outBytes := hourio.SnapshotSize(sh.Species, sh.Layers, sh.Cells)
@@ -382,14 +396,15 @@ func (s *Simulation) runPipelined(ctx context.Context) (err error) {
 		s.trace.Hours = append(s.trace.Hours, ht)
 
 		hourPeak, hourPeakCell := s.recordHourPeak(repl)
-		if err := w.enqueue(ctx, it.hour, repl, outBytes); err != nil {
+		if err := write(writeJob{hour: hour, conc: repl, size: outBytes}); err != nil {
 			return err
 		}
 		if s.cfg.OnHourEnd != nil {
-			// Fired when the hour's physics and accounting are final;
-			// its snapshot may still be in the writer queue.
+			// The hour's physics and accounting are final. At depth 0 its
+			// sinks have returned; at depth > 0 its snapshot may still be
+			// in the writer queue.
 			s.cfg.OnHourEnd(HourSummary{
-				Hour:     it.hour,
+				Hour:     hour,
 				PeakO3:   hourPeak,
 				PeakCell: hourPeakCell,
 				Steps:    it.nsteps,
@@ -398,13 +413,5 @@ func (s *Simulation) runPipelined(ctx context.Context) (err error) {
 			})
 		}
 	}
-
-	// Clean completion: join the writer before the deferred cancel so
-	// queued snapshots finish writing rather than being aborted.
-	w.close()
-	if werr := w.wait(); werr != nil {
-		return werr
-	}
-	pfWG.Wait()
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // to a bandwidth that makes the I/O stages comparable to an hour's
 // compute — the regime of the paper's Section 5 measurements, where
 // input/output processing consumed a large fraction of each hour at 64
-// Paragon nodes. Serial pays compute + I/O per hour; the pipeline pays
+// Paragon nodes. Depth 0 pays compute + I/O per hour; depth N pays
 // max(compute, I/O) plus fill/drain, which is the measured win.
 func benchPipelineConfig(b *testing.B) Config {
 	b.Helper()
@@ -23,21 +23,21 @@ func benchPipelineConfig(b *testing.B) Config {
 	}
 	return Config{
 		Dataset: ds, Machine: machine.CrayT3E(), Nodes: 2,
-		StartHour: 8, Hours: 6, GoParallel: true,
+		StartHour: 8, Hours: 6,
 		IOBytesPerSec: 256 << 10,
 	}
 }
 
 // BenchmarkHourPipeline measures the wall-clock of one full multi-hour
-// run, serial vs streaming-pipelined, under the slow-provider throttle.
-// The determinism matrix guarantees both variants produce bit-identical
-// results, so the delta is pure overlap.
+// run, depth 0 (inline stages) vs depth N (overlapped), under the
+// slow-provider throttle. The determinism matrix guarantees every depth
+// produces bit-identical results, so the delta is pure overlap.
 func BenchmarkHourPipeline(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		depth int
 	}{
-		{"serial", 0},
+		{"depth0", 0},
 		{"pipelined-depth1", 1},
 		{"pipelined-depth2", 2},
 	} {

@@ -159,12 +159,11 @@ func TestSentinelInjectionFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Run(Config{
-		Dataset:    ds,
-		Machine:    machine.CrayT3E(),
-		Nodes:      2,
-		Hours:      1,
-		Mode:       DataParallel,
-		GoParallel: true,
+		Dataset: ds,
+		Machine: machine.CrayT3E(),
+		Nodes:   2,
+		Hours:   1,
+		Mode:    DataParallel,
 	})
 	var pe *PhysicsError
 	if !errors.As(err, &pe) {

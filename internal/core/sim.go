@@ -68,21 +68,12 @@ type Result struct {
 type Simulation struct {
 	cfg  Config
 	vm   *vm.Machine
-	rt   *fx.Runtime
 	arr  *fx.Array
 	aero *aerosol.Model
 
-	// Legacy per-virtual-node operator set (GoParallel off, or
-	// HostWorkers < 0). Empty when the host engine is in use.
-	chemOps  []*chemistry.Operator
-	transOps []*transport.Operator2D
-	fieldBuf [][]float64 // per-node layer-field scratch
-	emisBuf  [][]float64 // per-node per-species emission scratch
-
-	// Host engine state: operators and scratch are pooled per engine
-	// worker (the chemistry.Operator is single-owner), not per virtual
-	// node, so a nodes=1 run still fills every core.
-	useEngine   bool
+	// Operators and scratch are pooled per host-engine worker (the
+	// chemistry.Operator is single-owner), not per virtual node, so a
+	// nodes=1 run still fills every core.
 	engine      *fx.Engine // shared engine, or the dedicated one while running
 	workerChem  []*chemistry.Operator
 	workerTrans []*transport.Operator2D
@@ -112,7 +103,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	rt := fx.NewRuntime(vmm)
-	rt.GoParallel = cfg.GoParallel
 
 	init := cfg.InitialConc
 	if init == nil {
@@ -129,7 +119,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	s := &Simulation{
 		cfg:  cfg,
 		vm:   vmm,
-		rt:   rt,
 		arr:  arr,
 		aero: aero,
 		iO3:  ds.Mechanism().MustIndex("O3"),
@@ -142,52 +131,30 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		}
 	}
 	chemCfg := cfg.chemConfig()
-	s.useEngine = cfg.GoParallel && cfg.HostWorkers >= 0
 	s.trailBuf = make([]float64, ds.Shape.Layers)
-	if s.useEngine {
-		nw := cfg.HostWorkers
-		if nw == 0 {
-			s.engine = fx.SharedEngine()
-			nw = s.engine.Workers()
+	nw := cfg.HostWorkers
+	if nw == 0 {
+		s.engine = fx.SharedEngine()
+		nw = s.engine.Workers()
+	}
+	s.workerChem = make([]*chemistry.Operator, nw)
+	s.workerTrans = make([]*transport.Operator2D, nw)
+	s.workerField = make([][]float64, nw)
+	s.workerEnv = make([]*chemistry.CellEnv, nw)
+	for w := 0; w < nw; w++ {
+		op, err := chemistry.NewOperator(ds.Mechanism(), ds.Geometry(), chemCfg)
+		if err != nil {
+			return nil, err
 		}
-		s.workerChem = make([]*chemistry.Operator, nw)
-		s.workerTrans = make([]*transport.Operator2D, nw)
-		s.workerField = make([][]float64, nw)
-		s.workerEnv = make([]*chemistry.CellEnv, nw)
-		for w := 0; w < nw; w++ {
-			op, err := chemistry.NewOperator(ds.Mechanism(), ds.Geometry(), chemCfg)
-			if err != nil {
-				return nil, err
-			}
-			s.workerChem[w] = op
-			top, err := transport.New2D(g)
-			if err != nil {
-				return nil, err
-			}
-			s.workerTrans[w] = top
-			s.workerField[w] = make([]float64, ds.Shape.Cells)
-			s.workerEnv[w] = &chemistry.CellEnv{
-				Vert: &chemistry.VerticalEnv{Emis: make([]float64, ds.Shape.Species)},
-			}
+		s.workerChem[w] = op
+		top, err := transport.New2D(g)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		s.chemOps = make([]*chemistry.Operator, cfg.Nodes)
-		s.transOps = make([]*transport.Operator2D, cfg.Nodes)
-		s.fieldBuf = make([][]float64, cfg.Nodes)
-		s.emisBuf = make([][]float64, cfg.Nodes)
-		for n := 0; n < cfg.Nodes; n++ {
-			op, err := chemistry.NewOperator(ds.Mechanism(), ds.Geometry(), chemCfg)
-			if err != nil {
-				return nil, err
-			}
-			s.chemOps[n] = op
-			top, err := transport.New2D(g)
-			if err != nil {
-				return nil, err
-			}
-			s.transOps[n] = top
-			s.fieldBuf[n] = make([]float64, ds.Shape.Cells)
-			s.emisBuf[n] = make([]float64, ds.Shape.Species)
+		s.workerTrans[w] = top
+		s.workerField[w] = make([]float64, ds.Shape.Cells)
+		s.workerEnv[w] = &chemistry.CellEnv{
+			Vert: &chemistry.VerticalEnv{Emis: make([]float64, ds.Shape.Species)},
 		}
 	}
 	s.trace = &Trace{Dataset: ds.Name, Shape: ds.Shape}
@@ -232,15 +199,14 @@ func (s *Simulation) Run() (*Result, error) {
 // smallest unit after which the virtual machine state is consistent — so
 // a cancelled job stops within a fraction of a simulated hour.
 //
-// With Config.PipelineDepth > 0 the hour loop runs as the wall-clock
-// streaming pipeline of pipeline.go (input decode ‖ compute ‖ output
-// write overlapped on dedicated slots); the serial loop and the pipeline
-// produce bit-identical results, ledgers and traces.
+// Config.PipelineDepth only chooses where the hour loop's input and output
+// stages run (inline, or overlapped with compute on their own goroutines,
+// see pipeline.go); results, ledgers and traces are bit-identical.
 func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 	// A positive HostWorkers asks for a dedicated engine scoped to this
 	// run; the shared engine (HostWorkers == 0) was bound at build time
 	// and is never closed.
-	if s.useEngine && s.engine == nil {
+	if s.engine == nil {
 		eng := fx.NewEngine(s.cfg.HostWorkers)
 		s.engine = eng
 		defer func() {
@@ -249,11 +215,7 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 		}()
 	}
 
-	if s.cfg.PipelineDepth > 0 {
-		if err := s.runPipelined(ctx); err != nil {
-			return nil, err
-		}
-	} else if err := s.runSerial(ctx); err != nil {
+	if err := s.runHours(ctx); err != nil {
 		return nil, err
 	}
 
@@ -275,100 +237,6 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 		s.result.RedistCounts = rr.RedistCounts
 	}
 	return s.result, nil
-}
-
-// runSerial is the classic single-goroutine hour loop: input decode,
-// pretrans, inner steps and output run strictly in sequence, exactly the
-// paper's Figure 1 program. runPipelined reuses the same stage helpers
-// (hourProvider, runHourSteps, gatherReplica, recordHourPeak) so the two
-// paths cannot drift.
-func (s *Simulation) runSerial(ctx context.Context) error {
-	sh := s.cfg.Dataset.Shape
-	for hour := s.cfg.StartHour; hour < s.cfg.StartHour+s.cfg.Hours; hour++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: run abandoned before hour %d: %w", hour, err)
-		}
-		if err := s.wedgePoint(ctx, hour); err != nil {
-			return err
-		}
-		in, err := s.hourProvider(hour).HourInput(hour)
-		if err != nil {
-			return err
-		}
-		// --- inputhour: sequential I/O processing on node 0 ---
-		// Hour-I/O stage failures are environmental, not physics: a
-		// retry of the whole job can cure them.
-		inBytes, err := hourio.WriteHourInput(io.Discard, in)
-		if err != nil {
-			return resilience.MarkTransient(fmt.Errorf("core: inputhour %d: %w", hour, err))
-		}
-		if err := s.throttleIO(ctx, inBytes); err != nil {
-			return err
-		}
-		s.vm.ChargeIO(0, inBytes)
-
-		// --- pretrans: sequential preprocessing on node 0 ---
-		nsteps := StepsForHour(in, s.minCell, s.cfg.maxSteps())
-		envs := s.buildTransportEnvs(in)
-		pretransFlops := float64(12*sh.Layers*sh.Cells + 4*sh.Species*sh.Cells)
-		s.vm.ChargeCompute(0, vm.CatIO, pretransFlops)
-		s.vm.Barrier()
-
-		ht := HourTrace{InBytes: inBytes, PretransFlops: pretransFlops}
-		dtStep := 3600.0 / float64(nsteps)
-		// The transport solver advances every layer with one shared
-		// (worst-layer CFL) substep, so per-layer work is uniform and
-		// the transport phase load depends only on the layer count per
-		// node — the behaviour the paper's Figure 4 shows.
-		nsub, err := s.hourSubsteps(envs, dtStep/2)
-		if err != nil {
-			return err
-		}
-		if err := s.runHourSteps(ctx, hour, in, envs, nsteps, nsub, &ht); err != nil {
-			return err
-		}
-
-		// --- outputhour: sequential I/O processing on node 0 ---
-		repl, err := s.gatherReplica()
-		if err != nil {
-			return err
-		}
-		// Sentinels run before any persistence of the hour's state, so a
-		// NaN/negative/mass-drift hour never reaches a snapshot,
-		// checkpoint or result.
-		if err := s.sentinelCheck(hour, repl); err != nil {
-			return err
-		}
-		outBytes, err := s.writeSnapshot(hour, repl)
-		if err != nil {
-			return resilience.MarkTransient(fmt.Errorf("core: outputhour %d: %w", hour, err))
-		}
-		if err := s.throttleIO(ctx, outBytes); err != nil {
-			return err
-		}
-		s.vm.ChargeIO(0, outBytes)
-		s.vm.Barrier()
-		ht.OutBytes = outBytes
-		s.trace.Hours = append(s.trace.Hours, ht)
-
-		hourPeak, hourPeakCell := s.recordHourPeak(repl)
-		if s.cfg.SnapshotFunc != nil {
-			if err := s.cfg.SnapshotFunc(hour, repl); err != nil {
-				return fmt.Errorf("core: snapshot sink at hour %d: %w", hour, err)
-			}
-		}
-		if s.cfg.OnHourEnd != nil {
-			s.cfg.OnHourEnd(HourSummary{
-				Hour:     hour,
-				PeakO3:   hourPeak,
-				PeakCell: hourPeakCell,
-				Steps:    nsteps,
-				InBytes:  inBytes,
-				OutBytes: outBytes,
-			})
-		}
-	}
-	return nil
 }
 
 // hourProvider resolves the meteo provider for an hour: the control
@@ -395,8 +263,8 @@ func (s *Simulation) throttleIO(ctx context.Context, bytes int64) error {
 
 // runHourSteps executes one hour's inner step loop (leading transport,
 // chemistry, aerosol, trailing transport with the distribution cycle in
-// between), appending step traces to ht. Identical in both execution
-// paths; all virtual-time charging happens here on the caller goroutine.
+// between), appending step traces to ht. All virtual-time charging
+// happens here on the caller goroutine.
 func (s *Simulation) runHourSteps(ctx context.Context, hour int, in *meteo.HourInput, envs []transport.Env, nsteps, nsub int, ht *HourTrace) error {
 	sh := s.cfg.Dataset.Shape
 	dtStep := 3600.0 / float64(nsteps)
@@ -512,20 +380,12 @@ func (s *Simulation) buildTransportEnvs(in *meteo.HourInput) []transport.Env {
 	return envs
 }
 
-// hourSubsteps computes the shared transport substep count for an hour:
+// maxSubsteps computes the shared transport substep count for an hour:
 // the worst layer's CFL requirement for a half step of dtHalf seconds.
-func (s *Simulation) hourSubsteps(envs []transport.Env, dtHalf float64) (int, error) {
-	var op *transport.Operator2D
-	if s.useEngine {
-		op = s.workerTrans[0]
-	} else {
-		op = s.transOps[0]
-	}
-	return maxSubsteps(op, envs, dtHalf)
-}
-
-// maxSubsteps is hourSubsteps on an explicit operator: the prefetch
-// stage counts substeps on its own operator (Prepare mutates operator
+// The transport solver advances every layer with this one substep, so
+// per-layer work is uniform and the transport phase load depends only on
+// the layer count per node — the behaviour the paper's Figure 4 shows.
+// The input stage calls it on its own operator (Prepare mutates operator
 // state, so it cannot borrow a compute worker's while compute runs).
 func maxSubsteps(op *transport.Operator2D, envs []transport.Env, dtHalf float64) (int, error) {
 	nsub := 1
@@ -540,56 +400,12 @@ func maxSubsteps(op *transport.Operator2D, envs []transport.Env, dtHalf float64)
 	return nsub, nil
 }
 
-// transportPhase runs the horizontal operator on every owned layer with
-// the shared substep count.
+// transportPhase runs the horizontal operator on every layer with the
+// shared substep count: all layers form one item space chunked across the
+// engine's workers regardless of which virtual node owns them. Each
+// layer's charged work lands in its fixed record slot; chargeOwned then
+// reduces the slots per owning node in index order.
 func (s *Simulation) transportPhase(envs []transport.Env, in *meteo.HourInput, dt float64, nsub int, record []float64) error {
-	if s.useEngine {
-		return s.transportPhaseEngine(envs, in, dt, nsub, record)
-	}
-	ds := s.cfg.Dataset
-	sh := ds.Shape
-	return s.rt.ParallelNodes(vm.CatTransport, func(node int) (float64, error) {
-		iv, err := s.arr.OwnedLayers(node)
-		if err != nil {
-			return 0, err
-		}
-		op := s.transOps[node]
-		buf := s.fieldBuf[node]
-		var flops float64
-		for l := iv.Lo; l < iv.Hi; l++ {
-			env := &envs[l]
-			if _, err := op.Prepare(env); err != nil {
-				return 0, err
-			}
-			var layerWork float64
-			for sp := 0; sp < sh.Species; sp++ {
-				if err := s.arr.GatherLayerField(node, sp, l, buf); err != nil {
-					return 0, err
-				}
-				env.Inflow = in.Inflow[sp]
-				w, err := op.StepFieldN(buf, env, dt, nsub)
-				if err != nil {
-					return 0, err
-				}
-				layerWork += w
-				if err := s.arr.ScatterLayerField(node, sp, l, buf); err != nil {
-					return 0, err
-				}
-			}
-			charged := layerWork * ds.TransportFlopsScale
-			record[l] = charged
-			flops += charged
-		}
-		return flops, nil
-	})
-}
-
-// transportPhaseEngine is the host-engine transport phase: all layers
-// form one item space chunked across the worker pool regardless of which
-// virtual node owns them. Each layer's charged work lands in its fixed
-// record slot; chargeOwned then reduces the slots per owning node in
-// index order, reproducing the legacy per-node accumulation bit for bit.
-func (s *Simulation) transportPhaseEngine(envs []transport.Env, in *meteo.HourInput, dt float64, nsub int, record []float64) error {
 	ds := s.cfg.Dataset
 	sh := ds.Shape
 	p := s.cfg.Nodes
@@ -628,57 +444,11 @@ func (s *Simulation) transportPhaseEngine(envs []transport.Env, in *meteo.HourIn
 	return nil
 }
 
-// chemistryPhase runs the Lcz operator on every owned cell column.
+// chemistryPhase runs the Lcz operator on every cell column: all columns
+// form one item space chunked across the engine's workers. Each worker
+// applies its own pooled Operator (single-owner scratch) and the per-cell
+// flops land in fixed record slots for the deterministic reduction.
 func (s *Simulation) chemistryPhase(in *meteo.HourInput, dt float64, record []float64) error {
-	if s.useEngine {
-		return s.chemistryPhaseEngine(in, dt, record)
-	}
-	ds := s.cfg.Dataset
-	mech := ds.Mechanism()
-	return s.rt.ParallelNodes(vm.CatChemistry, func(node int) (float64, error) {
-		iv, err := s.arr.OwnedCells(node)
-		if err != nil {
-			return 0, err
-		}
-		op := s.chemOps[node]
-		emis := s.emisBuf[node]
-		env := &chemistry.CellEnv{
-			TempK: in.TempK,
-			Sun:   in.Sun,
-			Vert: &chemistry.VerticalEnv{
-				Kz:      in.Kz,
-				VDep:    in.VDep,
-				Emis:    emis,
-				VSettle: in.VSettle,
-			},
-		}
-		var flops float64
-		for c := iv.Lo; c < iv.Hi; c++ {
-			block, err := s.arr.CellBlock(node, c)
-			if err != nil {
-				return 0, err
-			}
-			for sp := range emis {
-				emis[sp] = in.Emis[sp][c]
-			}
-			cw, err := op.Apply(block, env, dt)
-			if err != nil {
-				return 0, err
-			}
-			charged := cw.Flops(mech, ds.ChemFlopsScale)
-			record[c] = charged
-			flops += charged
-		}
-		return flops, nil
-	})
-}
-
-// chemistryPhaseEngine is the host-engine chemistry phase: all cell
-// columns form one item space chunked across the worker pool. Each
-// worker applies its own pooled Operator (single-owner scratch) and the
-// per-cell flops land in fixed record slots for the deterministic
-// reduction.
-func (s *Simulation) chemistryPhaseEngine(in *meteo.HourInput, dt float64, record []float64) error {
 	ds := s.cfg.Dataset
 	sh := ds.Shape
 	mech := ds.Mechanism()
@@ -718,11 +488,11 @@ func (s *Simulation) chemistryPhaseEngine(in *meteo.HourInput, dt float64, recor
 	return nil
 }
 
-// chargeOwned performs the deterministic reduction of the host-engine
-// phases: record holds one charged-flops slot per item (layer or cell),
-// and each virtual node is charged the sum over its owned block interval
-// accumulated in index order — exactly the order the legacy per-node
-// loop adds in, so ledgers and traces stay bit-identical — followed by
+// chargeOwned performs the deterministic reduction of the engine phases:
+// record holds one charged-flops slot per item (layer or cell), and each
+// virtual node is charged the sum over its owned block interval
+// accumulated in index order — whichever worker computed a slot, so
+// ledgers and traces are bit-identical at any worker count — followed by
 // the phase barrier.
 func (s *Simulation) chargeOwned(cat vm.Category, n int, record []float64) {
 	p := s.cfg.Nodes

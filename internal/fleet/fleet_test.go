@@ -38,7 +38,6 @@ func startTestWorker(t *testing.T, name, coordURL string) *testWorker {
 	sc := sched.New(sched.Options{
 		Workers:    2,
 		QueueDepth: 64,
-		GoParallel: true,
 		Store:      st,
 	})
 	engine := sweep.NewEngine(sc)
@@ -232,7 +231,7 @@ func TestFleetSweepKillWorkerBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSched := sched.New(sched.Options{Workers: 2, QueueDepth: 64, GoParallel: true, Store: refStore})
+	refSched := sched.New(sched.Options{Workers: 2, QueueDepth: 64, Store: refStore})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -277,7 +276,7 @@ func TestFleetSweepKillWorkerBitIdentical(t *testing.T) {
 
 	// Fleet results are servable from the coordinator's own scheduler:
 	// a submission resolves straight from the store, no simulation.
-	coordSched := sched.New(sched.Options{Workers: 1, QueueDepth: 8, GoParallel: true, Store: coordStore})
+	coordSched := sched.New(sched.Options{Workers: 1, QueueDepth: 8, Store: coordStore})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -44,7 +44,7 @@ func referenceResults(t *testing.T) map[string]*core.Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := sched.New(sched.Options{Workers: 2, QueueDepth: 64, GoParallel: true, Store: st})
+		sc := sched.New(sched.Options{Workers: 2, QueueDepth: 64, Store: st})
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()

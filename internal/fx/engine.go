@@ -22,8 +22,9 @@ import (
 // the item index space and callers write per-item results into fixed
 // slots of a shared record array. Reductions are then performed by the
 // caller in index order, so results are bit-identical for any worker
-// count, any chunk size, and any execution interleaving — including the
-// fully serial path.
+// count, any chunk size, and any execution interleaving. One worker
+// executes the chunks in index order on one goroutine: the serial
+// reference.
 //
 // An Engine is safe for concurrent use: multiple simulations may issue
 // Run calls against one shared pool, and each chunk learns the pool

@@ -210,7 +210,7 @@ func TestParallelNodesPanicContained(t *testing.T) {
 	for _, goPar := range []bool{true, false} {
 		rt := newRT(t, 4)
 		rt.GoParallel = goPar
-		err := rt.ParallelNodes(vm.CatOther, func(node int) (float64, error) {
+		err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatOther, func(node int) (float64, error) {
 			if node == 2 {
 				panic(fmt.Sprintf("node %d exploded", node))
 			}

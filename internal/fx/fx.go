@@ -24,7 +24,7 @@ import (
 // Runtime couples the virtual machine with the distributed-array layer.
 type Runtime struct {
 	VM *vm.Machine
-	// GoParallel enables real goroutine parallelism inside ParallelNodes
+	// GoParallel enables real goroutine parallelism inside ParallelGroup
 	// (the numerics are independent per node, so results are identical
 	// either way; this only affects host wall-clock time).
 	GoParallel bool
@@ -451,16 +451,11 @@ func (a *Array) Replica() ([]float64, error) {
 	return a.repl, nil
 }
 
-// ParallelNodes runs body once per machine node (concurrently when
-// GoParallel is set), then charges each node the work units the body
-// returned under the given category, and barriers. The bodies must touch
-// disjoint data (they own disjoint shard regions), so results are
-// independent of scheduling.
-func (rt *Runtime) ParallelNodes(cat vm.Category, body func(node int) (float64, error)) error {
-	return rt.ParallelGroup(rt.VM.AllNodes(), cat, body)
-}
-
-// ParallelGroup is ParallelNodes restricted to a node subgroup.
+// ParallelGroup runs body once per node of the subgroup (concurrently
+// when GoParallel is set), then charges each node the work units the body
+// returned under the given category, and barriers the group. The bodies
+// must touch disjoint data (they own disjoint shard regions), so results
+// are independent of scheduling.
 func (rt *Runtime) ParallelGroup(nodes []int, cat vm.Category, body func(node int) (float64, error)) error {
 	flops := make([]float64, len(nodes))
 	errs := make([]error, len(nodes))

@@ -251,7 +251,7 @@ func TestReplica(t *testing.T) {
 
 func TestParallelNodesCharges(t *testing.T) {
 	rt := newRT(t, 4)
-	err := rt.ParallelNodes(vm.CatChemistry, func(node int) (float64, error) {
+	err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatChemistry, func(node int) (float64, error) {
 		return float64(node+1) * 1e6, nil
 	})
 	if err != nil {
@@ -271,7 +271,7 @@ func TestParallelNodesConcurrent(t *testing.T) {
 	}
 	rt := NewRuntime(m) // GoParallel on
 	results := make([]float64, 8)
-	err = rt.ParallelNodes(vm.CatTransport, func(node int) (float64, error) {
+	err = rt.ParallelGroup(rt.VM.AllNodes(), vm.CatTransport, func(node int) (float64, error) {
 		results[node] = float64(node) // disjoint writes
 		return 1e6, nil
 	})
@@ -287,7 +287,7 @@ func TestParallelNodesConcurrent(t *testing.T) {
 
 func TestParallelNodesError(t *testing.T) {
 	rt := newRT(t, 4)
-	err := rt.ParallelNodes(vm.CatOther, func(node int) (float64, error) {
+	err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatOther, func(node int) (float64, error) {
 		if node == 2 {
 			return 0, errTest
 		}

@@ -288,7 +288,6 @@ func runSequential(strategies []Strategy, specs []scenario.Spec) ([]*core.Result
 		if err != nil {
 			return nil, fmt.Errorf("gems: strategy %q: %w", strategies[i].Name, err)
 		}
-		cfg.GoParallel = true
 		if results[i], err = core.Run(cfg); err != nil {
 			return nil, fmt.Errorf("gems: strategy %q: %w", strategies[i].Name, err)
 		}

@@ -144,7 +144,7 @@ func studyEngine(t *testing.T) *sweep.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(sched.Options{Workers: 1, GoParallel: true, Store: st})
+	s := sched.New(sched.Options{Workers: 1, Store: st})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	return sweep.NewEngine(s)
 }

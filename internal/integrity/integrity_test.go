@@ -33,7 +33,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 func newSched(t *testing.T, st *store.Store) *sched.Scheduler {
 	t.Helper()
-	s := sched.New(sched.Options{Workers: 2, GoParallel: true, Store: st})
+	s := sched.New(sched.Options{Workers: 2, Store: st})
 	t.Cleanup(func() {
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("Shutdown: %v", err)

@@ -69,7 +69,6 @@ func baseline(t *testing.T, spec scenario.Spec) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.GoParallel = true
 	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
@@ -157,7 +156,7 @@ func TestChaosStoreFaultsBitIdentical(t *testing.T) {
 			// the faulted read paths (result hits, warm starts).
 			for gen := 0; gen < 2; gen++ {
 				s := sched.New(sched.Options{
-					Workers: 2, GoParallel: true, Store: st,
+					Workers: 2, Store: st,
 					Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: 0.5, Seed: seed},
 				})
 				for _, sp := range specs {
@@ -192,8 +191,8 @@ func TestChaosRetryRecoversTransientFaults(t *testing.T) {
 		inj := resilience.New(seed).SetLimited(resilience.PointSchedExec, 1, 2)
 		resilience.Enable(inj)
 		s := sched.New(sched.Options{
-			Workers: 1, GoParallel: true,
-			Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: 0.5, Seed: seed},
+			Workers: 1,
+			Retry:   resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: 0.5, Seed: seed},
 		})
 		job, err := s.Submit(chaosSpec(2))
 		if err != nil {
@@ -218,12 +217,12 @@ func TestChaosRetryRecoversTransientFaults(t *testing.T) {
 }
 
 // TestChaosPipelineStageFaultsRecover injects one transient fault into
-// each streaming-pipeline stage (the prefetch decode and the async
-// snapshot writer) of a pipelined multi-hour run, across the fixed
-// seeds. The first attempt dies in the prefetch stage, the second in
-// the writer, the third completes — and the recovered physics must be
-// bit-identical to the fault-free *serial* baseline, pinning the PR-5
-// invariant through the overlapped hour loop.
+// each hour-loop I/O stage (the input decode and the snapshot write) of a
+// multi-hour run, across the fixed seeds, with the stages inline (depth
+// 0) and overlapped (depth 2). The first attempt dies in the input
+// stage, the second in the output stage, the third completes — and the
+// recovered physics must be bit-identical to the fault-free baseline,
+// pinning the PR-5 invariant through the hour loop at either mapping.
 func TestChaosPipelineStageFaultsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite runs real numerics")
@@ -234,36 +233,40 @@ func TestChaosPipelineStageFaultsRecover(t *testing.T) {
 
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			inj := resilience.New(seed).
-				SetLimited(resilience.PointPipePrefetch, 1, 1).
-				SetLimited(resilience.PointPipeWrite, 1, 1)
-			withInjector(t, inj)
-			s := sched.New(sched.Options{
-				Workers: 1, GoParallel: true, PipelineDepth: 2,
-				Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: 0.5, Seed: seed},
-			})
-			defer shutdownSched(t, s)
+			for _, depth := range []int{0, 2} {
+				t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) {
+					inj := resilience.New(seed).
+						SetLimited(resilience.PointPipePrefetch, 1, 1).
+						SetLimited(resilience.PointPipeWrite, 1, 1)
+					withInjector(t, inj)
+					s := sched.New(sched.Options{
+						Workers: 1, PipelineDepth: depth,
+						Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: 0.5, Seed: seed},
+					})
+					defer shutdownSched(t, s)
 
-			job, err := s.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
+					job, err := s.Submit(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					final := awaitJob(t, s, job.ID)
+					if final.State != sched.Done {
+						t.Fatalf("job did not recover: %v (%v)", final.State, final.Err)
+					}
+					if final.Attempts != 3 {
+						t.Errorf("attempts = %d, want 3 (one per faulted stage, then clean)", final.Attempts)
+					}
+					if final.LastErr == nil || !resilience.IsTransient(final.LastErr) {
+						t.Errorf("stage fault not surfaced as transient: %v", final.LastErr)
+					}
+					for _, pt := range []string{resilience.PointPipePrefetch, resilience.PointPipeWrite} {
+						if inj.Fired(pt) != 1 {
+							t.Errorf("point %s fired %d times, want 1", pt, inj.Fired(pt))
+						}
+					}
+					assertPhysicsIdentical(t, fmt.Sprintf("pipeline-seed-%d-depth-%d", seed, depth), final.Result, want)
+				})
 			}
-			final := awaitJob(t, s, job.ID)
-			if final.State != sched.Done {
-				t.Fatalf("pipelined job did not recover: %v (%v)", final.State, final.Err)
-			}
-			if final.Attempts != 3 {
-				t.Errorf("attempts = %d, want 3 (one per faulted stage, then clean)", final.Attempts)
-			}
-			if final.LastErr == nil || !resilience.IsTransient(final.LastErr) {
-				t.Errorf("stage fault not surfaced as transient: %v", final.LastErr)
-			}
-			for _, pt := range []string{resilience.PointPipePrefetch, resilience.PointPipeWrite} {
-				if inj.Fired(pt) != 1 {
-					t.Errorf("point %s fired %d times, want 1", pt, inj.Fired(pt))
-				}
-			}
-			assertPhysicsIdentical(t, fmt.Sprintf("pipeline-seed-%d", seed), final.Result, want)
 		})
 	}
 }
@@ -278,7 +281,7 @@ func TestChaosPanicBecomesFailedJob(t *testing.T) {
 	}
 	inj := resilience.New(1).ArmPanic(resilience.PointSchedExec)
 	withInjector(t, inj)
-	s := sched.New(sched.Options{Workers: 1, GoParallel: true})
+	s := sched.New(sched.Options{Workers: 1})
 	defer shutdownSched(t, s)
 
 	job, err := s.Submit(chaosSpec(2))
@@ -326,7 +329,7 @@ func TestChaosEnginePanicContained(t *testing.T) {
 
 	inj := resilience.New(7).ArmPanic(resilience.PointFxChunk)
 	withInjector(t, inj)
-	s := sched.New(sched.Options{Workers: 1, GoParallel: true})
+	s := sched.New(sched.Options{Workers: 1})
 	defer shutdownSched(t, s)
 
 	job, err := s.Submit(chaosSpec(2))
@@ -375,7 +378,7 @@ func TestChaosBreakerDegradesToComputeOnly(t *testing.T) {
 	withInjector(t, inj)
 	st := openChaosStore(t)
 	st.SetBreaker(resilience.NewBreaker(2, time.Hour)) // opens fast, stays open
-	s := sched.New(sched.Options{Workers: 1, GoParallel: true, Store: st,
+	s := sched.New(sched.Options{Workers: 1, Store: st,
 		Retry: resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: 0.5}})
 	defer shutdownSched(t, s)
 

@@ -20,8 +20,7 @@ func TestSentinelTripPermanent(t *testing.T) {
 	defer resilience.Disable()
 
 	s := New(Options{
-		Workers:    1,
-		GoParallel: true,
+		Workers: 1,
 		// A generous retry budget: the permanent classification, not a
 		// small budget, must be what keeps Attempts at 1.
 		Retry: resilience.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Hour, Jitter: 0},
@@ -68,7 +67,6 @@ func TestWatchdogCancelsWedgedHour(t *testing.T) {
 
 	s := New(Options{
 		Workers:        1,
-		GoParallel:     true,
 		WatchdogFactor: 4,
 		WatchdogFloor:  300 * time.Millisecond,
 	})
@@ -108,7 +106,7 @@ func TestMaxRunDeadline(t *testing.T) {
 	resilience.Enable(inj)
 	defer resilience.Disable()
 
-	s := New(Options{Workers: 1, GoParallel: true, MaxRun: 300 * time.Millisecond})
+	s := New(Options{Workers: 1, MaxRun: 300 * time.Millisecond})
 	defer shutdown(t, s)
 
 	st := mustSubmit(t, s, miniSpec())
@@ -125,7 +123,7 @@ func TestMaxRunDeadline(t *testing.T) {
 // asserts it re-runs the numerics (repair path) instead of serving the
 // memory cache or store, and that the Repairs counter moves.
 func TestRecomputeBypassesCaches(t *testing.T) {
-	s := New(Options{Workers: 2, GoParallel: true})
+	s := New(Options{Workers: 2})
 	defer shutdown(t, s)
 
 	first := mustSubmit(t, s, miniSpec())

@@ -118,16 +118,17 @@ type Options struct {
 	// JobTimeout bounds each run's execution time once it starts
 	// (0 = no timeout). A timed-out job fails with context.DeadlineExceeded.
 	JobTimeout time.Duration
-	// GoParallel enables host goroutine parallelism inside each run (it
-	// does not affect results, only wall time).
+	// Ignored: every run executes on the host engine. The field survives
+	// only because the frozen bench/ sources still set it, and goes away
+	// with the next benchmark PR.
 	GoParallel bool
-	// HostWorkers selects each run's host execution engine, with
+	// HostWorkers sizes each run's host execution engine, with
 	// core.Config.HostWorkers semantics: 0 shares the process-wide
 	// GOMAXPROCS pool across all concurrent jobs (the default — total
 	// host parallelism stays at the machine size no matter how many
 	// jobs run), > 0 gives every job its own dedicated pool of that
-	// size, < 0 uses the legacy per-virtual-node goroutine path. Does
-	// not affect results.
+	// size. Negative values fail every job at core.Config.Validate.
+	// Does not affect results.
 	HostWorkers int
 	// Store, when non-nil, backs the scheduler with a persistent
 	// artifact store: completed results survive process restarts, and
@@ -147,10 +148,11 @@ type Options struct {
 	// re-submits it on restart.
 	Journal *resilience.Journal
 	// PipelineDepth sets core.Config.PipelineDepth on every executed
-	// run: > 0 streams each run's hour loop through the wall-clock
-	// prefetch/compute/writeback pipeline. Results are bit-identical
-	// either way (the core determinism matrix); this only moves hour I/O
-	// off the compute critical path.
+	// run: 0 calls the hour loop's input and output stages inline, > 0
+	// overlaps them with compute on their own goroutines. Results are
+	// bit-identical at any depth (the core determinism matrix); this only
+	// moves hour I/O off the compute critical path. Negative values fail
+	// every job at core.Config.Validate.
 	PipelineDepth int
 	// DeadlineFactor derives a per-job execution deadline from the
 	// perfmodel cost estimate: deadline = factor × (cost × calibrated

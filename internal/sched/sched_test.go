@@ -52,7 +52,7 @@ func shutdown(t *testing.T, s *Scheduler) {
 }
 
 func TestSubmitRunsAndCaches(t *testing.T) {
-	s := New(Options{Workers: 2, GoParallel: true})
+	s := New(Options{Workers: 2})
 	defer shutdown(t, s)
 
 	first := mustSubmit(t, s, miniSpec())
@@ -105,7 +105,7 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 // TestSingleFlightCoalescing submits the same scenario from many
 // goroutines while it is in flight and asserts exactly one execution.
 func TestSingleFlightCoalescing(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
 	// Park a filler job so the target stays queued while we hammer it.
@@ -151,7 +151,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 1, GoParallel: true})
+	s := New(Options{Workers: 1, QueueDepth: 1})
 	defer shutdown(t, s)
 
 	// One job running, one in the queue; the third unique scenario must
@@ -189,7 +189,7 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
 	filler := mustSubmit(t, s, variant(3))
@@ -219,7 +219,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestCancelMidRun cancels a job after it has started and asserts the
 // driver abandons the run promptly (between time steps).
 func TestCancelMidRun(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
 	// A long scenario: 24 mini hours is ~10 s of numerics.
@@ -263,7 +263,7 @@ func TestCancelMidRun(t *testing.T) {
 }
 
 func TestJobTimeout(t *testing.T) {
-	s := New(Options{Workers: 1, JobTimeout: 50 * time.Millisecond, GoParallel: true})
+	s := New(Options{Workers: 1, JobTimeout: 50 * time.Millisecond})
 	defer shutdown(t, s)
 	st := mustSubmit(t, s, miniSpec())
 	final := awaitDone(t, s, st.ID)
@@ -273,7 +273,7 @@ func TestJobTimeout(t *testing.T) {
 }
 
 func TestShutdownDrainsQueue(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	a := mustSubmit(t, s, variant(2))
 	b := mustSubmit(t, s, variant(3)) // still queued behind a
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -294,7 +294,7 @@ func TestShutdownDrainsQueue(t *testing.T) {
 }
 
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	long := miniSpec()
 	long.Hours = 24
 	st := mustSubmit(t, s, long)
@@ -324,7 +324,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 // touching the first between inserts, and asserts LRU order: the
 // untouched middle entry is the one evicted.
 func TestCacheEvictionOrder(t *testing.T) {
-	s := New(Options{Workers: 1, CacheEntries: 2, GoParallel: true})
+	s := New(Options{Workers: 1, CacheEntries: 2})
 	defer shutdown(t, s)
 
 	run := func(spec scenario.Spec) {
@@ -364,7 +364,7 @@ func TestCacheEvictionOrder(t *testing.T) {
 
 // TestCacheByteCap forces byte-based eviction with a tiny byte budget.
 func TestCacheByteCap(t *testing.T) {
-	s := New(Options{Workers: 1, CacheEntries: 100, CacheBytes: 1, GoParallel: true})
+	s := New(Options{Workers: 1, CacheEntries: 100, CacheBytes: 1})
 	defer shutdown(t, s)
 	for nodes := 2; nodes <= 4; nodes++ {
 		st := mustSubmit(t, s, variant(nodes))
@@ -381,7 +381,7 @@ func TestCacheByteCap(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	s := New(Options{Workers: 1, CacheEntries: -1, GoParallel: true})
+	s := New(Options{Workers: 1, CacheEntries: -1})
 	defer shutdown(t, s)
 	a := mustSubmit(t, s, miniSpec())
 	awaitDone(t, s, a.ID)
@@ -403,7 +403,7 @@ func TestCacheDisabled(t *testing.T) {
 // concentration fields and equal ozone peaks. If this ever breaks, the
 // result cache would serve answers that a fresh run would not produce.
 func TestDeterminismAcrossRuns(t *testing.T) {
-	s := New(Options{Workers: 1, CacheEntries: -1, GoParallel: true})
+	s := New(Options{Workers: 1, CacheEntries: -1})
 	defer shutdown(t, s)
 	spec := scenario.Spec{Dataset: "mini", Machine: "t3e", Nodes: 3, Hours: 2, NOxScale: 0.8}
 
@@ -471,10 +471,10 @@ func BenchmarkServeScenario(b *testing.B) {
 		}
 	}
 	b.Run("uncached", func(b *testing.B) {
-		bench(b, Options{Workers: 1, CacheEntries: -1, GoParallel: true})
+		bench(b, Options{Workers: 1, CacheEntries: -1})
 	})
 	b.Run("cached", func(b *testing.B) {
-		bench(b, Options{Workers: 1, GoParallel: true})
+		bench(b, Options{Workers: 1})
 	})
 }
 
@@ -488,7 +488,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	resilience.Enable(inj)
 	defer resilience.Disable()
 
-	s := New(Options{Workers: 1, GoParallel: true, Retry: resilience.RetryPolicy{
+	s := New(Options{Workers: 1, Retry: resilience.RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   time.Hour, // the test only passes if cancel interrupts this
 	}})

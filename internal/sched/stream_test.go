@@ -38,7 +38,7 @@ func watchAll(t *testing.T, s *Scheduler, id string) ([]HourEvent, JobStatus) {
 // consumes its event stream while it executes: one event per simulated
 // hour, in hour order, all before the terminal status is observed.
 func TestWatchStreamsHoursLive(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true, PipelineDepth: 1})
+	s := New(Options{Workers: 1, PipelineDepth: 1})
 	defer shutdown(t, s)
 
 	spec := miniSpec()
@@ -72,7 +72,7 @@ func TestWatchStreamsHoursLive(t *testing.T) {
 // hit has no live stream, so Watch synthesizes the per-hour events from
 // the result, marked Stored, with an already-closed change channel.
 func TestWatchSynthesizesForHits(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
 	spec := miniSpec()
@@ -118,7 +118,7 @@ func TestWatchWarmStartStreamsStoredPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Workers: 1, GoParallel: true, Store: st})
+	s := New(Options{Workers: 1, Store: st})
 	defer shutdown(t, s)
 
 	short := miniSpec()
@@ -153,7 +153,7 @@ func TestWatchWarmStartStreamsStoredPrefix(t *testing.T) {
 // queue reports a positive perfmodel-derived wait estimate, and a full
 // queue rejects with ErrQueueFull (the daemon's 429 + Retry-After).
 func TestEstimatedWaitAndQueueFull(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 1, GoParallel: true})
+	s := New(Options{Workers: 1, QueueDepth: 1})
 	defer shutdown(t, s)
 
 	if w := s.EstimatedWait(); w != 0 {
@@ -207,7 +207,7 @@ func TestEstimatedWaitAndQueueFull(t *testing.T) {
 // completes: with history, a queued twin of the completed spec should
 // be estimated near its actual wall time.
 func TestEstimatedWaitCalibrates(t *testing.T) {
-	s := New(Options{Workers: 1, GoParallel: true})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
 	first := mustSubmit(t, s, variant(1))

@@ -31,8 +31,8 @@ import (
 // artifact degrades to a shorter prefix and ultimately to a cold run,
 // and store write failures never fail the job.
 
-// executeJob runs one job: a plain cold run without a store, otherwise
-// the warm-start path. warmHour is the absolute hour execution resumed
+// executeJob runs one job: a cold run without a store, otherwise the
+// warm-start path. warmHour is the absolute hour execution resumed
 // from a stored checkpoint (0 = cold); wholesale reports the physics
 // came entirely from stored records, with no simulation at all.
 func (s *Scheduler) executeJob(ctx context.Context, j *job) (res *core.Result, warmHour int, wholesale bool, err error) {
@@ -41,7 +41,6 @@ func (s *Scheduler) executeJob(ctx context.Context, j *job) (res *core.Result, w
 	if err != nil {
 		return nil, 0, false, err
 	}
-	cfg.GoParallel = s.opts.GoParallel
 	cfg.HostWorkers = s.opts.HostWorkers
 	cfg.PipelineDepth = s.opts.PipelineDepth
 	// Stream every simulated hour to the job's watchers (SSE consumers);
@@ -49,10 +48,22 @@ func (s *Scheduler) executeJob(ctx context.Context, j *job) (res *core.Result, w
 	// the scheduler lock, so it cannot stall the hour loop on I/O.
 	cfg.OnHourEnd = func(hs core.HourSummary) { s.appendHourEvent(j, hs, false) }
 	if s.opts.Store == nil {
-		res, err = core.RunContext(ctx, cfg)
-		return res, 0, false, err
+		return s.coldRun(ctx, spec.Normalize(), cfg)
 	}
 	return s.executeStored(ctx, j, spec.Normalize(), cfg)
+}
+
+// coldRun simulates the whole run and, with a store, persists every
+// simulated hour's physics record.
+func (s *Scheduler) coldRun(ctx context.Context, n scenario.Spec, cfg core.Config) (*core.Result, int, bool, error) {
+	res, err := core.RunContext(ctx, cfg)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if s.opts.Store != nil {
+		s.persistHours(n, n.StartHour, res)
+	}
+	return res, 0, false, nil
 }
 
 // executeStored is the store-backed execution: wire the checkpoint sink,
@@ -76,17 +87,12 @@ func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, 
 	// warm start would leave artifacts before the resume point
 	// unregenerated (and a wholesale materialize would regenerate
 	// nothing), so a repair recompute deliberately re-simulates the whole
-	// run — the SnapshotFunc sink above and persistHours below then
+	// run — the SnapshotFunc sink above and coldRun's persistHours then
 	// rewrite every checkpoint and record, and runJob re-persists the
 	// result. Determinism makes the rebuilt artifacts bit-identical to
 	// the originals.
 	if j.repair {
-		res, err := core.RunContext(ctx, cfg)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		s.persistHours(n, start, res)
-		return res, 0, false, nil
+		return s.coldRun(ctx, n, cfg)
 	}
 
 	// Contiguous stored physics from the run start: segs[i] is hour
@@ -126,13 +132,7 @@ func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, 
 		}
 		break // suffix run failed on its merits; the cold run arbitrates
 	}
-
-	res, err := core.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	s.persistHours(n, start, res)
-	return res, 0, false, nil
+	return s.coldRun(ctx, n, cfg)
 }
 
 // warmRun resumes the simulation from the stored checkpoint at absolute

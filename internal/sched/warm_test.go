@@ -29,7 +29,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // the finished job.
 func runOne(t *testing.T, st *store.Store, spec scenario.Spec) JobStatus {
 	t.Helper()
-	s := New(Options{Workers: 2, GoParallel: true, Store: st})
+	s := New(Options{Workers: 2, Store: st})
 	defer shutdown(t, s)
 	job := mustSubmit(t, s, spec)
 	return awaitDone(t, s, job.ID)
@@ -124,13 +124,13 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 	ctrl.ControlStartHour = 2 // hours 0-1 are baseline physics
 
 	// Ground truth: cold run of the variant on a store-less scheduler.
-	coldSched := New(Options{Workers: 1, GoParallel: true})
+	coldSched := New(Options{Workers: 1})
 	coldJob := mustSubmit(t, coldSched, ctrl)
 	cold := awaitDone(t, coldSched, coldJob.ID)
 	shutdown(t, coldSched)
 
 	st := openStore(t, t.TempDir())
-	s := New(Options{Workers: 1, GoParallel: true, Store: st})
+	s := New(Options{Workers: 1, Store: st})
 	defer shutdown(t, s)
 
 	baseJob := awaitDone(t, s, mustSubmit(t, s, base).ID)
@@ -202,7 +202,7 @@ func TestCorruptCheckpointFallsBackToColdRun(t *testing.T) {
 	cold := runOne(t, openStore(t, t.TempDir()), ctrl)
 
 	st := openStore(t, dir)
-	s := New(Options{Workers: 1, GoParallel: true, Store: st})
+	s := New(Options{Workers: 1, Store: st})
 	defer shutdown(t, s)
 	awaitDone(t, s, mustSubmit(t, s, base).ID)
 
@@ -259,7 +259,7 @@ func TestCacheHitRepersistsFailedStoreWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Workers: 1, GoParallel: true, Store: st})
+	s := New(Options{Workers: 1, Store: st})
 	defer shutdown(t, s)
 
 	spec := miniSpec()

@@ -16,7 +16,7 @@ func miniBase(hours int) scenario.Spec {
 
 func newEngine(t testing.TB, dir string, workers int) (*Engine, *sched.Scheduler) {
 	t.Helper()
-	opts := sched.Options{Workers: workers, GoParallel: true}
+	opts := sched.Options{Workers: workers}
 	if dir != "" {
 		st, err := store.Open(dir, 0)
 		if err != nil {
