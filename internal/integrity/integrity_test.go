@@ -182,6 +182,53 @@ func TestCorruptionChaosRepair(t *testing.T) {
 	}
 }
 
+// TestResultSectionRotRepaired is the scrub drill with the flipped byte
+// forced into each section of the stored result — the gzipped metadata
+// and the raw float section — instead of wherever a seed lands it: both
+// are quarantined intact and repaired bit-identically.
+func TestResultSectionRotRepaired(t *testing.T) {
+	for _, section := range []string{"metadata", "floats"} {
+		t.Run(section, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			s := newSched(t, st)
+			base := runJob(t, s, chaosSpec())
+			baseFinal := append([]float64(nil), base.Result.Final...)
+
+			resKey := "results/" + base.Hash + ".res"
+			p := filepath.Join(dir, filepath.FromSlash(resKey))
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The float section is the file's tail, 8 bytes a float; the
+			// metadata section ends just before it.
+			off := len(data) - 4*len(baseFinal)
+			if section == "metadata" {
+				off = len(data) - 8*len(baseFinal) - 1
+			}
+			data[off] ^= 0xff
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			sc := New(Options{Store: st, Interval: -1, Repair: s, RepairTimeout: 2 * time.Minute, Logf: t.Logf})
+			sc.Pass(context.Background())
+			if c := sc.Counters(); c.Quarantined != 1 || c.Repairs != 1 || c.RepairFailures != 0 {
+				t.Errorf("Quarantined/Repairs/RepairFailures = %d/%d/%d, want 1/1/0", c.Quarantined, c.Repairs, c.RepairFailures)
+			}
+			qdata, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.FromSlash(resKey)))
+			if err != nil || !bytes.Equal(qdata, data) {
+				t.Errorf("rotten result not preserved in quarantine (err %v)", err)
+			}
+			res, ok := st.GetResult(base.Hash)
+			if !ok || !reflect.DeepEqual(res.Final, baseFinal) {
+				t.Error("repaired result missing or not bit-identical to the baseline")
+			}
+		})
+	}
+}
+
 // TestCheckpointRepairViaManifest corrupts only a checkpoint — whose
 // name is a physics-prefix hash, not a spec hash — and asserts the
 // scrubber resolves it back to its producing spec through the stored

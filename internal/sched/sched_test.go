@@ -265,7 +265,12 @@ func TestCancelMidRun(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	s := New(Options{Workers: 1, JobTimeout: 50 * time.Millisecond})
 	defer shutdown(t, s)
-	st := mustSubmit(t, s, miniSpec())
+	// 24 hours cannot finish inside the deadline however fast the
+	// kernels get (core checks ctx between steps; one mini hour alone
+	// takes about as long as the whole timeout).
+	long := miniSpec()
+	long.Hours = 24
+	st := mustSubmit(t, s, long)
 	final := awaitDone(t, s, st.ID)
 	if final.State != Failed || !errors.Is(final.Err, context.DeadlineExceeded) {
 		t.Fatalf("want Failed/DeadlineExceeded, got %v err=%v", final.State, final.Err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"airshed/internal/core"
-	"airshed/internal/hourio"
 	"airshed/internal/scenario"
 	"airshed/internal/store"
 )
@@ -110,20 +109,20 @@ func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, 
 	// Longest warm-startable prefix: the largest k with a verified
 	// checkpoint at P(k) inside the stitchable range. Missing
 	// checkpoints are cheap index misses; damaged ones were already
-	// deleted by the store's verification.
+	// quarantined by the store's verification.
 	for k := start + len(segs); k > start; k-- {
-		snap, hour, ok := st.Checkpoint(n.PhysicsPrefixHash(k))
-		if !ok || hour != k-1 {
+		cp, ok := st.CheckpointState(n.PhysicsPrefixHash(k))
+		if !ok || cp.Hour != k-1 {
 			continue
 		}
 		if k == end {
-			res, err := s.materialize(j, n, cfg, segs, snap)
+			res, err := s.materialize(j, n, cfg, segs, cp)
 			if err == nil {
 				return res, k, true, nil
 			}
-			continue // e.g. checkpoint evicted under us: try shorter
+			continue // e.g. a checkpoint of other dimensions: try shorter
 		}
-		res, err := s.warmRun(ctx, j, n, cfg, segs[:k-start], snap, k)
+		res, err := s.warmRun(ctx, j, n, cfg, segs[:k-start], cp.Data, k)
 		if err == nil {
 			return res, k, false, nil
 		}
@@ -172,17 +171,13 @@ func (s *Scheduler) emitStoredHours(j *job, firstHour int, segs []*store.Physics
 
 // materialize reconstructs the full result from stored physics alone:
 // the trace and peaks from the hour records, the final concentrations
-// from the end-of-run checkpoint. No numerics are recomputed.
-func (s *Scheduler) materialize(j *job, n scenario.Spec, cfg core.Config, segs []*store.PhysicsRecord, snap []byte) (*core.Result, error) {
-	_, ns, nl, nc, conc, _, err := hourio.ReadSnapshot(bytes.NewReader(snap))
-	if err != nil {
-		return nil, err
+// from the end-of-run checkpoint the store already verified and decoded.
+// No numerics are recomputed.
+func (s *Scheduler) materialize(j *job, n scenario.Spec, cfg core.Config, segs []*store.PhysicsRecord, cp store.CheckpointState) (*core.Result, error) {
+	if cp.Shape != cfg.Dataset.Shape {
+		return nil, fmt.Errorf("sched: stored checkpoint dimensions %v do not match data set %v", cp.Shape, cfg.Dataset.Shape)
 	}
-	sh := cfg.Dataset.Shape
-	if ns != sh.Species || nl != sh.Layers || nc != sh.Cells {
-		return nil, fmt.Errorf("sched: stored checkpoint dimensions (%d,%d,%d) do not match data set %v", ns, nl, nc, sh)
-	}
-	res, err := assembleResult(cfg, segs, nil, conc)
+	res, err := assembleResult(cfg, segs, nil, cp.Conc)
 	if err != nil {
 		return nil, err
 	}

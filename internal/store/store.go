@@ -6,10 +6,13 @@
 // scenario.Spec.PhysicsPrefixHash), and source–receptor matrices
 // (internal/sr, keyed by matrix content key). Checkpoints reuse the
 // hourio checksummed snapshot format, so a stored checkpoint is directly
-// consumable by core.Restart; results, records and SR matrices travel in
-// a small CRC-framed gob envelope. Artifacts a daemon is actively
-// serving from memory can be pinned (Pin/Unpin) so the size-capped GC
-// never evicts them mid-serve.
+// consumable by core.Restart; records, manifests and SR matrices travel
+// in a small CRC-framed gzipped-gob envelope (AIRSTOR1); results keep
+// that encoding for their few KB of metadata and carry Final — the
+// megabyte gzip measured at ratio 1.0 — as one raw float64 section under
+// a single frame CRC (AIRSRES2; AIRSTOR1 results still read, nothing
+// writes them). Artifacts a daemon is actively serving from memory can be
+// pinned (Pin/Unpin) so the size-capped GC never evicts them mid-serve.
 //
 // Raw blob bytes live behind a pluggable Backend: the local directory
 // (DirBackend — the default, Open), an in-memory map (MemBackend), or a
@@ -57,6 +60,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -64,6 +68,7 @@ import (
 	"time"
 
 	"airshed/internal/core"
+	"airshed/internal/dist"
 	"airshed/internal/hourio"
 	"airshed/internal/resilience"
 )
@@ -73,10 +78,27 @@ import (
 // the same state report plain misses, so callers fall back to computing.
 var ErrDegraded = errors.New("store: degraded: circuit breaker open")
 
-// envelopeMagic frames result and record files.
+// envelopeMagic frames records, manifests and SR matrices: magic, CRC-32
+// of the payload, payload length, then the gzipped gob payload. Results
+// written before resultMagic existed carry it too, and still read.
 const envelopeMagic = "AIRSTOR1"
 
-// maxPayload bounds a decoded envelope payload (corruption guard).
+// resultMagic frames results: magic, one CRC-32 over every byte after
+// it, metadata length, float count, the gzipped gob of the Result with
+// Final nil, then Final as raw little-endian float64s. Final is all but
+// a few KB of a result and measured a gzip ratio of 1.0, so it pays for
+// neither gob nor gzip.
+const resultMagic = "AIRSRES2"
+
+// Frame offsets (both magics are eight bytes).
+const (
+	crcOffset      = len(envelopeMagic)
+	crcEnd         = crcOffset + 4
+	envelopeHeader = crcEnd + 8     // payload length
+	resultHeader   = crcEnd + 8 + 8 // metadata length, float count
+)
+
+// maxPayload bounds a frame section's declared length (corruption guard).
 const maxPayload = 1 << 31
 
 // Artifact kind subdirectories.
@@ -318,8 +340,8 @@ func (s *Store) Counters() Counters {
 // Pins nest (refcounted) and are an in-process property only — they are
 // not persisted, so a restarted daemon re-pins whatever it re-loads.
 // Pinning never fails on a missing blob; the pin simply protects the key
-// if it is (re)written later. Corrupt entries are still deleted — a pin
-// protects bytes from eviction, not from being broken.
+// if it is (re)written later. Corrupt entries are still quarantined — a
+// pin protects bytes from eviction, not from being broken.
 func (s *Store) Pin(key string) error {
 	kind, name, err := SplitKey(key)
 	if err != nil {
@@ -572,123 +594,166 @@ func (s *Store) hit() {
 	s.counters.Hits++
 }
 
-// writeEnvelope frames a gob+gzip payload with magic, CRC and length.
-func writeEnvelope(w io.Writer, v any) error {
-	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
+// writeMeta appends v, gob-encoded and gzipped, to buf: the metadata
+// section of both layouts.
+func writeMeta(buf *bytes.Buffer, v any) error {
+	zw := gzip.NewWriter(buf)
 	if err := gob.NewEncoder(zw).Encode(v); err != nil {
 		return err
 	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte(envelopeMagic)); err != nil {
-		return err
-	}
-	crc := crc32.ChecksumIEEE(payload.Bytes())
-	if err := binary.Write(w, binary.LittleEndian, crc); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(payload.Len())); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
+	return zw.Close()
 }
 
-// verifyEnvelopeFrame checks an envelope's integrity without decoding
-// the gob payload: magic, length bound, payload CRC, and a complete
-// gzip decompression (the gzip trailer carries a second CRC over the
-// uncompressed bytes).
-func verifyEnvelopeFrame(r io.Reader) error {
-	magic := make([]byte, len(envelopeMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("reading magic: %w", err)
+// encodeEnvelope frames v in the AIRSTOR1 layout.
+func encodeEnvelope(v any) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, envelopeHeader, 4096))
+	if err := writeMeta(buf, v); err != nil {
+		return nil, err
 	}
-	if string(magic) != envelopeMagic {
-		return fmt.Errorf("bad magic %q", magic)
+	out := buf.Bytes()
+	copy(out, envelopeMagic)
+	binary.LittleEndian.PutUint32(out[crcOffset:], crc32.ChecksumIEEE(out[envelopeHeader:]))
+	binary.LittleEndian.PutUint64(out[crcEnd:], uint64(len(out)-envelopeHeader))
+	return out, nil
+}
+
+// encodeResult frames res in the result layout: the metadata (a few KB)
+// is encoded first so that the one result-sized buffer is allocated at
+// its exact final length.
+func encodeResult(res *core.Result) ([]byte, error) {
+	bare := *res
+	bare.Final = nil
+	var meta bytes.Buffer
+	if err := writeMeta(&meta, &bare); err != nil {
+		return nil, err
 	}
-	var crc uint32
-	if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
-		return fmt.Errorf("reading checksum: %w", err)
+	out := make([]byte, resultHeader+meta.Len()+8*len(res.Final))
+	copy(out, resultMagic)
+	binary.LittleEndian.PutUint64(out[crcEnd:], uint64(meta.Len()))
+	binary.LittleEndian.PutUint64(out[crcEnd+8:], uint64(len(res.Final)))
+	floats := out[resultHeader+copy(out[resultHeader:], meta.Bytes()):]
+	// encoding/binary's []float64 fast path, minus its intermediate buffer.
+	for i, v := range res.Final {
+		binary.LittleEndian.PutUint64(floats[8*i:], math.Float64bits(v))
 	}
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return fmt.Errorf("reading length: %w", err)
+	binary.LittleEndian.PutUint32(out[crcOffset:], crc32.ChecksumIEEE(out[crcEnd:]))
+	return out, nil
+}
+
+// openFrame is the one place a stored frame's magic, checksum and
+// section lengths are parsed: both layouts, read and verify alike. The
+// lengths must account for every byte present (a truncated or over-long
+// blob is corrupt) and nothing is allocated from them: the sections come
+// back as sub-slices of data. floats is nil for an AIRSTOR1 frame and
+// non-nil, possibly empty, for a result frame.
+func openFrame(data []byte) (meta, floats []byte, err error) {
+	// An empty gzip stream is 20 bytes, so no valid frame of either
+	// layout is as short as the longer header.
+	if len(data) < resultHeader {
+		return nil, nil, fmt.Errorf("frame truncated at %d bytes", len(data))
 	}
-	if n == 0 || n > maxPayload {
-		return fmt.Errorf("implausible payload length %d", n)
+	magic, crc := string(data[:crcOffset]), binary.LittleEndian.Uint32(data[crcOffset:])
+	metaLen, nFloats := binary.LittleEndian.Uint64(data[crcEnd:]), uint64(0)
+	// AIRSTOR1: the checksum covers the payload, not its length field.
+	summed, body := data[envelopeHeader:], data[envelopeHeader:]
+	switch magic {
+	case envelopeMagic:
+	case resultMagic:
+		nFloats = binary.LittleEndian.Uint64(data[crcEnd+8:])
+		summed, body = data[crcEnd:], data[resultHeader:]
+	default:
+		return nil, nil, fmt.Errorf("bad magic %q", magic)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("reading payload: %w", err)
+	if metaLen == 0 || metaLen > maxPayload || nFloats > maxPayload/8 || metaLen+8*nFloats != uint64(len(body)) {
+		return nil, nil, fmt.Errorf("section lengths %d+8*%d disagree with the %d bytes present", metaLen, nFloats, len(body))
 	}
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return fmt.Errorf("checksum mismatch: file %08x, computed %08x", crc, got)
+	if got := crc32.ChecksumIEEE(summed); got != crc {
+		return nil, nil, fmt.Errorf("checksum mismatch: file %08x, computed %08x", crc, got)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(payload))
+	if magic == resultMagic {
+		floats = body[metaLen:]
+	}
+	return body[:metaLen], floats, nil
+}
+
+// readMeta decompresses a metadata section and gob-decodes it into v
+// (nil: decompress only), then reads the stream to EOF so the gzip
+// trailer's checksum over the uncompressed bytes is verified as well.
+func readMeta(meta []byte, v any) error {
+	zr, err := gzip.NewReader(bytes.NewReader(meta))
 	if err != nil {
 		return err
 	}
 	defer zr.Close()
+	if v != nil {
+		if err := gob.NewDecoder(zr).Decode(v); err != nil {
+			return err
+		}
+	}
 	if _, err := io.Copy(io.Discard, zr); err != nil {
 		return fmt.Errorf("decompressing payload: %w", err)
 	}
 	return nil
 }
 
-// readEnvelope verifies the frame and decodes the payload into v.
-func readEnvelope(r io.Reader, v any) error {
-	magic := make([]byte, len(envelopeMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("reading magic: %w", err)
-	}
-	if string(magic) != envelopeMagic {
-		return fmt.Errorf("bad magic %q", magic)
-	}
-	var crc uint32
-	if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
-		return fmt.Errorf("reading checksum: %w", err)
-	}
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return fmt.Errorf("reading length: %w", err)
-	}
-	if n == 0 || n > maxPayload {
-		return fmt.Errorf("implausible payload length %d", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("reading payload: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return fmt.Errorf("checksum mismatch: file %08x, computed %08x", crc, got)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(payload))
+// readEnvelope verifies an AIRSTOR1 frame and decodes its payload into v
+// (nil: verify only).
+func readEnvelope(data []byte, v any) error {
+	meta, floats, err := openFrame(data)
 	if err != nil {
 		return err
 	}
-	defer zr.Close()
-	return gob.NewDecoder(zr).Decode(v)
+	if floats != nil {
+		return fmt.Errorf("%s frame where %s was expected", resultMagic, envelopeMagic)
+	}
+	return readMeta(meta, v)
 }
 
-// putEnveloped writes one framed artifact.
-func (s *Store) putEnveloped(kind, hash, ext string, v any) error {
+// decodeResult verifies and decodes a stored result in either layout.
+func decodeResult(data []byte) (*core.Result, error) {
+	meta, floats, err := openFrame(data)
+	if err != nil {
+		return nil, err
+	}
+	var res core.Result
+	if err := readMeta(meta, &res); err != nil {
+		return nil, err
+	}
+	if len(floats) > 0 {
+		res.Final = make([]float64, len(floats)/8)
+		for i := range res.Final {
+			res.Final[i] = math.Float64frombits(binary.LittleEndian.Uint64(floats[8*i:]))
+		}
+	}
+	if res.Trace != nil && len(res.Final) != res.Trace.Shape.Len() {
+		return nil, fmt.Errorf("%d final concentrations for shape %v", len(res.Final), res.Trace.Shape)
+	}
+	return &res, nil
+}
+
+// putEncoded writes one artifact; encode runs only for a valid key.
+func (s *Store) putEncoded(kind, hash, ext string, encode func() ([]byte, error)) error {
 	rel, err := relpath(kind, hash, ext)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := writeEnvelope(&buf, v); err != nil {
+	data, err := encode()
+	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", rel, err)
 	}
-	return s.writeBlob(rel, buf.Bytes())
+	return s.writeBlob(rel, data)
 }
 
-// getEnveloped reads and verifies one framed artifact into v. Index
-// misses skip the breaker entirely (no I/O follows); once the index
-// hits, the actual read is gated and scored.
-func (s *Store) getEnveloped(kind, hash, ext string, v any) bool {
+// putEnveloped writes one AIRSTOR1-framed artifact.
+func (s *Store) putEnveloped(kind, hash, ext string, v any) error {
+	return s.putEncoded(kind, hash, ext, func() ([]byte, error) { return encodeEnvelope(v) })
+}
+
+// getVerified reads one artifact and hands its bytes to verify, which
+// checks and decodes them; only a blob that passes is booked as a hit.
+// Index misses skip the breaker entirely (no I/O follows); once the
+// index hits, the actual read is gated and scored.
+func (s *Store) getVerified(kind, hash, ext string, verify func(data []byte) error) bool {
 	rel, err := relpath(kind, hash, ext)
 	if err != nil {
 		return false
@@ -697,7 +762,7 @@ func (s *Store) getEnveloped(kind, hash, ext string, v any) bool {
 	if !ok {
 		return false
 	}
-	if err := readEnvelope(bytes.NewReader(data), v); err != nil {
+	if err := verify(data); err != nil {
 		// Corruption counts against the breaker: one flipped bit is a
 		// payload problem, a streak is a medium problem.
 		s.ioFailure()
@@ -708,19 +773,24 @@ func (s *Store) getEnveloped(kind, hash, ext string, v any) bool {
 	return true
 }
 
+// getEnveloped reads and verifies one AIRSTOR1-framed artifact into v.
+func (s *Store) getEnveloped(kind, hash, ext string, v any) bool {
+	return s.getVerified(kind, hash, ext, func(data []byte) error { return readEnvelope(data, v) })
+}
+
 // PutResult stores a completed run result under the scenario hash.
 func (s *Store) PutResult(specHash string, res *core.Result) error {
-	return s.putEnveloped(kindResult, specHash, ".res", res)
+	return s.putEncoded(kindResult, specHash, ".res", func() ([]byte, error) { return encodeResult(res) })
 }
 
 // GetResult returns the stored result for a scenario hash. Corrupt
-// entries are deleted and reported as a miss.
-func (s *Store) GetResult(specHash string) (*core.Result, bool) {
-	var res core.Result
-	if !s.getEnveloped(kindResult, specHash, ".res", &res) {
-		return nil, false
-	}
-	return &res, true
+// entries are quarantined and reported as a miss.
+func (s *Store) GetResult(specHash string) (res *core.Result, ok bool) {
+	ok = s.getVerified(kindResult, specHash, ".res", func(data []byte) (err error) {
+		res, err = decodeResult(data)
+		return err
+	})
+	return res, ok
 }
 
 // PutRecord stores a physics record under a physics-prefix hash.
@@ -734,14 +804,13 @@ func (s *Store) PutRecord(prefixHash string, rec *PhysicsRecord) error {
 // GetRecord returns the physics record for a physics-prefix hash.
 func (s *Store) GetRecord(prefixHash string) (*PhysicsRecord, bool) {
 	var rec PhysicsRecord
-	if !s.getEnveloped(kindRecord, prefixHash, ".rec", &rec) {
-		return nil, false
-	}
-	if rec.Validate() != nil {
-		// Decoded but inconsistent: treat like corruption.
-		if rel, err := relpath(kindRecord, prefixHash, ".rec"); err == nil {
-			s.corrupt(rel)
+	// Decoded but inconsistent is corruption like any CRC failure.
+	if !s.getVerified(kindRecord, prefixHash, ".rec", func(data []byte) error {
+		if err := readEnvelope(data, &rec); err != nil {
+			return err
 		}
+		return rec.Validate()
+	}) {
 		return nil, false
 	}
 	return &rec, true
@@ -751,38 +820,40 @@ func (s *Store) GetRecord(prefixHash string) (*PhysicsRecord, bool) {
 // prefix in the hourio snapshot format (hour is the last completed hour,
 // so the prefix covers [StartHour, hour]).
 func (s *Store) PutCheckpoint(prefixHash string, hour, ns, nl, ncells int, conc []float64) error {
-	rel, err := relpath(kindCheckpoint, prefixHash, ".snap")
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if _, err := hourio.WriteSnapshot(&buf, hour, ns, nl, ncells, conc); err != nil {
-		return fmt.Errorf("store: encoding %s: %w", rel, err)
-	}
-	return s.writeBlob(rel, buf.Bytes())
+	return s.putEncoded(kindCheckpoint, prefixHash, ".snap", func() ([]byte, error) {
+		var buf bytes.Buffer
+		_, err := hourio.WriteSnapshot(&buf, hour, ns, nl, ncells, conc)
+		return buf.Bytes(), err
+	})
 }
 
-// Checkpoint verifies (full read, CRC) and returns the snapshot bytes
-// and hour of the checkpoint for a physics-prefix hash — the bytes are
-// directly consumable by core.RestartReader. Corrupt entries are deleted
-// and reported as a miss.
+// CheckpointState is a stored checkpoint, verified and decoded once.
+type CheckpointState struct {
+	Hour  int // last completed hour
+	Shape dist.Shape
+	Conc  []float64
+	Data  []byte // the snapshot bytes Conc came from, as core.RestartReader wants them
+}
+
+// CheckpointState verifies (full read, CRC) and returns the checkpoint
+// for a physics-prefix hash. Corrupt entries are quarantined and
+// reported as a miss.
+func (s *Store) CheckpointState(prefixHash string) (cp CheckpointState, ok bool) {
+	if !s.getVerified(kindCheckpoint, prefixHash, ".snap", func(data []byte) (err error) {
+		cp.Data = data
+		cp.Hour, cp.Shape.Species, cp.Shape.Layers, cp.Shape.Cells, cp.Conc, _, err = hourio.ReadSnapshot(bytes.NewReader(data))
+		return err
+	}) {
+		return CheckpointState{}, false
+	}
+	return cp, true
+}
+
+// Checkpoint is CheckpointState for a caller that only wants the
+// snapshot bytes and their hour.
 func (s *Store) Checkpoint(prefixHash string) (data []byte, hour int, ok bool) {
-	rel, err := relpath(kindCheckpoint, prefixHash, ".snap")
-	if err != nil {
-		return nil, 0, false
-	}
-	data, ok = s.readBlob(rel)
-	if !ok {
-		return nil, 0, false
-	}
-	hour, _, _, _, _, _, err = hourio.ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		s.ioFailure()
-		s.corrupt(rel)
-		return nil, 0, false
-	}
-	s.hit()
-	return data, hour, true
+	cp, ok := s.CheckpointState(prefixHash)
+	return cp.Data, cp.Hour, ok
 }
 
 // SpecManifest records, for one completed run, the scenario spec that
@@ -831,7 +902,7 @@ func (s *Store) PutSRMatrix(matrixKey string, m any) error {
 }
 
 // GetSRMatrix decodes the stored source–receptor matrix for a content
-// key into m. Corrupt entries are deleted and reported as a miss.
+// key into m. Corrupt entries are quarantined and reported as a miss.
 func (s *Store) GetSRMatrix(matrixKey string, m any) bool {
 	return s.getEnveloped(kindSRMatrix, matrixKey, ".srm", m)
 }
@@ -882,24 +953,29 @@ func (s *Store) GetBlob(key string) ([]byte, error) {
 	return data, nil
 }
 
-// VerifyBlob checks data's integrity for its artifact kind without
-// knowing the payload's Go type: checkpoints verify through the hourio
-// snapshot format (magic, dimensions, trailing CRC), every other kind
-// through the envelope frame (magic, length, payload CRC) plus a full
-// gzip decompression, whose stream carries its own trailing checksum.
-// A nil return means every checksum on the blob's bytes holds.
+// VerifyBlob checks data's integrity for its artifact kind: checkpoints
+// verify through the hourio snapshot format (magic, dimensions, trailing
+// CRC); results through exactly the decode GetResult runs (either
+// layout: frame CRC over every section, section lengths against the
+// blob's size, float count against the trace's shape); every other kind,
+// whose payload type the store does not know, through the AIRSTOR1 frame
+// (magic, length, payload CRC) plus a full gzip decompression, whose
+// stream carries its own trailing checksum. A nil return means every
+// checksum on the blob's bytes holds.
 func VerifyBlob(key string, data []byte) error {
 	kind, _, err := SplitKey(key)
 	if err != nil {
 		return err
 	}
-	if kind == kindCheckpoint {
-		if _, _, _, _, _, _, err := hourio.ReadSnapshot(bytes.NewReader(data)); err != nil {
-			return resilience.MarkCorrupt(fmt.Errorf("store: %s: %w", key, err))
-		}
-		return nil
+	switch kind {
+	case kindCheckpoint:
+		_, _, _, _, _, _, err = hourio.ReadSnapshot(bytes.NewReader(data))
+	case kindResult:
+		_, err = decodeResult(data)
+	default:
+		err = readEnvelope(data, nil)
 	}
-	if err := verifyEnvelopeFrame(bytes.NewReader(data)); err != nil {
+	if err != nil {
 		return resilience.MarkCorrupt(fmt.Errorf("store: %s: %w", key, err))
 	}
 	return nil

@@ -17,7 +17,7 @@ import (
 // miniResult runs a tiny real simulation once per test binary.
 var miniResult *core.Result
 
-func testResult(t *testing.T) *core.Result {
+func testResult(t testing.TB) *core.Result {
 	t.Helper()
 	if miniResult == nil {
 		ds, err := datasets.Mini()
