@@ -9,6 +9,8 @@ package datasets
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"airshed/internal/chemistry"
 	"airshed/internal/dist"
@@ -214,33 +216,60 @@ func Mini() (*Dataset, error) {
 	}, nil
 }
 
-// ByName returns a dataset by key ("la" or "ne").
-func ByName(key string) (*Dataset, error) {
-	switch key {
-	case "la", "LA":
-		return LA()
-	case "ne", "NE":
-		return NE()
-	case "mini", "Mini", "MINI":
-		return Mini()
-	default:
-		return nil, fmt.Errorf("datasets: unknown data set %q (known: la, ne, mini)", key)
+// table is the one spelling of the dataset key set: canonical lower-case
+// keys, sorted, each with its builder memoised for the process. ByName,
+// Known and Names all read it; lookup is the one place case is folded.
+var table = []struct {
+	key   string
+	build func() (*Dataset, error)
+}{
+	{"la", sync.OnceValues(LA)},
+	{"mini", sync.OnceValues(Mini)},
+	{"ne", sync.OnceValues(NE)},
+}
+
+func lookup(key string) func() (*Dataset, error) {
+	for _, row := range table {
+		if strings.EqualFold(row.key, key) {
+			return row.build
+		}
 	}
+	return nil
+}
+
+// ByName returns a dataset by key ("la", "ne" or "mini", in any case).
+// Each is built once per process: grid, mechanism, geometry and provider
+// are immutable after construction and shared by every caller, while the
+// returned Dataset struct is the caller's own shallow copy — assigning its
+// fields (as scenario.Spec.Config does with Provider for emission-control
+// variants) is invisible to every other holder. LA, NE and Mini remain
+// the fresh builders.
+func ByName(key string) (*Dataset, error) {
+	build := lookup(key)
+	if build == nil {
+		return nil, fmt.Errorf("datasets: unknown data set %q (known: %s)", key, strings.Join(Names(), ", "))
+	}
+	shared, err := build()
+	if err != nil {
+		return nil, err
+	}
+	ds := *shared
+	return &ds, nil
 }
 
 // Names returns the canonical dataset keys accepted by ByName, sorted.
 // It is cheap — no dataset is constructed — so callers can validate a key
 // without building grids and providers.
-func Names() []string { return []string{"la", "mini", "ne"} }
+func Names() []string {
+	names := make([]string, len(table))
+	for i, row := range table {
+		names[i] = row.key
+	}
+	return names
+}
 
 // Known reports whether key (case-insensitively) names a dataset.
-func Known(key string) bool {
-	switch key {
-	case "la", "LA", "ne", "NE", "mini", "Mini", "MINI":
-		return true
-	}
-	return false
-}
+func Known(key string) bool { return lookup(key) != nil }
 
 // hourVolume estimates the byte volume of one hour's input processing
 // (meteorology + emissions + boundary conditions) plus output processing

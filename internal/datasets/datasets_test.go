@@ -1,7 +1,12 @@
 package datasets
 
 import (
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
+
+	"airshed/internal/grid"
 )
 
 func TestLADimensionsMatchPaper(t *testing.T) {
@@ -143,6 +148,107 @@ func TestPaperDatasetsGenerateInputs(t *testing.T) {
 			if len(in.WindU[0]) != ds.Shape.Cells {
 				t.Fatalf("%s hour %d: wind field size", name, hour)
 			}
+		}
+	}
+}
+
+// One key table, case folded in one place: every spelling ByName accepts
+// Known accepts, and Names hands out its own slice each call.
+func TestKeysFoldCase(t *testing.T) {
+	for _, key := range []string{"la", "La", "LA", "ne", "Ne", "NE", "mini", "Mini", "MINI", "mInI"} {
+		if !Known(key) {
+			t.Errorf("Known(%q) = false", key)
+		}
+		if _, err := ByName(key); err != nil {
+			t.Errorf("ByName(%q): %v", key, err)
+		}
+	}
+	for _, key := range []string{"", "tokyo", "la ", "l"} {
+		if Known(key) {
+			t.Errorf("Known(%q) = true", key)
+		}
+		if _, err := ByName(key); err == nil {
+			t.Errorf("ByName(%q) accepted", key)
+		}
+	}
+	names := Names()
+	if !sort.StringsAreSorted(names) || len(names) != 3 {
+		t.Fatalf("Names() = %v, want three sorted keys", names)
+	}
+	names[0] = "scribbled"
+	if again := Names(); again[0] != "la" {
+		t.Errorf("Names() shares its slice between calls: %v", again)
+	}
+}
+
+// ByName builds each dataset once and hands every caller its own struct
+// over the shared grid and provider: field assignments stay private.
+func TestByNameSharesPartsNotStruct(t *testing.T) {
+	a, err := ByName("la")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ByName("LA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two ByName calls returned the same *Dataset")
+	}
+	if a.Grid() != b.Grid() || a.Mechanism() != b.Mechanism() || a.Geometry() != b.Geometry() || a.Provider != b.Provider {
+		t.Error("ByName rebuilt the grid, mechanism, geometry or provider")
+	}
+	base := b.Provider
+	ctl, err := LAControls(0.5, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Provider, a.Name, a.ChemFlopsScale = ctl.Provider, "scribbled", 99
+	c, err := ByName("la")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range []*Dataset{b, c} {
+		if ds.Provider != base || ds.Name != "LA" || ds.ChemFlopsScale != 0.74 {
+			t.Errorf("assignment through one ByName result leaked: %+v", ds)
+		}
+	}
+	fresh, err := LA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Grid() == c.Grid() {
+		t.Error("LA() returned the memoised grid; it is the fresh builder")
+	}
+	if !reflect.DeepEqual(c.Provider.Scenario(), fresh.Provider.Scenario()) {
+		t.Error("memoised LA scenario differs from a fresh LA()'s")
+	}
+}
+
+// Concurrent first use: run under -race.
+func TestByNameConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	grids := make([]*grid.Grid, 8)
+	for i := range grids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ds, err := ByName([]string{"mini", "la"}[i%2])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ds.Name = "mine" // a private copy: no race, no leak
+			if _, err := ds.Provider.HourInput(8); err != nil {
+				t.Error(err)
+			}
+			grids[i] = ds.Grid()
+		}(i)
+	}
+	wg.Wait()
+	for i := 2; i < len(grids); i++ {
+		if grids[i] != grids[i-2] {
+			t.Errorf("goroutine %d saw a different grid than goroutine %d", i, i-2)
 		}
 	}
 }

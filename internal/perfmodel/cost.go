@@ -1,17 +1,9 @@
 package perfmodel
 
 import (
-	"sync"
-
 	"airshed/internal/datasets"
 	"airshed/internal/scenario"
 )
-
-// costShapes caches the constructed datasets behind CostEstimate, keyed
-// by normalized name: cost queries arrive once per spec of a sweep, and
-// rebuilding the refined grid a thousand times would dominate the
-// estimate itself. Only immutable fields (Shape, flop scales) are read.
-var costShapes sync.Map
 
 // CostEstimate returns a machine-independent estimate of a scenario's
 // sequential work, in the same flop-equivalent units machine.Profile
@@ -30,15 +22,11 @@ func CostEstimate(spec scenario.Spec) (float64, error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}
-	v, ok := costShapes.Load(n.Dataset)
-	if !ok {
-		ds, err := datasets.ByName(n.Dataset)
-		if err != nil {
-			return 0, err
-		}
-		v, _ = costShapes.LoadOrStore(n.Dataset, ds)
+	// One query per spec of a sweep: ByName builds each grid once a process.
+	ds, err := datasets.ByName(n.Dataset)
+	if err != nil {
+		return 0, err
 	}
-	ds := v.(*datasets.Dataset)
 	sh := ds.Shape
 	perHour := float64(sh.Cells) * float64(sh.Layers) * float64(sh.Species) *
 		(ds.ChemFlopsScale + ds.TransportFlopsScale)

@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"airshed/internal/core"
+	"airshed/internal/datasets"
+	"airshed/internal/grid"
 )
 
 func validSpec() Spec {
@@ -143,6 +146,50 @@ func TestConfigAppliesEmissionScales(t *testing.T) {
 	}
 	if !strings.Contains(scn.Name, "NOx x0.50") {
 		t.Errorf("scenario name should record the controls, got %q", scn.Name)
+	}
+}
+
+// Control and source-group variants replace Provider on their own copy of
+// the memoised dataset: the base provider every later Config shares must
+// still carry the untouched inventory, and share the variant's grid.
+func TestConfigVariantsLeaveSharedDatasetAlone(t *testing.T) {
+	fresh, err := datasets.LA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Provider.Scenario()
+
+	base := Spec{Dataset: "la", Machine: "t3e", Nodes: 4, Hours: 1}
+	ctl, delayed, group := base, base, base
+	ctl.NOxScale, ctl.VOCScale = 0.5, 0.25
+	delayed.NOxScale, delayed.ControlStartHour = 0.5, 1
+	delayed.Hours = 2
+	group.SourceGroups, group.SourceGroup, group.GroupNOxScale = 4, 1, 0.5
+	var grids []*grid.Grid
+	for _, sp := range []Spec{ctl, delayed, group, base} {
+		cfg, err := sp.Config()
+		if err != nil {
+			t.Fatalf("%v: %v", sp, err)
+		}
+		grids = append(grids, cfg.Dataset.Grid())
+		after, err := datasets.ByName("la")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.Provider.Scenario(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after Config of %v the shared LA scenario is %+v, want a fresh LA()'s %+v", sp, got, want)
+		}
+		if sp == base && cfg.Dataset.Provider != after.Provider {
+			t.Error("the base spec did not get the shared provider")
+		}
+		if sp != base && sp != delayed && cfg.Dataset.Provider == after.Provider {
+			t.Errorf("%v runs on the base provider", sp)
+		}
+	}
+	for _, g := range grids[1:] {
+		if g != grids[0] {
+			t.Error("Config built a second LA grid")
+		}
 	}
 }
 

@@ -14,6 +14,12 @@ import (
 // assumption that two independent runs of a scenario produce identical
 // results, which is what makes sharing safe).
 //
+// Every entry is also indexed by its physics key — the end-of-run prefix
+// hash P(end) of its spec — so a wholesale replay can take trace, peaks
+// and Final from a cached result of the same physics (see executeStored).
+// An index on the same entries, not a second cache: at most one element
+// per key (the newest put), inside the one bound, dropped with its entry.
+//
 // Not safe for concurrent use; the scheduler serialises access under its
 // own mutex.
 type resultCache struct {
@@ -23,14 +29,16 @@ type resultCache struct {
 	bytes   int64
 	order   *list.List // front = most recently used
 	entries map[string]*list.Element
+	physics map[string]*list.Element // by physics key; see above
 
 	hits, misses, evictions uint64
 }
 
 type cacheEntry struct {
-	hash  string
-	res   *core.Result
-	bytes int64
+	hash    string
+	physics string
+	res     *core.Result
+	bytes   int64
 }
 
 // newResultCache builds a cache; maxEntries <= 0 disables caching
@@ -41,6 +49,7 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		entries:    make(map[string]*list.Element),
+		physics:    make(map[string]*list.Element),
 	}
 }
 
@@ -56,11 +65,20 @@ func (c *resultCache) get(hash string) (*core.Result, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// put stores a result under hash and evicts least-recently-used entries
-// until both caps hold again. A result larger than maxBytes on its own
-// is still stored (the byte cap is approximate, and serving one huge
+// getPhysics returns some cached result of the given physics, or nil: a
+// donor lookup, not a submission outcome, so recency and counters stay.
+func (c *resultCache) getPhysics(physics string) *core.Result {
+	if el, ok := c.physics[physics]; ok {
+		return el.Value.(*cacheEntry).res
+	}
+	return nil
+}
+
+// put stores a result under both keys and evicts least-recently-used
+// entries until both caps hold again. A result larger than maxBytes on its
+// own is still stored (the byte cap is approximate, and serving one huge
 // scenario beats serving none) but evicts everything else.
-func (c *resultCache) put(hash string, res *core.Result) {
+func (c *resultCache) put(hash, physics string, res *core.Result) {
 	if c.maxEntries <= 0 {
 		return
 	}
@@ -68,8 +86,9 @@ func (c *resultCache) put(hash string, res *core.Result) {
 		c.order.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{hash: hash, res: res, bytes: approxResultBytes(res)}
-	c.entries[hash] = c.order.PushFront(e)
+	e := &cacheEntry{hash: hash, physics: physics, res: res, bytes: approxResultBytes(res)}
+	el := c.order.PushFront(e)
+	c.entries[hash], c.physics[physics] = el, el
 	c.bytes += e.bytes
 	for c.order.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.order.Len() > 1) {
 		c.evictOldest()
@@ -85,6 +104,9 @@ func (c *resultCache) evictOldest() {
 	e := el.Value.(*cacheEntry)
 	c.order.Remove(el)
 	delete(c.entries, e.hash)
+	if c.physics[e.physics] == el {
+		delete(c.physics, e.physics)
+	}
 	c.bytes -= e.bytes
 	c.evictions++
 }

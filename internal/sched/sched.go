@@ -26,7 +26,8 @@
 // persist hourly checkpoints and per-hour physics records keyed by the
 // scenario physics-prefix hash, and new jobs resume from the longest
 // stored prefix via core.RestartContext — or skip simulation entirely
-// when the whole run's physics is on record (see warm.go).
+// when the whole run's physics is on record, or already held by a cached
+// result of the same physics (see warm.go).
 //
 // Every job carries a context cancelled by Cancel, by the per-job
 // timeout, or by scheduler shutdown-with-deadline; the core driver
@@ -489,7 +490,7 @@ func (s *Scheduler) Submit(spec scenario.Spec) (JobStatus, error) {
 		}
 		if found {
 			s.counters.StoreHits++
-			s.cache.put(hash, stored)
+			s.cache.put(hash, physicsKey(spec), stored)
 			j := s.newJobLocked(spec, hash)
 			j.state = Done
 			j.cached = true
@@ -691,6 +692,10 @@ func (s *Scheduler) appendHourEvent(j *job, hs core.HourSummary, stored bool) {
 	close(j.changed)
 	j.changed = make(chan struct{})
 }
+
+// physicsKey is the result cache's second key: the whole run's prefix
+// hash, shared by specs differing only in machine, node count or mode.
+func physicsKey(spec scenario.Spec) string { return spec.PhysicsPrefixHash(spec.EndHour()) }
 
 // estimateCost resolves a spec's perfmodel a-priori cost; a failed
 // estimate contributes nothing to admission accounting.
@@ -966,7 +971,7 @@ func (s *Scheduler) runJob(j *job) {
 		if j.repair {
 			s.counters.Repairs++
 		}
-		s.cache.put(j.hash, res)
+		s.cache.put(j.hash, physicsKey(j.spec), res)
 		retire = s.finalizeLocked(j, Done, res, nil)
 	case errors.Is(err, context.Canceled):
 		retire = s.finalizeLocked(j, Cancelled, nil, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"airshed/internal/core"
+	"airshed/internal/dist"
 	"airshed/internal/scenario"
 	"airshed/internal/store"
 )
@@ -94,6 +95,19 @@ func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, 
 		return s.coldRun(ctx, n, cfg)
 	}
 
+	// First rung: a cached result of the same physics. Its trace, peaks
+	// and Final were computed in this process or verified by the store on
+	// their way into the cache; the records and checkpoint on disk say
+	// nothing more. Final is shared with the donor and never written.
+	s.mu.Lock()
+	donor := s.cache.getPhysics(n.PhysicsPrefixHash(end))
+	s.mu.Unlock()
+	if segs := hourRecords(donor); len(segs) == end-start { // so donor is not nil
+		if res, err := s.materialize(j, n, cfg, segs, donor.Trace.Shape, donor.Final); err == nil {
+			return res, end, true, nil
+		}
+	}
+
 	// Contiguous stored physics from the run start: segs[i] is hour
 	// start+i. A gap ends the scan — prefixes beyond it cannot be
 	// stitched into a full-run trace.
@@ -116,7 +130,7 @@ func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, 
 			continue
 		}
 		if k == end {
-			res, err := s.materialize(j, n, cfg, segs, cp)
+			res, err := s.materialize(j, n, cfg, segs, cp.Shape, cp.Conc)
 			if err == nil {
 				return res, k, true, nil
 			}
@@ -169,15 +183,15 @@ func (s *Scheduler) emitStoredHours(j *job, firstHour int, segs []*store.Physics
 	}
 }
 
-// materialize reconstructs the full result from stored physics alone:
-// the trace and peaks from the hour records, the final concentrations
-// from the end-of-run checkpoint the store already verified and decoded.
-// No numerics are recomputed.
-func (s *Scheduler) materialize(j *job, n scenario.Spec, cfg core.Config, segs []*store.PhysicsRecord, cp store.CheckpointState) (*core.Result, error) {
-	if cp.Shape != cfg.Dataset.Shape {
-		return nil, fmt.Errorf("sched: stored checkpoint dimensions %v do not match data set %v", cp.Shape, cfg.Dataset.Shape)
+// materialize reconstructs the full result from held physics alone: the
+// trace and peaks from the hour records, the final concentrations from a
+// verified end-of-run checkpoint or a cached result of the same physics
+// (shape is theirs). No numerics are recomputed.
+func (s *Scheduler) materialize(j *job, n scenario.Spec, cfg core.Config, segs []*store.PhysicsRecord, shape dist.Shape, final []float64) (*core.Result, error) {
+	if shape != cfg.Dataset.Shape {
+		return nil, fmt.Errorf("sched: held physics dimensions %v do not match data set %v", shape, cfg.Dataset.Shape)
 	}
-	res, err := assembleResult(cfg, segs, nil, cp.Conc)
+	res, err := assembleResult(cfg, segs, nil, final)
 	if err != nil {
 		return nil, err
 	}
@@ -233,12 +247,15 @@ func assembleResult(cfg core.Config, prefix []*store.PhysicsRecord, suffix *core
 	return res, nil
 }
 
-// persistHours writes one physics record per simulated hour of res,
-// keyed by the prefix hash ending just past that hour. firstHour is the
-// absolute hour of res.Trace.Hours[0]. Best-effort.
-func (s *Scheduler) persistHours(n scenario.Spec, firstHour int, res *core.Result) {
-	for i := range res.Trace.Hours {
-		rec := &store.PhysicsRecord{
+// hourRecords views res's physics as one record per hour, sharing its
+// slices (nil when there is no trace or the peaks do not cover it).
+func hourRecords(res *core.Result) []*store.PhysicsRecord {
+	if res == nil || res.Trace == nil || len(res.HourlyPeakO3) != len(res.Trace.Hours) || len(res.HourlyPeakCell) != len(res.Trace.Hours) {
+		return nil
+	}
+	recs := make([]*store.PhysicsRecord, len(res.Trace.Hours))
+	for i := range recs {
+		recs[i] = &store.PhysicsRecord{
 			Trace: &core.Trace{
 				Dataset: res.Trace.Dataset,
 				Shape:   res.Trace.Shape,
@@ -247,6 +264,15 @@ func (s *Scheduler) persistHours(n scenario.Spec, firstHour int, res *core.Resul
 			HourlyPeakO3:   res.HourlyPeakO3[i : i+1 : i+1],
 			HourlyPeakCell: res.HourlyPeakCell[i : i+1 : i+1],
 		}
+	}
+	return recs
+}
+
+// persistHours writes one physics record per simulated hour of res,
+// keyed by the prefix hash ending just past that hour. firstHour is the
+// absolute hour of res.Trace.Hours[0]. Best-effort.
+func (s *Scheduler) persistHours(n scenario.Spec, firstHour int, res *core.Result) {
+	for i, rec := range hourRecords(res) {
 		_ = s.opts.Store.PutRecord(n.PhysicsPrefixHash(firstHour+i+1), rec)
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"airshed/internal/core"
@@ -408,4 +411,162 @@ func FuzzResultEnvelope(f *testing.F) {
 			}
 		}
 	})
+}
+
+// storedBlocks reports whether the gzip stream at the head of section
+// opens with a stored (uncompressed) deflate block: after the ten-byte
+// gzip header, BTYPE — bits 1-2 of the first block byte — is 00.
+func storedBlocks(t testing.TB, section []byte) bool {
+	t.Helper()
+	if len(section) < 11 || section[0] != 0x1f || section[1] != 0x8b || section[3] != 0 {
+		t.Fatalf("not a plain gzip stream: % x", section[:min(len(section), 11)])
+	}
+	return section[10]>>1&3 == 0
+}
+
+// testdata/result_v2_deflate.res is the mini result as the commit before
+// metadata stopped being deflated stored it: the same AIRSRES2 layout with
+// a compressed gzip stream in the metadata section. It is the same format
+// to every reader and must keep reading, next to result_v1.res.
+func TestResultV2DeflateFixtureStillReads(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "result_v2_deflate.res"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob[:crcOffset]) != resultMagic {
+		t.Fatalf("fixture magic %q, want %q", blob[:crcOffset], resultMagic)
+	}
+	if storedBlocks(t, blob[resultHeader:]) {
+		t.Fatal("fixture metadata is not deflated; it no longer tests the old writer's output")
+	}
+	if err := VerifyBlob(blobKey, blob); err != nil {
+		t.Fatalf("VerifyBlob: %v", err)
+	}
+	s, _ := holding(t, blob)
+	got, ok := s.GetResult("x")
+	if !ok {
+		t.Fatal("GetResult missed the deflated AIRSRES2 fixture")
+	}
+	want := testResult(t)
+	if !sameBits(got.Final, want.Final) || got.Ledger.Total != want.Ledger.Total || got.PeakO3 != want.PeakO3 ||
+		got.Trace.SumChemFlops() != want.Trace.SumChemFlops() {
+		t.Errorf("fixture differs from a fresh run: ledger %v vs %v, peak %v vs %v",
+			got.Ledger.Total, want.Ledger.Total, got.PeakO3, want.PeakO3)
+	}
+	if c := s.Counters(); c.Hits != 1 || c.Corrupt != 0 {
+		t.Errorf("counters %+v, want one clean hit", c)
+	}
+	// Stored again it is framed, not deflated: same magic, same floats, a
+	// slightly longer metadata section.
+	if err := s.PutResult("x", got); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Backend().Get(blobKey)
+	if err != nil || string(again[:crcOffset]) != resultMagic || !storedBlocks(t, again[resultHeader:]) {
+		t.Fatalf("re-stored fixture is not a stored-block %s frame (err %v)", resultMagic, err)
+	}
+	t.Logf("mini result: %d bytes deflated, %d bytes stored (+%.1f%%)", len(blob), len(again), 100*float64(len(again)-len(blob))/float64(len(blob)))
+	if !bytes.Equal(again[len(again)-8*len(got.Final):], blob[len(blob)-8*len(got.Final):]) {
+		t.Error("float sections differ between the two writers")
+	}
+	bad := bytes.Clone(blob)
+	bad[resultHeader+40] ^= 0x04 // inside the deflate stream
+	mustReject(t, bad, "bit-flipped deflated AIRSRES2 result")
+	mustReject(t, reseal(bad), "bit flipped under a recomputed frame CRC: the gzip layer must object")
+}
+
+// One artifact of every enveloped kind round-trips through the
+// stored-block writer, verifies as the scrubber verifies it, and still
+// refuses a flipped bit behind a recomputed frame CRC (the gzip trailer
+// covers the gob bytes at any level).
+func TestEveryKindRoundTripsFramedNotDeflated(t *testing.T) {
+	b := NewMemBackend()
+	s, err := OpenBackend(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rec := testResult(t), testRecord(t)
+	man := &SpecManifest{Spec: []byte(`{"dataset":"mini","machine":"t3e","nodes":2,"hours":1}`), PrefixHashes: []string{strings.Repeat("ab", 32)}}
+	srm := &srPayload{Key: "m", Data: bytes.Repeat([]byte{1, 2, 3, 5, 8, 13}, 400)}
+	for _, err := range []error{s.PutResult("k", res), s.PutRecord("k", rec), s.PutManifest("k", man), s.PutSRMatrix("k", srm)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, header := range map[string]int{
+		"results/k.res": resultHeader, "records/k.rec": envelopeHeader, "specs/k.spec": envelopeHeader, SRMatrixKey("k"): envelopeHeader,
+	} {
+		blob, err := b.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !storedBlocks(t, blob[header:]) {
+			t.Errorf("%s: metadata is deflated", key)
+		}
+		if err := VerifyBlob(key, blob); err != nil {
+			t.Errorf("%s: %v", key, err)
+		}
+		bad := bytes.Clone(blob)
+		bad[header+30] ^= 0x20 // a gob byte inside the first stored block
+		if VerifyBlob(key, bad) == nil || VerifyBlob(key, reseal(bad)) == nil {
+			t.Errorf("%s: a flipped metadata bit verified", key)
+		}
+		t.Logf("%s: %d bytes", key, len(blob))
+	}
+	gotRes, ok1 := s.GetResult("k")
+	gotRec, ok2 := s.GetRecord("k")
+	gotMan, ok3 := s.GetManifest("k")
+	var gotSRM srPayload
+	ok4 := s.GetSRMatrix("k", &gotSRM)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		t.Fatalf("lookups: result %v record %v manifest %v matrix %v", ok1, ok2, ok3, ok4)
+	}
+	if !sameBits(gotRes.Final, res.Final) || !reflect.DeepEqual(gotRes.Trace, res.Trace) || !reflect.DeepEqual(gotRes.Ledger, res.Ledger) {
+		t.Error("result did not round-trip")
+	}
+	if !reflect.DeepEqual(gotRec, rec) || !reflect.DeepEqual(gotMan, man) || !reflect.DeepEqual(&gotSRM, srm) {
+		t.Error("record, manifest or matrix did not round-trip")
+	}
+}
+
+// The gzip state is pooled: a PutRecord must not allocate (and clear) a
+// flate compressor's ~650 KB of hash tables, nor a GetRecord a fresh
+// inflater. Medians over single operations, so that a pool emptied by a
+// GC cycle (or thinned by the race detector) costs one sample, not the test.
+func TestMetaCodecStateIsPooled(t *testing.T) {
+	s, err := OpenBackend(NewMemBackend(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(t)
+	medianBytes := func(op func()) uint64 {
+		op()
+		deltas := make([]uint64, 41)
+		var before, after runtime.MemStats
+		for i := range deltas {
+			runtime.ReadMemStats(&before)
+			op()
+			runtime.ReadMemStats(&after)
+			deltas[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		sort.Slice(deltas, func(i, j int) bool { return deltas[i] < deltas[j] })
+		return deltas[len(deltas)/2]
+	}
+	put := medianBytes(func() {
+		if err := s.PutRecord("k", rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	get := medianBytes(func() {
+		if _, ok := s.GetRecord("k"); !ok {
+			t.Fatal("record missing")
+		}
+	})
+	t.Logf("PutRecord %d bytes/op, GetRecord %d bytes/op", put, get)
+	if put > 100<<10 {
+		t.Errorf("PutRecord allocates %d bytes per call, want under 100 KB: the gzip writer is not reused", put)
+	}
+	if get > 48<<10 {
+		t.Errorf("GetRecord allocates %d bytes per call, want under 48 KB: the gzip reader is not reused", get)
+	}
 }
