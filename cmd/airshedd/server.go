@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"airshed/internal/core"
@@ -51,12 +50,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool
 }
 
 // server wires the scheduler and the analytic performance model behind
-// the HTTP API. It holds a trace cache for /v1/predict: the Section 4
-// model needs one recorded work trace per physics configuration
-// (dataset, hours, emission controls — everything except machine, nodes
-// and mode, which the model varies analytically), so the first predict
-// request for a configuration traces it once at 1 node and every later
-// prediction for any machine or node count is instant.
+// the HTTP API.
 type server struct {
 	sched   *sched.Scheduler
 	store   *store.Store       // nil when -store is unset
@@ -74,15 +68,6 @@ type server struct {
 	// scrub is the background store scrubber (nil when -store is unset
 	// or scrubbing disabled), for /healthz freshness and /metrics.
 	scrub *integrity.Scrubber
-
-	traceMu sync.Mutex
-	traces  map[string]*traceEntry
-}
-
-type traceEntry struct {
-	once  sync.Once
-	trace *core.Trace
-	err   error
 }
 
 func newServer(s *sched.Scheduler, st *store.Store, profile bool, coord *fleet.Coordinator, role string) *server {
@@ -95,7 +80,6 @@ func newServer(s *sched.Scheduler, st *store.Store, profile bool, coord *fleet.C
 		sweeps:  sweeps,
 		sr:      sr.NewService(sr.NewBuilder(sweeps)),
 		profile: profile,
-		traces:  make(map[string]*traceEntry),
 	}
 }
 
@@ -167,20 +151,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.sched.Submit(spec)
-	switch {
-	case err == nil:
-	case errors.Is(err, sched.ErrQueueFull):
-		// Backpressure, not failure: the client should retry once the
-		// queue has drained. Retry-After comes from the scheduler's
-		// perfmodel-derived estimate of the current backlog.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.sched.EstimatedWait())))
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, sched.ErrShuttingDown):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	default:
-		httpError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		if !s.admissionError(w, err) {
+			httpError(w, http.StatusBadRequest, err.Error())
+		}
 		return
 	}
 	code := http.StatusAccepted
@@ -194,6 +168,25 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Cached:    st.Cached,
 		FromStore: st.FromStore,
 	})
+}
+
+// admissionError answers the scheduler's two admission refusals — 429 with
+// Retry-After for a full queue, 503 for shutdown — and reports whether err
+// was one of them.
+func (s *server) admissionError(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, sched.ErrQueueFull):
+		// Backpressure, not failure: the client should retry once the
+		// queue has drained. Retry-After comes from the scheduler's
+		// perfmodel-derived estimate of the current backlog.
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.sched.EstimatedWait())))
+		httpError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, sched.ErrShuttingDown):
+		httpError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		return false
+	}
+	return true
 }
 
 // handleSweepSubmit accepts a batch study and starts it in the
@@ -400,6 +393,10 @@ type predictResponse struct {
 // handlePredict answers GET /v1/predict?dataset=mini&machine=t3e&nodes=16
 // &hours=2[&nox_scale=..&voc_scale=..] with the Section 4 analytic
 // prediction — no simulation at the requested machine/node count runs.
+// The model needs the work trace of the physics (everything but machine,
+// nodes and mode, which it varies analytically); the scheduler supplies it
+// from what it holds of that physics, else runs it once as an ordinary
+// job, so a first prediction can wait on a run — or meet a full queue.
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	spec := scenario.Spec{
@@ -433,9 +430,11 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tr, err := s.traceFor(spec)
+	tr, err := s.sched.Trace(r.Context(), spec)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "tracing failed: "+err.Error())
+		if !s.admissionError(w, err) {
+			httpError(w, http.StatusInternalServerError, "tracing failed: "+err.Error())
+		}
 		return
 	}
 	pred, err := perfmodel.Predict(tr, prof, spec.Nodes)
@@ -454,68 +453,6 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		CommByKind:       pred.CommByKind,
 		TotalSeconds:     pred.Total,
 	})
-}
-
-// traceFor returns the cached work trace of a spec's physics
-// configuration, tracing it once on first use. The trace key strips the
-// fields the analytic model varies: machine, node count and mode.
-func (s *server) traceFor(spec scenario.Spec) (*core.Trace, error) {
-	traceSpec := spec.Normalize()
-	traceSpec.Machine = "gohost"
-	traceSpec.Nodes = 1
-	traceSpec.Mode = scenario.ModeData
-	key := traceSpec.Hash()
-
-	s.traceMu.Lock()
-	e, ok := s.traces[key]
-	if !ok {
-		e = &traceEntry{}
-		s.traces[key] = e
-	}
-	s.traceMu.Unlock()
-
-	e.once.Do(func() {
-		// Stored physics first: the artifact store's per-hour records
-		// cover exactly the machine-independent work trace the model
-		// needs, so a configuration any job has ever run traces for free.
-		if tr := s.storedTrace(traceSpec); tr != nil {
-			e.trace = tr
-			return
-		}
-		cfg, err := traceSpec.Config()
-		if err != nil {
-			e.err = err
-			return
-		}
-		res, err := core.Run(cfg)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.trace = res.Trace
-	})
-	return e.trace, e.err
-}
-
-// storedTrace stitches the spec's work trace from the artifact store's
-// per-hour physics records, or returns nil when any hour is missing.
-func (s *server) storedTrace(spec scenario.Spec) *core.Trace {
-	if s.store == nil {
-		return nil
-	}
-	n := spec.Normalize()
-	var tr *core.Trace
-	for h := n.StartHour + 1; h <= n.EndHour(); h++ {
-		rec, ok := s.store.GetRecord(n.PhysicsPrefixHash(h))
-		if !ok || len(rec.Trace.Hours) != 1 {
-			return nil
-		}
-		if tr == nil {
-			tr = &core.Trace{Dataset: rec.Trace.Dataset, Shape: rec.Trace.Shape}
-		}
-		tr.Hours = append(tr.Hours, rec.Trace.Hours...)
-	}
-	return tr
 }
 
 // healthResponse reports liveness plus degradation: the daemon keeps

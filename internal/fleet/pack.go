@@ -130,16 +130,10 @@ func familyUnits(specs []scenario.Spec) ([]unit, error) {
 		}
 	}
 
-	// The same boundaries sweep.SeedSpecs seeds: the full run, and the
-	// control activation hour when the spec curtails mid-run.
 	byBoundary := make(map[string]int)
 	for i, sp := range specs {
 		n := sp.Normalize()
-		ks := []int{n.EndHour()}
-		if cs := n.ControlStartHour; cs > n.StartHour && cs < n.EndHour() {
-			ks = append(ks, cs)
-		}
-		for _, k := range ks {
+		for _, k := range n.PrefixBoundaries() {
 			ph := n.PhysicsPrefixHash(k)
 			if j, ok := byBoundary[ph]; ok {
 				union(i, j)

@@ -203,25 +203,21 @@ func TestEnginePanicContained(t *testing.T) {
 	}
 }
 
-// TestParallelNodesPanicContained panics one node body (on both the
-// concurrent and serial paths) and asserts the group converts it to
-// that node's error slot instead of dying.
+// TestParallelNodesPanicContained panics one node body and asserts the
+// group converts it to that node's error slot instead of dying.
 func TestParallelNodesPanicContained(t *testing.T) {
-	for _, goPar := range []bool{true, false} {
-		rt := newRT(t, 4)
-		rt.GoParallel = goPar
-		err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatOther, func(node int) (float64, error) {
-			if node == 2 {
-				panic(fmt.Sprintf("node %d exploded", node))
-			}
-			return 0, nil
-		})
-		var pe *resilience.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("goParallel=%v: error %v does not carry the PanicError", goPar, err)
+	rt := newRT(t, 4)
+	err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatOther, func(node int) (float64, error) {
+		if node == 2 {
+			panic(fmt.Sprintf("node %d exploded", node))
 		}
-		if !strings.Contains(err.Error(), "node 2") {
-			t.Errorf("goParallel=%v: panic not attributed to its node: %v", goPar, err)
-		}
+		return 0, nil
+	})
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v does not carry the PanicError", err)
+	}
+	if !strings.Contains(err.Error(), "node 2") {
+		t.Errorf("panic not attributed to its node: %v", err)
 	}
 }

@@ -24,15 +24,11 @@ import (
 // Runtime couples the virtual machine with the distributed-array layer.
 type Runtime struct {
 	VM *vm.Machine
-	// GoParallel enables real goroutine parallelism inside ParallelGroup
-	// (the numerics are independent per node, so results are identical
-	// either way; this only affects host wall-clock time).
-	GoParallel bool
 }
 
 // NewRuntime wraps a virtual machine.
 func NewRuntime(m *vm.Machine) *Runtime {
-	return &Runtime{VM: m, GoParallel: true}
+	return &Runtime{VM: m}
 }
 
 // P returns the machine size.
@@ -451,46 +447,36 @@ func (a *Array) Replica() ([]float64, error) {
 	return a.repl, nil
 }
 
-// ParallelGroup runs body once per node of the subgroup (concurrently
-// when GoParallel is set), then charges each node the work units the body
-// returned under the given category, and barriers the group. The bodies
-// must touch disjoint data (they own disjoint shard regions), so results
-// are independent of scheduling.
+// ParallelGroup runs body once per node of the subgroup, concurrently,
+// then charges each node the work units the body returned under the given
+// category — in index order after the join — and barriers the group. The
+// bodies must touch disjoint data (they own disjoint shard regions), so
+// results are independent of scheduling.
 func (rt *Runtime) ParallelGroup(nodes []int, cat vm.Category, body func(node int) (float64, error)) error {
 	flops := make([]float64, len(nodes))
 	errs := make([]error, len(nodes))
-	// A panicking node body becomes that node's deterministic error slot
-	// instead of killing the process (parallel path) or unwinding through
-	// the scheduler (serial path).
-	run := func(i, n int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = resilience.NewPanicError(r, debug.Stack())
-			}
-		}()
-		flops[i], errs[i] = body(n)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, n := range nodes {
+		// Acquire before spawning: with 128 virtual nodes the old
+		// spawn-then-acquire order created 128 live goroutines no
+		// matter how many cores the host has.
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i, n int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			// A panicking node body becomes that node's deterministic
+			// error slot instead of killing the process.
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = resilience.NewPanicError(r, debug.Stack())
+				}
+			}()
+			flops[i], errs[i] = body(n)
+		}(i, n)
 	}
-	if rt.GoParallel {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, n := range nodes {
-			// Acquire before spawning: with 128 virtual nodes the old
-			// spawn-then-acquire order created 128 live goroutines no
-			// matter how many cores the host has.
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i, n int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(i, n)
-			}(i, n)
-		}
-		wg.Wait()
-	} else {
-		for i, n := range nodes {
-			run(i, n)
-		}
-	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("fx: node %d: %w", nodes[i], err)

@@ -16,9 +16,7 @@ func newRT(t *testing.T, p int) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime(m)
-	rt.GoParallel = false // deterministic charge ordering in tests
-	return rt
+	return NewRuntime(m)
 }
 
 func seqShape() dist.Shape { return dist.Shape{Species: 7, Layers: 5, Cells: 30} }
@@ -269,7 +267,7 @@ func TestParallelNodesConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime(m) // GoParallel on
+	rt := NewRuntime(m)
 	results := make([]float64, 8)
 	err = rt.ParallelGroup(rt.VM.AllNodes(), vm.CatTransport, func(node int) (float64, error) {
 		results[node] = float64(node) // disjoint writes
@@ -351,7 +349,6 @@ func TestRedistributeQuick(t *testing.T) {
 			return false
 		}
 		rt := NewRuntime(m)
-		rt.GoParallel = false
 		global := pattern(sh)
 		a, err := NewArrayFrom(rt, sh, dist.DRepl, global)
 		if err != nil {

@@ -244,7 +244,6 @@ func TestFxMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt := fx.NewRuntime(vmm)
-		rt.GoParallel = false
 		got, err := ComputeHourFx(rt, vmm.AllNodes(), m, pop, conc, mech.N(), nl)
 		if err != nil {
 			t.Fatal(err)

@@ -276,6 +276,21 @@ func (s Spec) PrefixSpec(k int) Spec {
 	return n.Normalize()
 }
 
+// PrefixBoundaries lists the absolute hours k at which this spec's physics
+// prefix [StartHour, k) can coincide with another spec's: the full run,
+// plus the control-activation hour when it falls strictly inside the run
+// (every control variant shares the baseline up to there). These are the
+// prefixes worth seeding once (sweep.SeedSpecs) and the ones that tie specs
+// into one warm-start family (fleet packing).
+func (s Spec) PrefixBoundaries() []int {
+	n := s.Normalize()
+	ks := []int{n.EndHour()}
+	if cs := n.ControlStartHour; cs > n.StartHour && cs < n.EndHour() {
+		ks = append(ks, cs)
+	}
+	return ks
+}
+
 // CoreMode converts the spec's mode string to the core enum. The spec
 // must have been validated.
 func (s Spec) CoreMode() core.Mode {

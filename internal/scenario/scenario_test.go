@@ -221,3 +221,27 @@ func TestScaledRunDiffers(t *testing.T) {
 		t.Errorf("NOx x0.5 did not change peak O3 (%g)", a)
 	}
 }
+
+// PrefixBoundaries is the rule sweep seeding and fleet packing share: the
+// full run, plus the control-activation hour only when it falls strictly
+// inside the run.
+func TestPrefixBoundaries(t *testing.T) {
+	ctrl := Spec{Dataset: "mini", Machine: "t3e", Nodes: 2, StartHour: 2, Hours: 4, NOxScale: 0.5}
+	for _, c := range []struct {
+		name         string
+		controlStart int
+		want         []int
+	}{
+		{"whole-run controls", 0, []int{6}},
+		{"activation at the start", 2, []int{6}},
+		{"activation inside", 4, []int{6, 4}},
+		{"activation at the end", 6, []int{6}},
+		{"activation past the end", 9, []int{6}},
+	} {
+		s := ctrl
+		s.ControlStartHour = c.controlStart
+		if got := s.PrefixBoundaries(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: boundaries %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -15,8 +15,9 @@ import (
 // results, which is what makes sharing safe).
 //
 // Every entry is also indexed by its physics key — the end-of-run prefix
-// hash P(end) of its spec — so a wholesale replay can take trace, peaks
-// and Final from a cached result of the same physics (see executeStored).
+// hash P(end) of its spec — so a physics replay can take trace, peaks and
+// Final, and a prediction its trace, from a cached result of the same
+// physics (see lookup).
 // An index on the same entries, not a second cache: at most one element
 // per key (the newest put), inside the one bound, dropped with its entry.
 //

@@ -175,43 +175,11 @@ func (s *Scheduler) persistManifest(spec scenario.Spec, hash string) {
 // run simulates cold and re-persists its result, all hour records and
 // all checkpoints — the integrity scrubber's repair primitive after an
 // artifact is quarantined. Determinism makes the regenerated artifacts
-// bit-identical to the lost ones. An identical in-flight job coalesces
-// as usual (best-effort: a coalesced non-repair twin may resolve from
-// intact artifacts without rewriting the quarantined one). Repair jobs
-// are not journaled — a crash loses at most a rebuild of redundant
-// state.
-func (s *Scheduler) Recompute(spec scenario.Spec) (JobStatus, error) {
-	if err := spec.Validate(); err != nil {
-		return JobStatus{}, err
-	}
-	spec = spec.Normalize()
-	hash := spec.Hash()
-	cost := estimateCost(spec)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return JobStatus{}, ErrShuttingDown
-	}
-	s.counters.Submitted++
-	if twin, ok := s.inflight[hash]; ok {
-		s.counters.Coalesced++
-		return twin.statusLocked(), nil
-	}
-	j := s.newJobLocked(spec, hash)
-	j.cost = cost
-	j.repair = true
-	select {
-	case s.queue <- j:
-	default:
-		s.counters.Rejected++
-		delete(s.jobs, j.id)
-		return JobStatus{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
-	}
-	s.queuedCost += j.cost
-	s.inflight[hash] = j
-	return j.statusLocked(), nil
-}
+// bit-identical to the lost ones. It is Submit with the held rungs
+// bypassed (see admit): an identical in-flight job coalesces as usual
+// (best-effort: a coalesced non-repair twin may resolve from intact
+// artifacts without rewriting the quarantined one).
+func (s *Scheduler) Recompute(spec scenario.Spec) (JobStatus, error) { return s.admit(spec, true) }
 
 // Repair is the integrity scrubber's blocking repair call: decode the
 // manifest's spec JSON, force a recompute, and wait for it to finish.
@@ -226,15 +194,6 @@ func (s *Scheduler) Repair(ctx context.Context, specJSON []byte) error {
 	if err != nil {
 		return err
 	}
-	fin, err := s.Await(ctx, st.ID)
-	if err != nil {
-		return err
-	}
-	if fin.State != Done {
-		if fin.Err != nil {
-			return fmt.Errorf("sched: repair job %s %s: %w", fin.ID, fin.State, fin.Err)
-		}
-		return fmt.Errorf("sched: repair job %s finished %s", fin.ID, fin.State)
-	}
-	return nil
+	_, err = s.awaitResult(ctx, st.ID)
+	return err
 }

@@ -7,7 +7,7 @@
 // The design target is the ROADMAP's serving workload: many clients
 // submitting overlapping what-if scenarios (emission-control sweeps,
 // machine/node sweeps) where the same run is requested far more often
-// than it is unique. Submissions resolve in one of three ways, and the
+// than it is unique. Submissions resolve in one of five ways, and the
 // counters partition exactly along those lines:
 //
 //   - cache hit: the scenario already completed; a finished job is
@@ -19,8 +19,10 @@
 //     result survives in the persistent artifact store (Options.Store);
 //     it is verified, promoted into the LRU cache and returned as a
 //     finished job — daemon restarts do not forget completed scenarios;
-//   - cache miss: the scenario is enqueued, or rejected with
-//     ErrQueueFull when the bounded queue is at depth.
+//   - cache miss: the scenario is enqueued (an integrity repair is a
+//     forced miss: it skips the two held-result outcomes above);
+//   - rejected: the bounded queue is at depth and the submission is
+//     refused with ErrQueueFull.
 //
 // A store additionally warm-starts the runs themselves: executed jobs
 // persist hourly checkpoints and per-hour physics records keyed by the
@@ -41,7 +43,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -276,8 +277,7 @@ type job struct {
 	state     State
 	cached    bool
 	fromStore bool
-	warmHour  int
-	wholesale bool
+	warmHour  int  // absolute hour execution resumed from held physics (0 = cold)
 	repair    bool // integrity repair: bypass caches and warm starts
 	attempts  int
 	lastErr   error
@@ -425,9 +425,17 @@ func New(opts Options) *Scheduler {
 }
 
 // Submit resolves a scenario submission: cache hit, coalesce onto the
-// in-flight twin, or enqueue. The returned status is the job to poll;
-// errors are validation failures, ErrQueueFull or ErrShuttingDown.
-func (s *Scheduler) Submit(spec scenario.Spec) (JobStatus, error) {
+// in-flight twin, store hit, or enqueue. The returned status is the job
+// to poll; errors are validation failures, ErrQueueFull or
+// ErrShuttingDown.
+func (s *Scheduler) Submit(spec scenario.Spec) (JobStatus, error) { return s.admit(spec, false) }
+
+// admit is the one admission path, behind Submit and Recompute. repair
+// bypasses the held-result rungs — the result cache and the stored
+// result — so the spec is enqueued even though its answer is on hand; an
+// in-flight twin still coalesces, and repair jobs are not journaled (a
+// crash loses at most a rebuild of redundant state).
+func (s *Scheduler) admit(spec scenario.Spec, repair bool) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
@@ -441,31 +449,14 @@ func (s *Scheduler) Submit(spec scenario.Spec) (JobStatus, error) {
 		return JobStatus{}, ErrShuttingDown
 	}
 	s.counters.Submitted++
-
-	// Cache hit: issue an already-finished job sharing the cached result.
-	if res, ok := s.cache.get(hash); ok {
-		s.counters.CacheHits++
-		s.repersistLocked(hash, res)
-		j := s.newJobLocked(spec, hash)
-		j.state = Done
-		j.cached = true
-		j.result = res
-		j.finished = j.submitted
-		j.changed = nil // no live events; Watch synthesizes from the result
-		close(j.done)
-		return j.statusLocked(), nil
-	}
-
-	// Single-flight: attach to the queued/running twin.
-	if twin, ok := s.inflight[hash]; ok {
-		s.counters.Coalesced++
-		return twin.statusLocked(), nil
+	if st, ok := s.attachLocked(spec, hash, repair); ok {
+		return st, nil
 	}
 
 	// Persistent store: the read does disk I/O and CRC verification, so
 	// release the lock and re-resolve afterwards — the world may have
 	// moved (shutdown begun, a twin enqueued, the cache filled).
-	if s.opts.Store != nil {
+	if s.opts.Store != nil && !repair {
 		s.mu.Unlock()
 		stored, found := s.opts.Store.GetResult(hash)
 		s.mu.Lock()
@@ -473,51 +464,31 @@ func (s *Scheduler) Submit(spec scenario.Spec) (JobStatus, error) {
 			s.counters.Submitted-- // the submission never happened
 			return JobStatus{}, ErrShuttingDown
 		}
-		if res, ok := s.cache.get(hash); ok {
-			s.counters.CacheHits++
-			s.repersistLocked(hash, res)
-			j := s.newJobLocked(spec, hash)
-			j.state = Done
-			j.cached = true
-			j.result = res
-			j.finished = j.submitted
-			close(j.done)
-			return j.statusLocked(), nil
-		}
-		if twin, ok := s.inflight[hash]; ok {
-			s.counters.Coalesced++
-			return twin.statusLocked(), nil
+		if st, ok := s.attachLocked(spec, hash, repair); ok {
+			return st, nil
 		}
 		if found {
 			s.counters.StoreHits++
 			s.cache.put(hash, physicsKey(spec), stored)
-			j := s.newJobLocked(spec, hash)
-			j.state = Done
-			j.cached = true
-			j.fromStore = true
-			j.result = stored
-			j.finished = j.submitted
-			close(j.done)
-			return j.statusLocked(), nil
+			return s.finishedLocked(spec, hash, stored, true), nil
 		}
 	}
-	s.counters.CacheMisses++
 
 	j := s.newJobLocked(spec, hash)
 	j.cost = cost
+	j.repair = repair
 	select {
 	case s.queue <- j:
 	default:
-		// Undo the record: a rejected job never existed.
-		s.counters.CacheMisses--
+		delete(s.jobs, j.id) // a rejected job never existed
 		s.counters.Rejected++
-		delete(s.jobs, j.id)
 		return JobStatus{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
 	}
+	s.counters.CacheMisses++
 	s.queuedCost += j.cost
 	s.inflight[hash] = j
 	st := j.statusLocked()
-	if s.opts.Journal == nil {
+	if s.opts.Journal == nil || repair {
 		return st, nil
 	}
 	payload, merr := json.Marshal(spec)
@@ -547,6 +518,40 @@ func (s *Scheduler) Submit(spec scenario.Spec) (JobStatus, error) {
 		s.mu.Lock()
 	}
 	return st, nil
+}
+
+// attachLocked resolves a submission against what the process holds right
+// now: the cached result (a finished job sharing it) or the in-flight
+// twin. admit asks before and again after its off-lock store read; s.mu
+// held.
+func (s *Scheduler) attachLocked(spec scenario.Spec, hash string, repair bool) (JobStatus, bool) {
+	if !repair {
+		if res, ok := s.cache.get(hash); ok {
+			s.counters.CacheHits++
+			s.repersistLocked(hash, res)
+			return s.finishedLocked(spec, hash, res, false), true
+		}
+	}
+	// Single-flight: attach to the queued/running twin.
+	if twin, ok := s.inflight[hash]; ok {
+		s.counters.Coalesced++
+		return twin.statusLocked(), true
+	}
+	return JobStatus{}, false
+}
+
+// finishedLocked issues an already-finished job sharing a held result —
+// the one way a cache or store hit becomes a job; s.mu held.
+func (s *Scheduler) finishedLocked(spec scenario.Spec, hash string, res *core.Result, fromStore bool) JobStatus {
+	j := s.newJobLocked(spec, hash)
+	j.state = Done
+	j.cached = true
+	j.fromStore = fromStore
+	j.result = res
+	j.finished = j.submitted
+	j.changed = nil // no live events; Watch synthesizes from the result
+	close(j.done)
+	return j.statusLocked()
 }
 
 // SeedSequence advances the job-ID sequence to at least n, so IDs issued
@@ -608,6 +613,19 @@ func (s *Scheduler) Await(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
+// awaitResult is Await for callers that want the run, not the job: the
+// result, or why there is none.
+func (s *Scheduler) awaitResult(ctx context.Context, id string) (*core.Result, error) {
+	fin, err := s.Await(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	if fin.State != Done {
+		return nil, fmt.Errorf("sched: job %s %s: %w", fin.ID, fin.State, fin.Err)
+	}
+	return fin.Result, nil
+}
+
 // closedChan is a permanently-closed channel for watchers of finished
 // jobs: selecting on it never blocks.
 var closedChan = func() chan struct{} {
@@ -621,8 +639,8 @@ var closedChan = func() chan struct{} {
 // arrives or the job reaches a terminal state. The streaming consumer
 // loop: emit the events, stop if the status is terminal, otherwise wait
 // on the channel and call Watch again with the advanced index. For jobs
-// that finished without live events (cache/store hits, physics replays),
-// the events are synthesized from the result with Stored set.
+// that finished without executing (cache and store hits), the events are
+// synthesized from the result with Stored set.
 func (s *Scheduler) Watch(id string, from int) ([]HourEvent, JobStatus, <-chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -645,50 +663,34 @@ func (s *Scheduler) Watch(id string, from int) ([]HourEvent, JobStatus, <-chan s
 	return tail, j.statusLocked(), ch, nil
 }
 
-// eventsLocked returns the job's live event stream, or one synthesized
-// from the finished result when the job never simulated (hits, replays);
-// s.mu held.
+// eventsLocked returns the job's event stream — for a hit, which never
+// executed, one synthesized from the result it shares; s.mu held.
 func (j *job) eventsLocked() []HourEvent {
 	if len(j.events) > 0 || !j.state.Terminal() || j.result == nil {
 		return j.events
 	}
-	evs := make([]HourEvent, len(j.result.HourlyPeakO3))
-	for i := range evs {
-		steps := 0
-		if j.result.Trace != nil && i < len(j.result.Trace.Hours) {
-			steps = len(j.result.Trace.Hours[i].Steps)
-		}
-		evs[i] = HourEvent{
-			Seq:      i,
-			Hour:     j.spec.StartHour + i,
-			PeakO3:   j.result.HourlyPeakO3[i],
-			PeakCell: j.result.HourlyPeakCell[i],
-			Steps:    steps,
-			Stored:   true,
-		}
+	recs := hourRecords(j.result)
+	evs := make([]HourEvent, len(recs))
+	for i, rec := range recs {
+		evs[i] = storedEvent(j.spec.StartHour+i, rec)
+		evs[i].Seq = i
 	}
 	return evs
 }
 
-// appendHourEvent adds one hour to a job's progress stream and wakes its
-// watchers. Called from the run's driver goroutine (core.Config.OnHourEnd)
-// and from the warm-start path for stored prefix hours.
-func (s *Scheduler) appendHourEvent(j *job, hs core.HourSummary, stored bool) {
+// appendHourEvent adds one hour to a running job's progress stream,
+// numbering it and stamping the attempt, and wakes its watchers. Called
+// from the run's driver goroutine (core.Config.OnHourEnd) for simulated
+// hours and from carryOut for held ones.
+func (s *Scheduler) appendHourEvent(j *job, ev HourEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.state.Terminal() || j.changed == nil {
 		return
 	}
 	j.lastProgress = time.Now() // watchdog liveness mark
-	j.events = append(j.events, HourEvent{
-		Seq:      len(j.events),
-		Hour:     hs.Hour,
-		PeakO3:   hs.PeakO3,
-		PeakCell: hs.PeakCell,
-		Steps:    hs.Steps,
-		Attempt:  j.attempts,
-		Stored:   stored,
-	})
+	ev.Seq, ev.Attempt = len(j.events), j.attempts
+	j.events = append(j.events, ev)
 	close(j.changed)
 	j.changed = make(chan struct{})
 }
@@ -894,17 +896,16 @@ func (s *Scheduler) runJob(j *job) {
 	// seed reproduces the whole schedule.
 	key := resilience.HashKey(j.hash)
 	var (
-		res       *core.Result
-		warmHour  int
-		wholesale bool
-		err       error
+		res      *core.Result
+		warmHour int
+		err      error
 	)
 	for attempt := 1; ; attempt++ {
 		s.mu.Lock()
 		j.attempts = attempt
 		j.lastProgress = time.Now() // each attempt restarts the watchdog clock
 		s.mu.Unlock()
-		res, warmHour, wholesale, err = s.attemptJob(ctx, j)
+		res, warmHour, err = s.executeJob(ctx, j)
 		if err == nil || !resilience.IsTransient(err) || attempt >= s.opts.Retry.MaxAttempts {
 			break
 		}
@@ -956,13 +957,12 @@ func (s *Scheduler) runJob(j *job) {
 	switch {
 	case err == nil:
 		j.warmHour = warmHour
-		j.wholesale = wholesale
-		if wholesale {
+		if j.replayed() {
 			s.counters.PhysicsReplays++
 		} else if warmHour > 0 {
 			s.counters.WarmStarts++
 		}
-		if !wholesale && j.cost > 0 {
+		if !j.replayed() && j.cost > 0 {
 			// Calibrate the admission estimate on real executions (a
 			// physics replay's near-zero wall time would skew it).
 			s.doneCost += j.cost
@@ -982,26 +982,6 @@ func (s *Scheduler) runJob(j *job) {
 	if retire {
 		_ = s.opts.Journal.Done(j.id)
 	}
-}
-
-// attemptJob is one execution attempt with panic containment: a
-// panicking sim worker becomes this attempt's error — permanent, so it
-// fails the job with the stack attached — and the worker goroutine
-// survives to take the next job.
-func (s *Scheduler) attemptJob(ctx context.Context, j *job) (res *core.Result, warmHour int, wholesale bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.counters.Panics++
-			s.mu.Unlock()
-			res, warmHour, wholesale = nil, 0, false
-			err = resilience.NewPanicError(r, debug.Stack())
-		}
-	}()
-	if err := resilience.Fire(resilience.PointSchedExec); err != nil {
-		return nil, 0, false, err
-	}
-	return s.executeJob(ctx, j)
 }
 
 // finalizeLocked moves a job to a terminal state; s.mu held. It returns
@@ -1043,6 +1023,10 @@ func (s *Scheduler) finalizeLocked(j *job, st State, res *core.Result, err error
 	return s.opts.Journal != nil && j.journaled
 }
 
+// replayed reports whether the job simulated nothing: held physics took it
+// all the way to the end of the run; scheduler mutex held.
+func (j *job) replayed() bool { return j.warmHour == j.spec.EndHour() }
+
 // statusLocked snapshots the job; scheduler mutex held.
 func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
@@ -1053,7 +1037,7 @@ func (j *job) statusLocked() JobStatus {
 		Cached:        j.cached,
 		FromStore:     j.fromStore,
 		WarmStartHour: j.warmHour,
-		PhysicsReplay: j.wholesale,
+		PhysicsReplay: j.replayed(),
 		Attempts:      j.attempts,
 		LastErr:       j.lastErr,
 		Err:           j.err,

@@ -145,7 +145,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	if c.Completed != 2 {
 		t.Errorf("Completed = %d, want 2 (single-flight broken?)", c.Completed)
 	}
-	if c.Submitted != c.CacheHits+c.CacheMisses+c.Coalesced+c.Rejected {
+	if c.Submitted != c.CacheHits+c.StoreHits+c.Coalesced+c.CacheMisses+c.Rejected {
 		t.Errorf("counter partition violated: %+v", c)
 	}
 }

@@ -68,44 +68,59 @@ func TestWatchStreamsHoursLive(t *testing.T) {
 	}
 }
 
-// TestWatchSynthesizesForHits pins the finished-job contract: a cache
-// hit has no live stream, so Watch synthesizes the per-hour events from
-// the result, marked Stored, with an already-closed change channel.
+// TestWatchSynthesizesForHits pins the finished-job contract: a cache or
+// store hit has no live stream, so Watch synthesizes the per-hour events
+// from the result, marked Stored, with an already-closed change channel.
 func TestWatchSynthesizesForHits(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer shutdown(t, s)
-
 	spec := miniSpec()
 	spec.Hours = 2
-	first := mustSubmit(t, s, spec)
-	awaitDone(t, s, first.ID)
+	dir := t.TempDir()
+	runOne(t, openStore(t, dir), spec)
 
-	hit := mustSubmit(t, s, spec)
-	if !hit.Cached {
-		t.Fatalf("second submission not a cache hit: %+v", hit)
-	}
-	events, st, changed, err := s.Watch(hit.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.State.Terminal() {
-		t.Fatalf("cache-hit job not terminal: %v", st.State)
-	}
-	select {
-	case <-changed:
-	default:
-		t.Error("cache-hit change channel should be closed")
-	}
-	if len(events) != spec.Hours {
-		t.Fatalf("synthesized %d events, want %d", len(events), spec.Hours)
-	}
-	for i, ev := range events {
-		if !ev.Stored {
-			t.Errorf("synthesized event %d not marked stored", i)
+	for _, row := range []struct {
+		name      string
+		fromStore bool
+	}{
+		{"cache hit", false},
+		{"store hit", true}, // a fresh scheduler over the store the run filled
+	} {
+		opts := Options{Workers: 1}
+		if row.fromStore {
+			opts.Store = openStore(t, dir)
 		}
-		if ev.Hour != i || ev.Steps <= 0 {
-			t.Errorf("synthesized event %d malformed: %+v", i, ev)
+		s := New(opts)
+		if !row.fromStore {
+			awaitDone(t, s, mustSubmit(t, s, spec).ID)
 		}
+
+		hit := mustSubmit(t, s, spec)
+		if !hit.Cached || hit.FromStore != row.fromStore {
+			t.Fatalf("%s: submission resolved as %+v", row.name, hit)
+		}
+		events, st, changed, err := s.Watch(hit.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.State.Terminal() {
+			t.Fatalf("%s: job not terminal: %v", row.name, st.State)
+		}
+		select {
+		case <-changed:
+		default:
+			t.Errorf("%s: change channel should be closed", row.name)
+		}
+		if len(events) != spec.Hours {
+			t.Fatalf("%s: synthesized %d events, want %d", row.name, len(events), spec.Hours)
+		}
+		for i, ev := range events {
+			if !ev.Stored {
+				t.Errorf("%s: synthesized event %d not marked stored", row.name, i)
+			}
+			if ev.Hour != i || ev.Steps <= 0 {
+				t.Errorf("%s: synthesized event %d malformed: %+v", row.name, i, ev)
+			}
+		}
+		shutdown(t, s)
 	}
 }
 

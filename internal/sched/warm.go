@@ -3,19 +3,22 @@ package sched
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"runtime/debug"
 
 	"airshed/internal/core"
+	"airshed/internal/datasets"
 	"airshed/internal/dist"
+	"airshed/internal/resilience"
 	"airshed/internal/scenario"
 	"airshed/internal/store"
 )
 
-// The warm-start path: when the scheduler has a persistent artifact
-// store, every executed job feeds it (hourly checkpoints keyed by the
-// physics-prefix hash, one physics record per simulated hour, the full
-// result under the scenario hash) and every new job consults it for the
-// longest stored physics prefix before simulating.
+// Physics resolution: what of a spec's physics is already held — by a
+// cached result or, with a persistent artifact store, on disk — and how a
+// job executes from it. Every executed job feeds the store (hourly
+// checkpoints keyed by the physics-prefix hash, one physics record per
+// simulated hour, the full result under the scenario hash); every new job
+// and every Trace request asks lookup before anything is simulated.
 //
 // Store layout contract (shared with scenario.Spec.PhysicsPrefixHash):
 //
@@ -31,86 +34,39 @@ import (
 // artifact degrades to a shorter prefix and ultimately to a cold run,
 // and store write failures never fail the job.
 
-// executeJob runs one job: a cold run without a store, otherwise the
-// warm-start path. warmHour is the absolute hour execution resumed
-// from a stored checkpoint (0 = cold); wholesale reports the physics
-// came entirely from stored records, with no simulation at all.
-func (s *Scheduler) executeJob(ctx context.Context, j *job) (res *core.Result, warmHour int, wholesale bool, err error) {
-	spec := j.spec
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	cfg.HostWorkers = s.opts.HostWorkers
-	cfg.PipelineDepth = s.opts.PipelineDepth
-	// Stream every simulated hour to the job's watchers (SSE consumers);
-	// the hook runs on the run's driver goroutine and only appends under
-	// the scheduler lock, so it cannot stall the hour loop on I/O.
-	cfg.OnHourEnd = func(hs core.HourSummary) { s.appendHourEvent(j, hs, false) }
-	if s.opts.Store == nil {
-		return s.coldRun(ctx, spec.Normalize(), cfg)
-	}
-	return s.executeStored(ctx, j, spec.Normalize(), cfg)
+// held is the answer to "what do we already hold of this spec's physics":
+// hour records contiguous from the run start and the concentrations at
+// their end. The zero value means nothing usable.
+type held struct {
+	hours []*store.PhysicsRecord // hours[i] is hour StartHour+i
+	// final is the end-of-run state when hours cover the whole run (shared
+	// with its holder, never written), snap the hourio snapshot to resume
+	// from when they stop short of it.
+	final []float64
+	snap  []byte
 }
 
-// coldRun simulates the whole run and, with a store, persists every
-// simulated hour's physics record.
-func (s *Scheduler) coldRun(ctx context.Context, n scenario.Spec, cfg core.Config) (*core.Result, int, bool, error) {
-	res, err := core.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if s.opts.Store != nil {
-		s.persistHours(n, n.StartHour, res)
-	}
-	return res, 0, false, nil
-}
-
-// executeStored is the store-backed execution: wire the checkpoint sink,
-// find the longest warm-startable physics prefix, and fall back to a
-// cold run when nothing (usable) is stored.
-func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, cfg core.Config) (*core.Result, int, bool, error) {
-	st := s.opts.Store
+// lookup is the one resolver, for a normalized spec over a data set of the
+// given shape. First a cached result of the same physics: its trace, peaks
+// and Final were computed in this process or verified by the store on
+// their way into the cache, and the artifacts on disk say nothing more.
+// Else the store's hour records from the run start — a gap ends the scan,
+// prefixes beyond it cannot be stitched — cut back to the longest prefix
+// ending on a verified checkpoint of the right hour and shape (a missing
+// checkpoint is a cheap index miss, a damaged one is already quarantined).
+// traceOnly returns the records uncut and reads no checkpoint.
+func (s *Scheduler) lookup(n scenario.Spec, shape dist.Shape, traceOnly bool) held {
 	start, end := n.StartHour, n.EndHour()
-	sh := cfg.Dataset.Shape
-
-	// Hourly checkpoint sink. Keys use the submitted spec's prefix hash
-	// at absolute hours, so a warm-started suffix run still writes
-	// correctly keyed checkpoints for the hours it does simulate.
-	// Write failures are swallowed: persistence must not fail the run.
-	cfg.SnapshotFunc = func(hour int, conc []float64) error {
-		_ = st.PutCheckpoint(n.PhysicsPrefixHash(hour+1), hour, sh.Species, sh.Layers, sh.Cells, conc)
-		return nil
-	}
-
-	// Integrity repair: bypass every stored fast path and run cold. A
-	// warm start would leave artifacts before the resume point
-	// unregenerated (and a wholesale materialize would regenerate
-	// nothing), so a repair recompute deliberately re-simulates the whole
-	// run — the SnapshotFunc sink above and coldRun's persistHours then
-	// rewrite every checkpoint and record, and runJob re-persists the
-	// result. Determinism makes the rebuilt artifacts bit-identical to
-	// the originals.
-	if j.repair {
-		return s.coldRun(ctx, n, cfg)
-	}
-
-	// First rung: a cached result of the same physics. Its trace, peaks
-	// and Final were computed in this process or verified by the store on
-	// their way into the cache; the records and checkpoint on disk say
-	// nothing more. Final is shared with the donor and never written.
 	s.mu.Lock()
-	donor := s.cache.getPhysics(n.PhysicsPrefixHash(end))
+	donor := s.cache.getPhysics(physicsKey(n))
 	s.mu.Unlock()
-	if segs := hourRecords(donor); len(segs) == end-start { // so donor is not nil
-		if res, err := s.materialize(j, n, cfg, segs, donor.Trace.Shape, donor.Final); err == nil {
-			return res, end, true, nil
-		}
+	if segs := hourRecords(donor); len(segs) == end-start && donor.Trace.Shape == shape {
+		return held{hours: segs, final: donor.Final}
 	}
-
-	// Contiguous stored physics from the run start: segs[i] is hour
-	// start+i. A gap ends the scan — prefixes beyond it cannot be
-	// stitched into a full-run trace.
+	st := s.opts.Store
+	if st == nil {
+		return held{}
+	}
 	var segs []*store.PhysicsRecord
 	for h := start + 1; h <= end; h++ {
 		rec, ok := st.GetRecord(n.PhysicsPrefixHash(h))
@@ -119,104 +75,173 @@ func (s *Scheduler) executeStored(ctx context.Context, j *job, n scenario.Spec, 
 		}
 		segs = append(segs, rec)
 	}
-
-	// Longest warm-startable prefix: the largest k with a verified
-	// checkpoint at P(k) inside the stitchable range. Missing
-	// checkpoints are cheap index misses; damaged ones were already
-	// quarantined by the store's verification.
+	if traceOnly {
+		return held{hours: segs}
+	}
 	for k := start + len(segs); k > start; k-- {
 		cp, ok := st.CheckpointState(n.PhysicsPrefixHash(k))
-		if !ok || cp.Hour != k-1 {
+		if !ok || cp.Hour != k-1 || cp.Shape != shape {
 			continue
 		}
 		if k == end {
-			res, err := s.materialize(j, n, cfg, segs, cp.Shape, cp.Conc)
-			if err == nil {
-				return res, k, true, nil
-			}
-			continue // e.g. a checkpoint of other dimensions: try shorter
+			return held{hours: segs, final: cp.Conc}
 		}
-		res, err := s.warmRun(ctx, j, n, cfg, segs[:k-start], cp.Data, k)
-		if err == nil {
-			return res, k, false, nil
-		}
-		if ctx.Err() != nil {
-			return nil, 0, false, err
-		}
-		break // suffix run failed on its merits; the cold run arbitrates
+		return held{hours: segs[:k-start], snap: cp.Data}
 	}
-	return s.coldRun(ctx, n, cfg)
+	return held{}
 }
 
-// warmRun resumes the simulation from the stored checkpoint at absolute
-// hour k and stitches the stored prefix physics with the simulated
-// suffix into the full-run result. The stored prefix hours stream to
-// watchers first (Stored events), then the suffix hours arrive live via
-// the OnHourEnd hook as they simulate.
-func (s *Scheduler) warmRun(ctx context.Context, j *job, n scenario.Spec, cfg core.Config, prefix []*store.PhysicsRecord, snap []byte, k int) (*core.Result, error) {
+// Trace returns the work trace of spec's physics — all the §4 analytic
+// model needs to price the run on any machine and node count. Held physics
+// answers without a job; otherwise the canonical trace spec (gohost, one
+// node, data mode) is submitted and awaited, so concurrent requests for
+// one physics coalesce whatever machine they asked about. Errors are
+// Submit's (ErrQueueFull among them), ctx's — the job runs on and is
+// cached — or the job's own failure.
+func (s *Scheduler) Trace(ctx context.Context, spec scenario.Spec) (*core.Trace, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	n := spec.Normalize()
+	ds, err := datasets.ByName(n.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	if h := s.lookup(n, ds.Shape, true); len(h.hours) == n.Hours {
+		tr := &core.Trace{Dataset: ds.Name, Shape: ds.Shape}
+		for _, rec := range h.hours {
+			tr.Hours = append(tr.Hours, rec.Trace.Hours...)
+		}
+		return tr, nil
+	}
+	n.Machine, n.Nodes, n.Mode = "gohost", 1, scenario.ModeData
+	st, err := s.Submit(n)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.awaitResult(ctx, st.ID)
+	if err != nil {
+		return nil, err
+	}
+	return res.Trace, nil
+}
+
+// executeJob is one execution attempt: resolve what is held of the job's
+// physics, then carry it out. warmHour is the absolute hour execution
+// took over from held physics — 0 for a cold run, EndHour when nothing
+// was left to simulate (a physics replay). A panicking sim worker becomes
+// this attempt's error — permanent, so it fails the job with the stack
+// attached — and the worker goroutine survives to take the next job.
+func (s *Scheduler) executeJob(ctx context.Context, j *job) (res *core.Result, warmHour int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.mu.Lock()
+			s.counters.Panics++
+			s.mu.Unlock()
+			res, warmHour = nil, 0
+			err = resilience.NewPanicError(r, debug.Stack())
+		}
+	}()
+	if err := resilience.Fire(resilience.PointSchedExec); err != nil {
+		return nil, 0, err
+	}
+	n := j.spec // normalized at admission
+	cfg, err := n.Config()
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg.HostWorkers = s.opts.HostWorkers
+	cfg.PipelineDepth = s.opts.PipelineDepth
+	// Stream every simulated hour to the job's watchers (SSE consumers);
+	// the hook runs on the run's driver goroutine and only appends under
+	// the scheduler lock, so it cannot stall the hour loop on I/O.
+	cfg.OnHourEnd = func(hs core.HourSummary) {
+		s.appendHourEvent(j, HourEvent{Hour: hs.Hour, PeakO3: hs.PeakO3, PeakCell: hs.PeakCell, Steps: hs.Steps})
+	}
+
+	var h held
+	if st := s.opts.Store; st != nil {
+		// Hourly checkpoint sink. Keys use the submitted spec's prefix hash
+		// at absolute hours, so a warm-started suffix run still writes
+		// correctly keyed checkpoints for the hours it does simulate.
+		// Write failures are swallowed: persistence must not fail the run.
+		sh := cfg.Dataset.Shape
+		cfg.SnapshotFunc = func(hour int, conc []float64) error {
+			_ = st.PutCheckpoint(n.PhysicsPrefixHash(hour+1), hour, sh.Species, sh.Layers, sh.Cells, conc)
+			return nil
+		}
+		// An integrity repair holds nothing by decree: resuming would leave
+		// the artifacts before the resume point unregenerated (assembling,
+		// all of them), so it re-simulates the whole run, and the sink
+		// above, carryOut and runJob rewrite every checkpoint, record and
+		// the result — bit-identical to the originals, by determinism.
+		if !j.repair {
+			h = s.lookup(n, sh, false)
+		}
+	}
+	res, err = s.carryOut(ctx, j, cfg, h)
+	if err != nil && len(h.hours) > 0 && ctx.Err() == nil {
+		// What was held failed on its merits; the cold run arbitrates.
+		h = held{}
+		res, err = s.carryOut(ctx, j, cfg, h)
+	}
+	if err != nil || len(h.hours) == 0 {
+		return res, 0, err
+	}
+	return res, n.StartHour + len(h.hours), nil
+}
+
+// carryOut executes the job from h, one of three ways: assemble the result
+// from held physics alone when it covers the run, resume from h.snap and
+// stitch prefix and suffix when it covers a prefix, run cold when it is
+// empty. Held hours stream to watchers first, as Stored events; simulated
+// hours follow live through OnHourEnd, and only they become new records.
+func (s *Scheduler) carryOut(ctx context.Context, j *job, cfg core.Config, h held) (*core.Result, error) {
+	n := j.spec
+	k := n.StartHour + len(h.hours)
+	for i, rec := range h.hours {
+		s.appendHourEvent(j, storedEvent(n.StartHour+i, rec))
+	}
+	if h.final != nil {
+		return assembleResult(cfg, h.hours, h.final)
+	}
 	cfg.Hours = n.EndHour() - k
-	s.emitStoredHours(j, n.StartHour, prefix)
-	suffix, err := core.RestartReaderContext(ctx, bytes.NewReader(snap), cfg)
-	if err != nil {
-		return nil, err
+	var sim *core.Result // hours [k, EndHour), simulated now
+	var err error
+	if h.snap != nil {
+		sim, err = core.RestartReaderContext(ctx, bytes.NewReader(h.snap), cfg)
+	} else {
+		sim, err = core.RunContext(ctx, cfg)
 	}
-	s.persistHours(n, k, suffix)
-	return assembleResult(cfg, prefix, suffix, suffix.Final)
+	if err != nil || s.opts.Store == nil {
+		return sim, err
+	}
+	// Best-effort, like every store write: one record per simulated hour,
+	// keyed by the prefix hash ending just past it.
+	recs := hourRecords(sim)
+	for i, rec := range recs {
+		_ = s.opts.Store.PutRecord(n.PhysicsPrefixHash(k+i+1), rec)
+	}
+	if len(h.hours) == 0 {
+		return sim, nil
+	}
+	return assembleResult(cfg, append(h.hours, recs...), sim.Final)
 }
 
-// emitStoredHours streams warm-start prefix hours to a job's watchers
-// from the stored physics records (firstHour is the absolute hour of
-// segs[0]).
-func (s *Scheduler) emitStoredHours(j *job, firstHour int, segs []*store.PhysicsRecord) {
-	for i, rec := range segs {
-		if len(rec.HourlyPeakO3) != 1 || len(rec.Trace.Hours) != 1 {
-			continue
-		}
-		s.appendHourEvent(j, core.HourSummary{
-			Hour:     firstHour + i,
-			PeakO3:   rec.HourlyPeakO3[0],
-			PeakCell: rec.HourlyPeakCell[0],
-			Steps:    len(rec.Trace.Hours[0].Steps),
-			InBytes:  rec.Trace.Hours[0].InBytes,
-			OutBytes: rec.Trace.Hours[0].OutBytes,
-		}, true)
-	}
-}
-
-// materialize reconstructs the full result from held physics alone: the
-// trace and peaks from the hour records, the final concentrations from a
-// verified end-of-run checkpoint or a cached result of the same physics
-// (shape is theirs). No numerics are recomputed.
-func (s *Scheduler) materialize(j *job, n scenario.Spec, cfg core.Config, segs []*store.PhysicsRecord, shape dist.Shape, final []float64) (*core.Result, error) {
-	if shape != cfg.Dataset.Shape {
-		return nil, fmt.Errorf("sched: held physics dimensions %v do not match data set %v", shape, cfg.Dataset.Shape)
-	}
-	res, err := assembleResult(cfg, segs, nil, final)
-	if err != nil {
-		return nil, err
-	}
-	s.emitStoredHours(j, n.StartHour, segs)
-	return res, nil
-}
-
-// assembleResult builds a complete core.Result from stored prefix
-// records plus an optional simulated suffix, repricing the stitched
-// trace exactly as a live run would have: the data-parallel replay
-// provides the node utilization (the live driver keeps the data-schedule
-// utilization even in task mode), the mode's own replay the ledger.
-func assembleResult(cfg core.Config, prefix []*store.PhysicsRecord, suffix *core.Result, final []float64) (*core.Result, error) {
+// assembleResult builds a complete core.Result from the run's hour
+// records — held ones, then any simulated just now — and its final
+// concentrations, repricing the stitched trace exactly as a live run would
+// have: the data-parallel replay provides the node utilization (the live
+// driver keeps the data-schedule utilization even in task mode), the
+// mode's own replay the ledger.
+func assembleResult(cfg core.Config, hours []*store.PhysicsRecord, final []float64) (*core.Result, error) {
 	tr := &core.Trace{Dataset: cfg.Dataset.Name, Shape: cfg.Dataset.Shape}
 	var peaks []float64
 	var cells []int
-	for _, rec := range prefix {
+	for _, rec := range hours {
 		tr.Hours = append(tr.Hours, rec.Trace.Hours...)
 		peaks = append(peaks, rec.HourlyPeakO3...)
 		cells = append(cells, rec.HourlyPeakCell...)
-	}
-	if suffix != nil {
-		tr.Hours = append(tr.Hours, suffix.Trace.Hours...)
-		peaks = append(peaks, suffix.HourlyPeakO3...)
-		cells = append(cells, suffix.HourlyPeakCell...)
 	}
 	res := &core.Result{
 		Trace:          tr,
@@ -268,11 +293,14 @@ func hourRecords(res *core.Result) []*store.PhysicsRecord {
 	return recs
 }
 
-// persistHours writes one physics record per simulated hour of res,
-// keyed by the prefix hash ending just past that hour. firstHour is the
-// absolute hour of res.Trace.Hours[0]. Best-effort.
-func (s *Scheduler) persistHours(n scenario.Spec, firstHour int, res *core.Result) {
-	for i, rec := range hourRecords(res) {
-		_ = s.opts.Store.PutRecord(n.PhysicsPrefixHash(firstHour+i+1), rec)
+// storedEvent is the stream event of an hour served from held physics
+// rather than simulated now; Seq and Attempt are the stream's to set.
+func storedEvent(hour int, rec *store.PhysicsRecord) HourEvent {
+	return HourEvent{
+		Hour:     hour,
+		PeakO3:   rec.HourlyPeakO3[0],
+		PeakCell: rec.HourlyPeakCell[0],
+		Steps:    len(rec.Trace.Hours[0].Steps),
+		Stored:   true,
 	}
 }

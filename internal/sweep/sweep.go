@@ -175,14 +175,7 @@ func SeedSpecs(specs []scenario.Spec) []scenario.Spec {
 	var order []string
 	for _, sp := range specs {
 		n := sp.Normalize()
-		// The prefix boundaries where this job's physics can intersect a
-		// sibling's: the full run, and the control activation hour (all
-		// variants share the baseline up to there).
-		ks := []int{n.EndHour()}
-		if cs := n.ControlStartHour; cs > n.StartHour && cs < n.EndHour() {
-			ks = append(ks, cs)
-		}
-		for _, k := range ks {
+		for _, k := range n.PrefixBoundaries() {
 			ph := n.PhysicsPrefixHash(k)
 			if f, ok := families[ph]; ok {
 				f.count++
