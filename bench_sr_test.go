@@ -17,8 +17,8 @@ import (
 // product against a prebuilt source–receptor matrix; BenchmarkSRColdRun
 // measures the same scenario answered the pre-SR way, one full cold
 // simulation. Both run the identical mini/1h physics so the ratio is
-// the serving speedup, recorded in BENCH_sr.json by
-// scripts/bench_compare.sh.
+// the serving speedup; on the ladder the same quantity is sr.predict_us
+// against a cold run's latency_ms (go run ./bench -pairs).
 
 var (
 	srBenchMu sync.Mutex

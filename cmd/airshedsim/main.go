@@ -29,6 +29,7 @@ import (
 	"airshed/internal/report"
 	"airshed/internal/resilience"
 	"airshed/internal/scenario"
+	"airshed/internal/vm"
 )
 
 func main() {
@@ -160,7 +161,7 @@ func run() error {
 	}
 
 	var res *core.Result
-	runOnce := func() error {
+	runOnce := func(int) error {
 		if *restart != "" {
 			if !*jsonOut {
 				fmt.Printf("resuming from snapshot %s\n", *restart)
@@ -172,7 +173,7 @@ func run() error {
 		return err
 	}
 	policy := resilience.RetryPolicy{MaxAttempts: *faultRetries, Jitter: 0.5, Seed: *faultSeed}
-	attempts, err := resilience.Retry(ctx, policy, resilience.HashKey(spec.Hash()), runOnce)
+	attempts, err := resilience.Retry(ctx, policy, resilience.HashKey(spec.Hash()), runOnce, nil)
 	if err != nil {
 		return err
 	}
@@ -189,11 +190,10 @@ func run() error {
 	} else {
 		tb := report.NewTable("Virtual execution time by component", "Component", "Seconds", "Share %")
 		total := res.Ledger.Total
-		for cat, secs := range res.Ledger.ByCat {
-			if secs == 0 {
-				continue
+		for _, cat := range vm.Categories() {
+			if secs := res.Ledger.ByCat[cat]; secs != 0 {
+				tb.AddRow(cat.String(), secs, 100*secs/total)
 			}
-			tb.AddRow(cat.String(), secs, 100*secs/total)
 		}
 		tb.AddRow("TOTAL", total, 100.0)
 		if *csv {

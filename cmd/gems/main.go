@@ -16,12 +16,11 @@
 // exposure module and monitoring stations. The command executes every
 // strategy and prints the comparison tables.
 //
-// With -workers > 1 or -store the strategies are routed through the
-// sweep engine (internal/sweep): they execute concurrently on a worker
-// pool, and -store keeps every run's results and hourly checkpoints in
-// a persistent artifact store, so repeated studies resolve instantly
-// and delayed-control strategies warm-start from their shared baseline
-// instead of recomputing it.
+// The strategies run as one batch on the sweep engine (internal/sweep):
+// -workers sets how many execute concurrently, and -store keeps every
+// run's results and hourly checkpoints in a persistent artifact store,
+// so repeated studies resolve instantly and delayed-control strategies
+// warm-start from their shared baseline instead of recomputing it.
 package main
 
 import (
@@ -93,25 +92,16 @@ func run() error {
 		return err
 	}
 
-	// Plain sequential run unless concurrency or persistence is asked
-	// for; then the strategies go through the sweep engine as one batch.
-	var engine *sweep.Engine
-	if *workers > 1 || *storeDir != "" {
-		var artifacts *store.Store
-		if *storeDir != "" {
-			if artifacts, err = store.Open(*storeDir, *storeMB<<20); err != nil {
-				return err
-			}
+	var artifacts *store.Store
+	if *storeDir != "" {
+		if artifacts, err = store.Open(*storeDir, *storeMB<<20); err != nil {
+			return err
 		}
-		scheduler := sched.New(sched.Options{
-			Workers: *workers,
-			Store:   artifacts,
-		})
-		defer scheduler.Shutdown(context.Background()) //nolint:errcheck
-		engine = sweep.NewEngine(scheduler)
 	}
+	scheduler := sched.New(sched.Options{Workers: *workers, Store: artifacts})
+	defer scheduler.Shutdown(context.Background()) //nolint:errcheck
 
-	out, err := gems.RunWith(study, os.Stderr, engine)
+	out, err := gems.Run(study, os.Stderr, sweep.NewEngine(scheduler))
 	if err != nil {
 		return err
 	}

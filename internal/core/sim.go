@@ -255,10 +255,12 @@ func (s *Simulation) throttleIO(ctx context.Context, bytes int64) error {
 		return nil
 	}
 	d := time.Duration(float64(bytes) / s.cfg.IOBytesPerSec * float64(time.Second))
-	if err := resilience.SleepCtx(ctx, d); err != nil {
-		return fmt.Errorf("core: run abandoned in throttled I/O: %w", err)
+	select {
+	case <-ctx.Done():
+		return fmt.Errorf("core: run abandoned in throttled I/O: %w", ctx.Err())
+	case <-time.After(d):
+		return nil
 	}
-	return nil
 }
 
 // runHourSteps executes one hour's inner step loop (leading transport,

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -162,7 +160,7 @@ func (a *Agent) register() bool {
 		Workers:     a.opts.Workers,
 		Version:     a.opts.Version,
 	}
-	if err := a.post("/v1/fleet/register", req); err != nil {
+	if err := a.post("", "/v1/fleet/register", req); err != nil {
 		a.opts.Logf("fleet: register: %v", err)
 		return false
 	}
@@ -175,9 +173,6 @@ func (a *Agent) register() bool {
 // the process — the shape of a lossy network — which the loop treats
 // exactly like a refused connection: back off and re-register.
 func (a *Agent) beat() error {
-	if err := resilience.Fire(resilience.PointFleetHeartbeat); err != nil {
-		return err
-	}
 	hb := Heartbeat{Name: a.opts.Name}
 	if a.opts.Scheduler != nil {
 		sc := a.opts.Scheduler.Counters()
@@ -187,24 +182,12 @@ func (a *Agent) beat() error {
 	if a.opts.Store != nil {
 		hb.Store = a.opts.Store.Counters()
 	}
-	return a.post("/v1/fleet/heartbeat", hb)
+	return a.post(resilience.PointFleetHeartbeat, "/v1/fleet/heartbeat", hb)
 }
 
-func (a *Agent) post(path string, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	resp, err := a.client.Post(a.opts.Coordinator+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("fleet: %s returned %s", path, resp.Status)
-	}
-	return nil
+// post sends v to the coordinator, firing the named fault point first.
+func (a *Agent) post(point, path string, v any) error {
+	_, err := resilience.Exchange{Point: point, Method: http.MethodPost,
+		URL: a.opts.Coordinator + path, JSON: v}.Do(context.Background(), a.client)
+	return err
 }

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -696,12 +694,11 @@ func (c *Coordinator) dispatch(fs *fleetSweep, sh *shard) {
 		Specs: sh.specs,
 	}
 	var st sweep.Status
-	_, err := resilience.Retry(c.ctx, c.opts.Retry, resilience.HashKey(sh.worker), func() error {
-		if ferr := resilience.Fire(resilience.PointFleetDispatch); ferr != nil {
-			return ferr
-		}
-		return c.postJSON(sh.url+"/v1/sweeps", req, &st)
-	})
+	_, err := resilience.Retry(c.ctx, c.opts.Retry, resilience.HashKey(sh.worker), func(int) error {
+		_, err := resilience.Exchange{Point: resilience.PointFleetDispatch, Method: http.MethodPost,
+			URL: sh.url + "/v1/sweeps", JSON: req, Into: &st}.Do(c.ctx, c.opts.Client)
+		return err
+	}, nil)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -938,7 +935,10 @@ func (c *Coordinator) busyWorkersLocked() map[string]bool {
 // best-effort, on its worker.
 func (c *Coordinator) poll(fs *fleetSweep, sh *shard) {
 	var st sweep.Status
-	err := c.getJSON(fmt.Sprintf("%s/v1/sweeps/%s", sh.url, sh.remoteID), &st)
+	// Not under c.ctx: a poll cut short by Close must not count as a
+	// poll failure and lose the shard on the way out.
+	_, err := resilience.Exchange{Method: http.MethodGet, URL: sh.url + "/v1/sweeps/" + sh.remoteID,
+		Into: &st}.Do(context.Background(), c.opts.Client)
 	type cancelTarget struct{ url, remoteID string }
 	var loserCancel *cancelTarget
 	c.mu.Lock()
@@ -989,18 +989,11 @@ func (c *Coordinator) cancelRemote(url, remoteID string) {
 	if remoteID == "" {
 		return
 	}
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodDelete,
-		fmt.Sprintf("%s/v1/sweeps/%s", url, remoteID), nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.opts.Client.Do(req)
+	_, err := resilience.Exchange{Method: http.MethodDelete,
+		URL: url + "/v1/sweeps/" + remoteID}.Do(c.ctx, c.opts.Client)
 	if err != nil {
 		c.opts.Logf("fleet: cancelling remote sweep %s: %v", remoteID, err)
-		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
 }
 
 // Status snapshots a fleet sweep by ID.
@@ -1078,54 +1071,4 @@ func (c *Coordinator) snapshotLocked(fs *fleetSweep) SweepStatus {
 		out.Failed += sh.failed
 	}
 	return out
-}
-
-// postJSON posts v as JSON and decodes the response into out. Transport
-// errors and 5xx/429 answers come back marked transient so the dispatch
-// retry loop re-executes them; other HTTP errors are firm.
-func (c *Coordinator) postJSON(url string, v, out any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.opts.Client.Do(req)
-	if err != nil {
-		return resilience.ClassifyNetErr(err)
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode >= 300 {
-		err := fmt.Errorf("fleet: %s returned %s", url, resp.Status)
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			return resilience.MarkTransient(err)
-		}
-		return err
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return resilience.ClassifyNetErr(err)
-	}
-	return nil
-}
-
-// getJSON fetches url and decodes the response into out.
-func (c *Coordinator) getJSON(url string, out any) error {
-	resp, err := c.opts.Client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: %s returned %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

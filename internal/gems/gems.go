@@ -149,8 +149,8 @@ type Outcome struct {
 	Strategies []StrategyOutcome
 }
 
-// Spec translates one strategy of the study into the canonical scenario
-// description both execution paths run.
+// Spec translates one strategy of the study into its canonical scenario
+// description.
 func (s *Study) Spec(st Strategy) scenario.Spec {
 	sp := scenario.Spec{
 		Dataset:          s.Dataset,
@@ -167,20 +167,13 @@ func (s *Study) Spec(st Strategy) scenario.Spec {
 	return sp
 }
 
-// Run executes the study one strategy at a time, writing a progress
-// line per strategy to progress (may be nil).
-func Run(s *Study, progress io.Writer) (*Outcome, error) {
-	return RunWith(s, progress, nil)
-}
-
-// RunWith executes the study like Run but, given a sweep engine, routes
-// the strategies through it as one batch: they run concurrently on the
-// engine's worker pool, and with a store-backed scheduler strategies
-// sharing physics (delayed controls over one baseline, repeated
-// studies) warm-start from stored checkpoints instead of recomputing.
-// A nil engine runs the strategies sequentially in-process; the results
-// are identical either way.
-func RunWith(s *Study, progress io.Writer, engine *sweep.Engine) (*Outcome, error) {
+// Run executes the study, writing a progress line per strategy to
+// progress (may be nil). The strategies go through the sweep engine as
+// one batch: they run concurrently on the engine's worker pool, and with
+// a store-backed scheduler strategies sharing physics (delayed controls
+// over one baseline, repeated studies) warm-start from stored
+// checkpoints instead of recomputing.
+func Run(s *Study, progress io.Writer, engine *sweep.Engine) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -200,14 +193,7 @@ func RunWith(s *Study, progress io.Writer, engine *sweep.Engine) (*Outcome, erro
 		}
 	}
 
-	var results []*core.Result
-	var notes []string
-	var err error
-	if engine != nil {
-		results, notes, err = runSweep(s.Name, specs, engine)
-	} else {
-		results, err = runSequential(strategies, specs)
-	}
+	results, notes, err := runSweep(s.Name, specs, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +256,7 @@ func RunWith(s *Study, progress io.Writer, engine *sweep.Engine) (*Outcome, erro
 		out.Strategies = append(out.Strategies, so)
 		if progress != nil {
 			note := ""
-			if notes != nil && notes[i] != "" {
+			if notes[i] != "" {
 				note = " (" + notes[i] + ")"
 			}
 			fmt.Fprintf(progress, "gems: %-24s peak O3 %.4f ppm, %.0f virtual s%s\n",
@@ -278,21 +264,6 @@ func RunWith(s *Study, progress io.Writer, engine *sweep.Engine) (*Outcome, erro
 		}
 	}
 	return out, nil
-}
-
-// runSequential executes the strategies one after another in-process.
-func runSequential(strategies []Strategy, specs []scenario.Spec) ([]*core.Result, error) {
-	results := make([]*core.Result, len(specs))
-	for i, sp := range specs {
-		cfg, err := sp.Config()
-		if err != nil {
-			return nil, fmt.Errorf("gems: strategy %q: %w", strategies[i].Name, err)
-		}
-		if results[i], err = core.Run(cfg); err != nil {
-			return nil, fmt.Errorf("gems: strategy %q: %w", strategies[i].Name, err)
-		}
-	}
-	return results, nil
 }
 
 // runSweep submits the strategies as one batch sweep and maps the

@@ -3,9 +3,11 @@ package gems
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"airshed/internal/core"
 	"airshed/internal/sched"
 	"airshed/internal/store"
 	"airshed/internal/sweep"
@@ -83,7 +85,7 @@ func TestRunStudyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var progress bytes.Buffer
-	out, err := Run(s, &progress)
+	out, err := Run(s, &progress, studyEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestRunStudyEndToEnd(t *testing.T) {
 
 func TestRunDefaultsBaselineOnly(t *testing.T) {
 	s := &Study{Name: "bare", Dataset: "mini", Machine: "gohost", Nodes: 2, Hours: 1}
-	out, err := Run(s, nil)
+	out, err := Run(s, nil, studyEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +151,10 @@ func studyEngine(t *testing.T) *sweep.Engine {
 	return sweep.NewEngine(s)
 }
 
-// TestRunWithEngineMatchesSequential runs the same study both ways: the
-// sweep-engine path must reproduce the sequential answers exactly, and
-// the delayed-control strategy must warm-start from the baseline's
-// stored checkpoint (visible in the progress log).
+// TestRunWithEngineMatchesSequential holds the study runner to the
+// reference: each strategy's result must be bit-identical to a bare core.Run of its
+// spec, even though the delayed-control strategy warm-starts from the
+// baseline's stored checkpoint (visible in the progress log).
 func TestRunWithEngineMatchesSequential(t *testing.T) {
 	study := &Study{
 		Name: "engine vs sequential", Dataset: "mini", Machine: "t3e",
@@ -163,29 +165,29 @@ func TestRunWithEngineMatchesSequential(t *testing.T) {
 		},
 		Stations: map[string][2]float64{"core": {20000, 20000}},
 	}
-	seq, err := Run(study, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var progress bytes.Buffer
-	eng, err := RunWith(study, &progress, studyEngine(t))
+	out, err := Run(study, &progress, studyEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.Strategies) != len(seq.Strategies) {
-		t.Fatalf("engine path produced %d outcomes, want %d", len(eng.Strategies), len(seq.Strategies))
+	if len(out.Strategies) != len(study.Strategies) {
+		t.Fatalf("study produced %d outcomes, want %d", len(out.Strategies), len(study.Strategies))
 	}
-	for i, so := range eng.Strategies {
-		want := seq.Strategies[i]
-		if so.Result.PeakO3 != want.Result.PeakO3 {
-			t.Errorf("%s: peak %g via engine, %g sequential", so.Strategy.Name, so.Result.PeakO3, want.Result.PeakO3)
+	for _, so := range out.Strategies {
+		cfg, err := study.Spec(so.Strategy).Config()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if so.Exceedance.AreaKm2 != want.Exceedance.AreaKm2 {
-			t.Errorf("%s: exceedance differs", so.Strategy.Name)
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if so.StationO3["core"] != want.StationO3["core"] {
-			t.Errorf("%s: station sample differs", so.Strategy.Name)
+		if so.Result.PeakO3 != want.PeakO3 || !slices.Equal(so.Result.Final, want.Final) {
+			t.Errorf("%s: study result differs from a direct core.Run (peak %g vs %g)",
+				so.Strategy.Name, so.Result.PeakO3, want.PeakO3)
+		}
+		if so.Exceedance == nil || len(so.StationO3) != 1 {
+			t.Errorf("%s: analysis outputs missing", so.Strategy.Name)
 		}
 	}
 	if !strings.Contains(progress.String(), "warm-started at hour 1") {
@@ -203,7 +205,7 @@ func TestRunWithEngineDuplicateStrategies(t *testing.T) {
 			{Name: "b (same physics)", NOx: 1, VOC: 1},
 		},
 	}
-	out, err := RunWith(study, nil, studyEngine(t))
+	out, err := Run(study, nil, studyEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,15 +218,15 @@ func TestRunWithEngineDuplicateStrategies(t *testing.T) {
 }
 
 func TestRunRejectsBadStudy(t *testing.T) {
-	if _, err := Run(&Study{}, nil); err == nil {
+	if _, err := Run(&Study{}, nil, studyEngine(t)); err == nil {
 		t.Error("empty study accepted")
 	}
 	s := &Study{Name: "x", Dataset: "nowhere", Machine: "t3e", Nodes: 2, Hours: 1}
-	if _, err := Run(s, nil); err == nil {
+	if _, err := Run(s, nil, studyEngine(t)); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 	s2 := &Study{Name: "x", Dataset: "mini", Machine: "cm5", Nodes: 2, Hours: 1}
-	if _, err := Run(s2, nil); err == nil {
+	if _, err := Run(s2, nil, studyEngine(t)); err == nil {
 		t.Error("unknown machine accepted")
 	}
 }

@@ -221,7 +221,10 @@ func (sc *Scrubber) throttle(ctx context.Context, size int64) {
 		return
 	}
 	d := time.Duration(float64(size) / float64(sc.opts.RateBytesPerSec) * float64(time.Second))
-	_ = resilience.SleepCtx(ctx, d)
+	select {
+	case <-ctx.Done():
+	case <-time.After(d):
+	}
 }
 
 // repair resolves a quarantined artifact back to the spec that produced

@@ -137,8 +137,8 @@ func Predict(tr *core.Trace, prof *machine.Profile, p int) (*Prediction, error) 
 	pr.CommByKind[core.KindTransToChem] = float64(steps) * tc
 	pr.CommByKind[core.KindChemToRepl] = float64(steps) * cr
 	pr.CommByKind[core.KindTransToRepl] = float64(hours) * (tc + cr)
-	for _, v := range pr.CommByKind {
-		pr.Comm += v
+	for _, k := range core.RedistKinds() { // fixed order: a float sum over map order is not reproducible
+		pr.Comm += pr.CommByKind[k]
 	}
 
 	pr.Total = pr.Chemistry + pr.Transport + pr.Aerosol + pr.IO + pr.Comm

@@ -89,7 +89,7 @@ func IsCorrupt(err error) bool {
 // reports its own per-request timeout via context.DeadlineExceeded,
 // which rule 1 would otherwise read as the caller's context dying and
 // refuse to retry. A genuinely dead caller context still stops the
-// retry loop — SleepCtx aborts the backoff wait.
+// retry loop — the backoff wait is abandoned.
 type netTimeoutError struct{ err error }
 
 func (e *netTimeoutError) Error() string   { return e.err.Error() }
@@ -101,8 +101,7 @@ func (e *netTimeoutError) Timeout() bool   { return true }
 // torn mid-response — and returns it unchanged otherwise. Errors that
 // already classify themselves (a Transient() method anywhere in the
 // chain, including an earlier Mark*) are left alone: the explicit mark
-// wins. It is the classification rule the fleet's HTTP edges (shard
-// dispatch, the blob backend, agent heartbeats) share: the peer being
+// wins. Exchange applies it to every fleet HTTP edge: the peer being
 // momentarily unreachable must cost a retry, never correctness.
 func ClassifyNetErr(err error) error {
 	if err == nil {
@@ -221,10 +220,10 @@ func (p RetryPolicy) Delay(attempt int, key uint64) time.Duration {
 	return time.Duration(d)
 }
 
-// SleepCtx sleeps for d or until ctx is done, returning ctx's error in
+// sleepCtx sleeps for d or until ctx is done, returning ctx's error in
 // the latter case — the interruptible backoff wait (a Cancel during
 // retry backoff lands here).
-func SleepCtx(ctx context.Context, d time.Duration) error {
+func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -238,19 +237,25 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Retry runs fn under the policy: transient failures are retried after
-// the backoff delay, permanent failures and context expiry return
-// immediately. It returns the number of attempts made and the final
-// error (nil on success).
-func Retry(ctx context.Context, p RetryPolicy, key uint64, fn func() error) (attempts int, err error) {
+// Retry runs fn under the policy, passing it the 1-based attempt
+// number: transient failures are retried after the backoff delay,
+// permanent failures and context expiry return immediately. between,
+// when non-nil, runs after a transient failure that will be retried and
+// before its backoff wait — where a caller publishes "attempt n failed
+// with err, retrying" to whoever polls it. Retry returns the number of
+// attempts made and the final error (nil on success).
+func Retry(ctx context.Context, p RetryPolicy, key uint64, fn func(attempt int) error, between func(attempt int, err error)) (attempts int, err error) {
 	p = p.WithDefaults()
 	for {
 		attempts++
-		err = fn()
+		err = fn(attempts)
 		if err == nil || !IsTransient(err) || attempts >= p.MaxAttempts {
 			return attempts, err
 		}
-		if werr := SleepCtx(ctx, p.Delay(attempts, key)); werr != nil {
+		if between != nil {
+			between(attempts, err)
+		}
+		if werr := sleepCtx(ctx, p.Delay(attempts, key)); werr != nil {
 			return attempts, fmt.Errorf("resilience: retry abandoned after %d attempts: %w", attempts, werr)
 		}
 	}

@@ -200,23 +200,33 @@ func TestRetryPolicyDelays(t *testing.T) {
 
 func TestRetryTransientThenSuccess(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: 0}
-	n := 0
-	attempts, err := Retry(context.Background(), p, 1, func() error {
-		n++
-		if n < 3 {
+	var seen, between []int
+	attempts, err := Retry(context.Background(), p, 1, func(attempt int) error {
+		seen = append(seen, attempt)
+		if attempt < 3 {
 			return MarkTransient(errors.New("flaky"))
 		}
 		return nil
+	}, func(attempt int, err error) {
+		if !IsTransient(err) {
+			t.Errorf("between(%d) got %v, want the transient failure", attempt, err)
+		}
+		between = append(between, attempt)
 	})
 	if err != nil || attempts != 3 {
 		t.Fatalf("Retry = (%d, %v), want (3, nil)", attempts, err)
+	}
+	// fn sees 1-based attempt numbers; between runs once per failure that
+	// is retried, never after the final attempt.
+	if fmt.Sprint(seen) != "[1 2 3]" || fmt.Sprint(between) != "[1 2]" {
+		t.Fatalf("fn saw attempts %v, between %v; want [1 2 3] and [1 2]", seen, between)
 	}
 }
 
 func TestRetryPermanentFailsFast(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}
 	boom := errors.New("bad spec")
-	attempts, err := Retry(context.Background(), p, 1, func() error { return boom })
+	attempts, err := Retry(context.Background(), p, 1, func(int) error { return boom }, nil)
 	if !errors.Is(err, boom) || attempts != 1 {
 		t.Fatalf("Retry = (%d, %v), want (1, %v)", attempts, err, boom)
 	}
@@ -225,7 +235,7 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 func TestRetryExhaustsAttempts(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: 0}
 	flaky := MarkTransient(errors.New("still flaky"))
-	attempts, err := Retry(context.Background(), p, 1, func() error { return flaky })
+	attempts, err := Retry(context.Background(), p, 1, func(int) error { return flaky }, nil)
 	if !errors.Is(err, flaky) || attempts != 3 {
 		t.Fatalf("Retry = (%d, %v), want (3, %v)", attempts, err, flaky)
 	}
@@ -239,7 +249,7 @@ func TestRetryCancelledDuringBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	attempts, err := Retry(ctx, p, 1, func() error { return MarkTransient(errors.New("flaky")) })
+	attempts, err := Retry(ctx, p, 1, func(int) error { return MarkTransient(errors.New("flaky")) }, nil)
 	if attempts != 1 || !errors.Is(err, context.Canceled) {
 		t.Fatalf("Retry = (%d, %v), want (1, canceled)", attempts, err)
 	}

@@ -889,36 +889,29 @@ func (s *Scheduler) runJob(j *job) {
 		go s.watchJob(ctx, cancel, j, watchBound, stop)
 	}
 
-	// Retry loop: transient failures (I/O hiccups, injected faults)
-	// re-execute under capped exponential backoff; permanent failures
-	// (bad specs, panics, cancellation) surface immediately. The jitter
-	// is deterministic per (seed, job hash, attempt), so a fixed fault
-	// seed reproduces the whole schedule.
-	key := resilience.HashKey(j.hash)
+	// Transient failures (I/O hiccups, injected faults) re-execute under
+	// capped exponential backoff; permanent failures (bad specs, panics,
+	// cancellation) surface immediately. The jitter is deterministic per
+	// (seed, job hash, attempt), so a fixed fault seed reproduces the
+	// whole schedule.
 	var (
 		res      *core.Result
 		warmHour int
-		err      error
 	)
-	for attempt := 1; ; attempt++ {
+	_, err := resilience.Retry(ctx, s.opts.Retry, resilience.HashKey(j.hash), func(attempt int) (err error) {
 		s.mu.Lock()
 		j.attempts = attempt
 		j.lastProgress = time.Now() // each attempt restarts the watchdog clock
 		s.mu.Unlock()
 		res, warmHour, err = s.executeJob(ctx, j)
-		if err == nil || !resilience.IsTransient(err) || attempt >= s.opts.Retry.MaxAttempts {
-			break
-		}
+		return err
+	}, func(_ int, err error) {
+		// Visible to a status poll for the whole backoff wait.
 		s.mu.Lock()
 		s.counters.Retries++
 		j.lastErr = err
 		s.mu.Unlock()
-		if werr := resilience.SleepCtx(ctx, s.opts.Retry.Delay(attempt, key)); werr != nil {
-			// Cancelled (or timed out) during backoff.
-			err = werr
-			break
-		}
-	}
+	})
 	if err == nil && s.opts.Store != nil {
 		// Persist outside the scheduler lock; a failure costs future
 		// restarts their head start, so remember the hash — the next

@@ -541,3 +541,60 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 		t.Errorf("Cancelled = %d, want 1", c.Cancelled)
 	}
 }
+
+// A status poll during a retry backoff must already see the failed
+// attempt: Attempts counts the attempt that failed, Retries counts the
+// retry now queued, and LastErr is the transient failure being slept on.
+// After recovery the job keeps the last failure it retried over.
+func TestRetryStateVisibleDuringBackoff(t *testing.T) {
+	inj := resilience.New(11).SetLimited(resilience.PointSchedExec, 1, 2)
+	resilience.Enable(inj)
+	defer resilience.Disable()
+
+	s := New(Options{Workers: 1, Retry: resilience.RetryPolicy{
+		MaxAttempts: 5,
+		BaseDelay:   time.Hour, // the first backoff never ends on its own
+	}})
+	defer shutdown(t, s)
+	st := mustSubmit(t, s, miniSpec())
+
+	var cur JobStatus
+	for deadline := time.Now().Add(10 * time.Second); cur.LastErr == nil; time.Sleep(time.Millisecond) {
+		var err error
+		if cur, err = s.Status(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never recorded its first failed attempt")
+		}
+	}
+	var ie *resilience.InjectedError
+	if !errors.As(cur.LastErr, &ie) || ie.Point != resilience.PointSchedExec || ie.Call != 1 {
+		t.Errorf("LastErr in backoff = %v, want the injected sched.exec fault of call 1", cur.LastErr)
+	}
+	if cur.State != Running || cur.Attempts != 1 {
+		t.Errorf("in backoff: state %v attempts %d, want running with 1 attempt", cur.State, cur.Attempts)
+	}
+	if c := s.Counters(); c.Retries != 1 {
+		t.Errorf("Retries in backoff = %d, want 1", c.Retries)
+	}
+	if err := s.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, s, st.ID)
+
+	// The injector has one fault left: a fresh scheduler with a short
+	// backoff retries over it and finishes.
+	s2 := New(Options{Workers: 1, Retry: resilience.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}})
+	defer shutdown(t, s2)
+	final := awaitDone(t, s2, mustSubmit(t, s2, miniSpec()).ID)
+	if final.State != Done || final.Attempts != 2 {
+		t.Fatalf("recovered job: state %v attempts %d (%v), want done after 2", final.State, final.Attempts, final.Err)
+	}
+	if !errors.As(final.LastErr, &ie) || ie.Call != 2 {
+		t.Errorf("LastErr after recovery = %v, want the fault of call 2 it retried over", final.LastErr)
+	}
+	if c := s2.Counters(); c.Retries != 1 {
+		t.Errorf("Retries after recovery = %d, want 1", c.Retries)
+	}
+}

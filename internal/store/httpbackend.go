@@ -1,11 +1,9 @@
 package store
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"net/http"
 	"strings"
@@ -21,13 +19,12 @@ import (
 // owns eviction), so a blob another worker stored a millisecond ago is
 // immediately visible here.
 //
-// Network faults cost latency, never correctness: every get/put attempt
-// fires the fleet.blob.* injection points and transient failures —
-// transport errors classified by resilience.ClassifyNetErr (connection
-// reset/refused, timeouts, torn responses), 5xx answers, injected
-// faults — are retried under a capped exponential backoff with
-// deterministic per-key jitter. Retrying a Put is safe because blobs
-// are content-addressed: both writers carry identical bytes.
+// Network faults cost latency, never correctness: every call is one
+// resilience.Exchange (which classifies transport errors, 5xx/429 and
+// the fleet.blob.* injection points as transient), and get/put retry
+// those under a capped exponential backoff with deterministic per-key
+// jitter. Retrying a Put is safe because blobs are content-addressed:
+// both writers carry identical bytes.
 //
 // Error mapping follows the Backend contract: HTTP 404 becomes
 // fs.ErrNotExist (a benign miss the breaker ignores, returned without
@@ -64,70 +61,29 @@ func (b *HTTPBackend) SetRetry(p resilience.RetryPolicy) { b.retry = p.WithDefau
 func (b *HTTPBackend) Shared() bool { return true }
 
 func (b *HTTPBackend) url(key string) string {
-	return b.base + "/v1/fleet/blobs/" + key
+	return b.base + BlobPathPrefix + "/" + key
 }
 
 // Put implements Backend.
 func (b *HTTPBackend) Put(key string, data []byte) error {
-	_, err := resilience.Retry(context.Background(), b.retry, resilience.HashKey("put:"+key), func() error {
-		return b.putOnce(key, data)
-	})
+	_, err := resilience.Retry(context.Background(), b.retry, resilience.HashKey("put:"+key), func(int) error {
+		return b.exchange("putting "+key, resilience.Exchange{
+			Point: resilience.PointFleetBlobPut, Method: http.MethodPut, URL: b.url(key), Body: data})
+	}, nil)
 	return err
-}
-
-func (b *HTTPBackend) putOnce(key string, data []byte) error {
-	if err := resilience.Fire(resilience.PointFleetBlobPut); err != nil {
-		return fmt.Errorf("store: putting %s: %w", key, err)
-	}
-	req, err := http.NewRequest(http.MethodPut, b.url(key), bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return resilience.ClassifyNetErr(fmt.Errorf("store: putting %s: %w", key, err))
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return classifyStatus(resp.StatusCode, fmt.Errorf("store: putting %s: coordinator returned %s", key, resp.Status))
-	}
-	return nil
 }
 
 // Get implements Backend.
 func (b *HTTPBackend) Get(key string) ([]byte, error) {
 	var data []byte
-	_, err := resilience.Retry(context.Background(), b.retry, resilience.HashKey("get:"+key), func() error {
-		var aerr error
-		data, aerr = b.getOnce(key)
-		return aerr
-	})
+	_, err := resilience.Retry(context.Background(), b.retry, resilience.HashKey("get:"+key), func(int) error {
+		// A 404 is a firm answer, not a fault: permanent, so the retry
+		// loop stops, and never scored against the breaker above.
+		return b.exchange("getting "+key, resilience.Exchange{
+			Point: resilience.PointFleetBlobGet, Method: http.MethodGet, URL: b.url(key),
+			Firm: notFound, Raw: &data, MaxBody: maxPayload})
+	}, nil)
 	return data, err
-}
-
-func (b *HTTPBackend) getOnce(key string) ([]byte, error) {
-	if err := resilience.Fire(resilience.PointFleetBlobGet); err != nil {
-		return nil, fmt.Errorf("store: getting %s: %w", key, err)
-	}
-	resp, err := b.client.Get(b.url(key))
-	if err != nil {
-		return nil, resilience.ClassifyNetErr(fmt.Errorf("store: getting %s: %w", key, err))
-	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusNotFound {
-		// A firm answer, not a fault: returned as-is (permanent, so the
-		// retry loop stops) and never scored against the breaker above.
-		return nil, fmt.Errorf("store: %s: %w", key, fs.ErrNotExist)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, classifyStatus(resp.StatusCode, fmt.Errorf("store: getting %s: coordinator returned %s", key, resp.Status))
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPayload))
-	if err != nil {
-		return nil, resilience.ClassifyNetErr(fmt.Errorf("store: getting %s: %w", key, err))
-	}
-	return data, nil
 }
 
 // Quarantine implements Quarantiner by asking the coordinator to move
@@ -135,15 +91,7 @@ func (b *HTTPBackend) getOnce(key string) ([]byte, error) {
 // corruption in fetched bytes routes the quarantine to the one store
 // that owns those bytes instead of deleting them.
 func (b *HTTPBackend) Quarantine(key string) error {
-	resp, err := b.client.Post(b.url(key), "application/octet-stream", nil)
-	if err != nil {
-		return resilience.ClassifyNetErr(fmt.Errorf("store: quarantining %s: %w", key, err))
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("store: quarantining %s: coordinator returned %s", key, resp.Status)
-	}
-	return nil
+	return b.exchange("quarantining "+key, resilience.Exchange{Method: http.MethodPost, URL: b.url(key)})
 }
 
 // QuarantineCount implements Quarantiner. The coordinator owns the
@@ -151,52 +99,38 @@ func (b *HTTPBackend) Quarantine(key string) error {
 // view is always 0 rather than a per-heartbeat network round trip.
 func (b *HTTPBackend) QuarantineCount() int { return 0 }
 
-// Delete implements Backend.
+// Delete implements Backend; deleting an absent blob succeeds.
 func (b *HTTPBackend) Delete(key string) error {
-	req, err := http.NewRequest(http.MethodDelete, b.url(key), nil)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return resilience.ClassifyNetErr(fmt.Errorf("store: deleting %s: %w", key, err))
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("store: deleting %s: coordinator returned %s", key, resp.Status)
-	}
-	return nil
-}
-
-// List implements Backend.
-func (b *HTTPBackend) List() ([]BlobInfo, error) {
-	resp, err := b.client.Get(b.base + "/v1/fleet/blobs")
-	if err != nil {
-		return nil, resilience.ClassifyNetErr(fmt.Errorf("store: listing blobs: %w", err))
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("store: listing blobs: coordinator returned %s", resp.Status)
-	}
-	var out []BlobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("store: listing blobs: %w", err)
-	}
-	return out, nil
-}
-
-// classifyStatus marks server-side failure codes transient: a 5xx or
-// 429 is the coordinator mid-restart or shedding load, exactly what a
-// backed-off retry cures; 4xx answers are firm and stay permanent.
-func classifyStatus(code int, err error) error {
-	if code >= 500 || code == http.StatusTooManyRequests {
-		return resilience.MarkTransient(err)
+	err := b.exchange("deleting "+key, resilience.Exchange{Method: http.MethodDelete, URL: b.url(key), Firm: notFound})
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
 	return err
 }
 
-// drain consumes and closes a response body so the connection is reused.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+// List implements Backend.
+func (b *HTTPBackend) List() ([]BlobInfo, error) {
+	var out []BlobInfo
+	if err := b.exchange("listing blobs", resilience.Exchange{Method: http.MethodGet, URL: b.base + BlobPathPrefix, Into: &out}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// notFound is the Firm list of the exchanges for which absence is an
+// answer.
+var notFound = []int{http.StatusNotFound}
+
+// exchange runs one exchange with the coordinator, naming the operation
+// in any error; a 404 the exchange lists as firm becomes fs.ErrNotExist
+// per the Backend contract.
+func (b *HTTPBackend) exchange(op string, x resilience.Exchange) error {
+	status, err := x.Do(context.Background(), b.client)
+	if err == nil && status == http.StatusNotFound {
+		err = fs.ErrNotExist
+	}
+	if err != nil {
+		return fmt.Errorf("store: %s: %w", op, err)
+	}
+	return nil
 }

@@ -14,55 +14,25 @@ W2PORT="${W2PORT:-18192}"
 RPORT="${RPORT:-18193}"
 COORD="http://localhost:${CPORT}"
 REF="http://localhost:${RPORT}"
-WORKDIR="$(mktemp -d)"
-AIRSHEDD="${AIRSHEDD:-}"
+source "$(dirname "$0")/lib.sh"
 
-cleanup() {
-  for pid in "${COORD_PID:-}" "${W1_PID:-}" "${W2_PID:-}" "${REF_PID:-}"; do
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-  done
-  for pid in "${COORD_PID:-}" "${W1_PID:-}" "${W2_PID:-}" "${REF_PID:-}"; do
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
+build_daemon
 
-if [ -z "$AIRSHEDD" ]; then
-  AIRSHEDD="$WORKDIR/airshedd"
-  go build -o "$AIRSHEDD" ./cmd/airshedd
-fi
-
-wait_healthy() {
-  local base=$1 log=$2
-  for _ in $(seq 1 100); do
-    if curl -sf "$base/healthz" >/dev/null 2>&1; then return 0; fi
-    sleep 0.2
-  done
-  echo "daemon at $base did not come up" >&2
-  cat "$log" >&2
-  exit 1
+start_coordinator() { # log name
+  start_daemon "$1" -addr ":$CPORT" -workers 1 -store "$WORKDIR/store" \
+    -fleet-coordinator -fleet-heartbeat-timeout 2s -fleet-poll 300ms
+  COORD_PID=$DAEMON_PID
+  wait_ready "$COORD" "$1" 100
 }
 
-start_coordinator() {
-  local log=$1
-  "$AIRSHEDD" -addr ":$CPORT" -workers 1 -store "$WORKDIR/store" \
-    -fleet-coordinator -fleet-heartbeat-timeout 2s -fleet-poll 300ms \
-    >"$log" 2>&1 &
-  COORD_PID=$!
-  wait_healthy "$COORD" "$log"
-}
+start_coordinator coord1
 
-start_coordinator "$WORKDIR/coord1.log"
-
-"$AIRSHEDD" -addr ":$W1PORT" -workers 2 -fleet-worker "$COORD" \
-  -fleet-name w1 -fleet-heartbeat 500ms >"$WORKDIR/w1.log" 2>&1 &
-W1_PID=$!
-"$AIRSHEDD" -addr ":$W2PORT" -workers 2 -fleet-worker "$COORD" \
-  -fleet-name w2 -fleet-heartbeat 500ms >"$WORKDIR/w2.log" 2>&1 &
-W2_PID=$!
-wait_healthy "http://localhost:$W1PORT" "$WORKDIR/w1.log"
-wait_healthy "http://localhost:$W2PORT" "$WORKDIR/w2.log"
+start_daemon w1 -addr ":$W1PORT" -workers 2 -fleet-worker "$COORD" \
+  -fleet-name w1 -fleet-heartbeat 500ms
+start_daemon w2 -addr ":$W2PORT" -workers 2 -fleet-worker "$COORD" \
+  -fleet-name w2 -fleet-heartbeat 500ms
+wait_ready "http://localhost:$W1PORT" w1 100
+wait_ready "http://localhost:$W2PORT" w2 100
 
 live=0
 for _ in $(seq 1 50); do
@@ -73,10 +43,13 @@ done
 [ "${live:-0}" = "2" ] || { echo "workers never registered (live=$live)" >&2; cat "$WORKDIR"/*.log >&2; exit 1; }
 echo "fleet up: coordinator + 2 workers"
 
+# Twelve scenarios, not three: a mini run is ~0.1 s, so a three-scenario
+# sweep can finish inside one 300 ms coordinator poll and leave nothing
+# to kill mid-sweep.
 SWEEP_BODY='{
   "name": "fleet-chaos-smoke",
   "base": {"dataset": "mini", "machine": "t3e", "nodes": 2, "hours": 2},
-  "grid": {"nox_scales": [1.0, 0.8, 0.6]}
+  "grid": {"nox_scales": [1.0, 0.8, 0.6], "voc_scales": [1.0, 0.9, 0.8, 0.7]}
 }'
 
 resp=$(curl -sf "$COORD/v1/fleet/sweeps" -d "$SWEEP_BODY")
@@ -102,13 +75,12 @@ echo "progress before kill: $completed scenarios completed"
 # hold.
 kill -9 "$COORD_PID" 2>/dev/null || true
 wait "$COORD_PID" 2>/dev/null || true
-COORD_PID=""
 echo "coordinator killed (-9) mid-sweep"
 
 # Restart over the same store + journal. The port may need a beat to
 # free; retry the bind a few times.
 for attempt in $(seq 1 5); do
-  if start_coordinator "$WORKDIR/coord2.log"; then break; fi
+  if start_coordinator coord2; then break; fi
   [ "$attempt" = "5" ] && { echo "coordinator failed to restart" >&2; exit 1; }
   sleep 1
 done
@@ -137,10 +109,8 @@ if [ -z "$recovered" ] || [ "$recovered" -lt 1 ]; then
 fi
 
 # Reference: the same sweep on one standalone daemon with a fresh store.
-"$AIRSHEDD" -addr ":$RPORT" -workers 2 -store "$WORKDIR/refstore" \
-  >"$WORKDIR/ref.log" 2>&1 &
-REF_PID=$!
-wait_healthy "$REF" "$WORKDIR/ref.log"
+start_daemon ref -addr ":$RPORT" -workers 2 -store "$WORKDIR/refstore"
+wait_ready "$REF" ref 100
 
 resp=$(curl -sf "$REF/v1/sweeps" -d "$SWEEP_BODY")
 rid=$(echo "$resp" | sed -n 's/.*"id": *"\(s[0-9]*\)".*/\1/p' | head -n1)

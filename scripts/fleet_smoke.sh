@@ -13,50 +13,20 @@ W2PORT="${W2PORT:-18092}"
 RPORT="${RPORT:-18093}"
 COORD="http://localhost:${CPORT}"
 REF="http://localhost:${RPORT}"
-WORKDIR="$(mktemp -d)"
-AIRSHEDD="${AIRSHEDD:-}"
+source "$(dirname "$0")/lib.sh"
 
-cleanup() {
-  for pid in "${COORD_PID:-}" "${W1_PID:-}" "${W2_PID:-}" "${REF_PID:-}"; do
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-  done
-  for pid in "${COORD_PID:-}" "${W1_PID:-}" "${W2_PID:-}" "${REF_PID:-}"; do
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
+build_daemon
+start_daemon coord -addr ":$CPORT" -workers 1 -store "$WORKDIR/store" \
+  -fleet-coordinator -fleet-heartbeat-timeout 2s -fleet-poll 300ms
+wait_ready "$COORD" coord
 
-if [ -z "$AIRSHEDD" ]; then
-  AIRSHEDD="$WORKDIR/airshedd"
-  go build -o "$AIRSHEDD" ./cmd/airshedd
-fi
-
-wait_healthy() {
-  local base=$1 log=$2
-  for _ in $(seq 1 50); do
-    if curl -sf "$base/healthz" >/dev/null 2>&1; then return 0; fi
-    sleep 0.2
-  done
-  echo "daemon at $base did not come up" >&2
-  cat "$log" >&2
-  exit 1
-}
-
-"$AIRSHEDD" -addr ":$CPORT" -workers 1 -store "$WORKDIR/store" \
-  -fleet-coordinator -fleet-heartbeat-timeout 2s -fleet-poll 300ms \
-  >"$WORKDIR/coord.log" 2>&1 &
-COORD_PID=$!
-wait_healthy "$COORD" "$WORKDIR/coord.log"
-
-"$AIRSHEDD" -addr ":$W1PORT" -workers 2 -fleet-worker "$COORD" \
-  -fleet-name w1 -fleet-heartbeat 500ms >"$WORKDIR/w1.log" 2>&1 &
-W1_PID=$!
-"$AIRSHEDD" -addr ":$W2PORT" -workers 2 -fleet-worker "$COORD" \
-  -fleet-name w2 -fleet-heartbeat 500ms >"$WORKDIR/w2.log" 2>&1 &
-W2_PID=$!
-wait_healthy "http://localhost:$W1PORT" "$WORKDIR/w1.log"
-wait_healthy "http://localhost:$W2PORT" "$WORKDIR/w2.log"
+start_daemon w1 -addr ":$W1PORT" -workers 2 -fleet-worker "$COORD" \
+  -fleet-name w1 -fleet-heartbeat 500ms
+W1_PID=$DAEMON_PID
+start_daemon w2 -addr ":$W2PORT" -workers 2 -fleet-worker "$COORD" \
+  -fleet-name w2 -fleet-heartbeat 500ms
+wait_ready "http://localhost:$W1PORT" w1
+wait_ready "http://localhost:$W2PORT" w2
 
 live=0
 for _ in $(seq 1 50); do
@@ -82,7 +52,6 @@ echo "fleet sweep $id submitted"
 # survivor regardless of how far its jobs got.
 kill -9 "$W1_PID" 2>/dev/null || true
 wait "$W1_PID" 2>/dev/null || true
-W1_PID=""
 echo "killed worker w1"
 
 state=""
@@ -106,10 +75,8 @@ if [ -z "$reassigned" ] || [ "$reassigned" -lt 1 ]; then
 fi
 
 # Reference: the same sweep on one standalone daemon with a fresh store.
-"$AIRSHEDD" -addr ":$RPORT" -workers 2 -store "$WORKDIR/refstore" \
-  >"$WORKDIR/ref.log" 2>&1 &
-REF_PID=$!
-wait_healthy "$REF" "$WORKDIR/ref.log"
+start_daemon ref -addr ":$RPORT" -workers 2 -store "$WORKDIR/refstore"
+wait_ready "$REF" ref
 
 resp=$(curl -sf "$REF/v1/sweeps" -d "$SWEEP_BODY")
 rid=$(echo "$resp" | sed -n 's/.*"id": *"\(s[0-9]*\)".*/\1/p' | head -n1)

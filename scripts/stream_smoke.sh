@@ -10,31 +10,12 @@ set -euo pipefail
 
 PORT="${PORT:-18081}"
 BASE="http://localhost:${PORT}"
-WORKDIR="$(mktemp -d)"
-AIRSHEDD="${AIRSHEDD:-}"
+source "$(dirname "$0")/lib.sh"
 HOURS="${HOURS:-6}"
 
-cleanup() {
-  [ -n "${CURL_PID:-}" ] && kill "$CURL_PID" 2>/dev/null || true
-  [ -n "${DAEMON_PID:-}" ] && kill "$DAEMON_PID" 2>/dev/null || true
-  [ -n "${DAEMON_PID:-}" ] && wait "$DAEMON_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-if [ -z "$AIRSHEDD" ]; then
-  AIRSHEDD="$WORKDIR/airshedd"
-  go build -o "$AIRSHEDD" ./cmd/airshedd
-fi
-
-"$AIRSHEDD" -addr ":$PORT" -workers 1 -pipeline 2 >"$WORKDIR/daemon.log" 2>&1 &
-DAEMON_PID=$!
-
-for _ in $(seq 1 50); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  sleep 0.2
-done
-curl -sf "$BASE/healthz" >/dev/null || { echo "airshedd did not come up" >&2; cat "$WORKDIR/daemon.log" >&2; exit 1; }
+build_daemon
+start_daemon daemon -addr ":$PORT" -workers 1 -pipeline 2
+wait_ready "$BASE" daemon
 
 resp=$(curl -sf "$BASE/v1/runs" -d "{\"dataset\":\"mini\",\"machine\":\"t3e\",\"nodes\":2,\"hours\":$HOURS}")
 id=$(echo "$resp" | sed -n 's/.*"id": *"\(j[0-9]*\)".*/\1/p' | head -n1)
@@ -45,6 +26,7 @@ echo "run $id submitted ($HOURS hours, pipeline depth 2)"
 # in the file the moment the server flushes them.
 curl -sN "$BASE/v1/runs/$id/stream" >"$WORKDIR/stream.txt" &
 CURL_PID=$!
+PIDS+=("$CURL_PID")
 
 # The incrementality assertion: the first hour event must be observable
 # while the scheduler still reports the job running.
@@ -63,7 +45,7 @@ case "$state_at_first_hour" in
   *) echo "stream was not incremental: run already '$state_at_first_hour' at first hour event" >&2; exit 1 ;;
 esac
 
-wait "$CURL_PID"; CURL_PID=""
+wait "$CURL_PID"
 
 hour_events=$(grep -c '^event: hour' "$WORKDIR/stream.txt")
 [ "$hour_events" -eq "$HOURS" ] || {

@@ -8,29 +8,11 @@ set -euo pipefail
 
 PORT="${PORT:-18080}"
 BASE="http://localhost:${PORT}"
-WORKDIR="$(mktemp -d)"
-AIRSHEDD="${AIRSHEDD:-}"
+source "$(dirname "$0")/lib.sh"
 
-cleanup() {
-  [ -n "${DAEMON_PID:-}" ] && kill "$DAEMON_PID" 2>/dev/null || true
-  [ -n "${DAEMON_PID:-}" ] && wait "$DAEMON_PID" 2>/dev/null || true
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-if [ -z "$AIRSHEDD" ]; then
-  AIRSHEDD="$WORKDIR/airshedd"
-  go build -o "$AIRSHEDD" ./cmd/airshedd
-fi
-
-"$AIRSHEDD" -addr ":$PORT" -workers 2 -store "$WORKDIR/store" >"$WORKDIR/daemon.log" 2>&1 &
-DAEMON_PID=$!
-
-for _ in $(seq 1 50); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  sleep 0.2
-done
-curl -sf "$BASE/healthz" >/dev/null || { echo "airshedd did not come up" >&2; cat "$WORKDIR/daemon.log" >&2; exit 1; }
+build_daemon
+start_daemon daemon -addr ":$PORT" -workers 2 -store "$WORKDIR/store"
+wait_ready "$BASE" daemon
 
 resp=$(curl -sf "$BASE/v1/sweeps" -d '{
   "name": "smoke",
