@@ -78,6 +78,41 @@ func TestDeterminismAudit(t *testing.T) {
 			t.Errorf("audit never type-checked %s", path)
 		}
 	}
+	// Gob ranges over a map for us, in iteration order. A stored row's bytes
+	// must be a function of its content (a repair or a second fleet worker
+	// rewrites the same blob), so the struct the store gob-encodes as a row
+	// holds no map at any depth.
+	if row := a.pkgs["airshed/internal/store"].Scope().Lookup("SpecManifest"); row == nil {
+		t.Error("audit found no store.SpecManifest; where is the row encoded now?")
+	} else if where := mapInside(row.Type(), map[types.Type]bool{}); where != "" {
+		t.Errorf("store.SpecManifest holds a map at %s: a row's bytes would depend on map iteration order", where)
+	}
+}
+
+// mapInside returns the path to the first map reachable from t through
+// pointers, slices, arrays and struct fields ("" if there is none).
+func mapInside(t types.Type, seen map[types.Type]bool) string {
+	if seen[t] {
+		return ""
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Map:
+		return t.String()
+	case *types.Pointer:
+		return mapInside(u.Elem(), seen)
+	case *types.Slice:
+		return mapInside(u.Elem(), seen)
+	case *types.Array:
+		return mapInside(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if where := mapInside(u.Field(i).Type(), seen); where != "" {
+				return u.Field(i).Name() + ": " + where
+			}
+		}
+	}
+	return ""
 }
 
 type auditor struct {

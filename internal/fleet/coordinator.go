@@ -505,10 +505,11 @@ func (c *Coordinator) StartSweep(req sweep.Request) (SweepStatus, error) {
 
 // Recover rebuilds sweeps from the journal's pending set — the reconcile
 // pass of a coordinator restart. For every journaled sweep, each spec is
-// resolved against the store: results already persisted count as
-// completed (the work a dead coordinator's workers finished was never
-// lost), the rest re-enter pending and re-pack across workers as they
-// re-register. Stale shard records are retired wholesale — a restart
+// resolved against the store: a row whose physics still verifies (or a
+// whole result, in a store from before rows) counts as completed — the
+// work a dead coordinator's workers finished was never lost — the rest,
+// rows that lost their physics among them, re-enter pending and re-pack
+// across workers as they re-register. Stale shard records are retired wholesale — a restart
 // invalidates every in-flight dispatch; their specs re-resolve through
 // the store or recompute bit-identically. Returns the number of sweeps
 // resumed (still-running) plus those that closed immediately as full
@@ -523,6 +524,29 @@ func (c *Coordinator) Recover() (int, error) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+
+	// stored reports whether a spec's result can be read back: its row is
+	// there and the physics it names verifies — read once per physics,
+	// however many journaled specs price it — or, in a store from before
+	// rows, its whole result does. A row without its physics is work
+	// still to do, not a hit.
+	type physics struct {
+		hours []*store.PhysicsRecord
+		final []float64
+	}
+	verified := map[string]physics{} // by end-of-run prefix hash
+	stored := func(hash string) bool {
+		_, ok := c.opts.Store.Restore(hash, func(row *store.SpecManifest) ([]*store.PhysicsRecord, []float64) {
+			end := row.PrefixHashes[len(row.PrefixHashes)-1]
+			p, seen := verified[end]
+			if !seen {
+				p.hours, p.final = c.opts.Store.Physics(row)
+				verified[end] = p
+			}
+			return p.hours, p.final
+		})
+		return ok
+	}
 
 	recovered := 0
 	for _, id := range ids {
@@ -550,11 +574,9 @@ func (c *Coordinator) Recover() (int, error) {
 		var unresolved []scenario.Spec
 		hits := 0
 		for _, sp := range rec.Specs {
-			if c.opts.Store != nil {
-				if _, ok := c.opts.Store.GetResult(sp.Hash()); ok {
-					hits++
-					continue
-				}
+			if c.opts.Store != nil && stored(sp.Hash()) {
+				hits++
+				continue
 			}
 			unresolved = append(unresolved, sp)
 		}

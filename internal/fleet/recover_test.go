@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"airshed/internal/core"
 	"airshed/internal/resilience"
+	"airshed/internal/scenario"
 	"airshed/internal/sched"
 	"airshed/internal/store"
 	"airshed/internal/sweep"
@@ -256,6 +258,82 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 	// incarnation would find nothing to do.
 	if pending := j2.Pending(); len(pending) != 0 {
 		t.Errorf("journal still holds %d records after recovered sweep finished", len(pending))
+	}
+}
+
+// A journaled spec counts as done at recovery only if its result can be
+// read back: three pricings of one physics and one spec of another, all
+// with rows in the store, then the first physics loses its end-of-run
+// checkpoint. Its three rows survive and must be re-packed, not counted
+// as hits; the other spec is the one hit.
+func TestRecoverRowWithoutPhysicsIsUnresolved(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := scenario.Spec{Dataset: "mini", Machine: "t3e", Nodes: 2, Hours: 1}
+	specs := []scenario.Spec{base, base, base, base}
+	specs[1].Nodes, specs[2].Machine = 3, "paragon"
+	specs[3].NOxScale = 0.5
+	sc := sched.New(sched.Options{Workers: 1, Store: st})
+	for i, sp := range specs {
+		specs[i] = sp.Normalize()
+		js, err := sc.Submit(sp)
+		if err == nil {
+			js, err = sc.Await(context.Background(), js.ID)
+		}
+		if err != nil || js.State != sched.Done {
+			t.Fatalf("%v: %+v, %v", sp, js, err)
+		}
+	}
+	if err := sc.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DeleteBlob(store.KindCheckpoint + "/" + specs[0].PhysicsPrefixHash(specs[0].EndHour()) + ".snap"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs {
+		if _, ok := st.GetManifest(sp.Hash()); !ok {
+			t.Fatalf("%v: row missing", sp)
+		}
+	}
+
+	j, err := resilience.OpenJournal(filepath.Join(t.TempDir(), "fleet.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	payload, err := json.Marshal(sweepRecord{Name: "half-lost", Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Accept(sweepJournalID("f0007"), payload); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Counters()
+	coord := NewCoordinator(Options{Journal: j, Store: st, Logf: t.Logf})
+	defer coord.Close()
+	if n, err := coord.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want 1 sweep", n, err)
+	}
+	status, err := coord.Status("f0007")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.State != "running" || status.Recovered != 1 || status.Total != len(specs) {
+		t.Errorf("recovered sweep %+v: want running with 1 of %d specs resolved from the store", status, len(specs))
+	}
+	coord.mu.Lock()
+	pending := append([]scenario.Spec(nil), coord.sweeps["f0007"].pending...)
+	coord.mu.Unlock()
+	if !reflect.DeepEqual(pending, specs[:3]) {
+		t.Errorf("pending after recovery: %v, want the three rows that lost their physics", pending)
+	}
+	// Four rows, and each physics read once: one record and a missing
+	// checkpoint for the lost one, record and checkpoint for the other.
+	if c := st.Counters(); c.Hits-before.Hits != 4+3 {
+		t.Errorf("Recover read %d artifacts, want 7: the lost physics was read again per row", c.Hits-before.Hits)
 	}
 }
 

@@ -3,8 +3,8 @@
 // store at a configurable pace, moves failures into quarantine (never
 // silently deletes — the corrupt bytes stay on disk for forensics), and
 // triggers recompute repair through the scheduler so quarantined
-// results, records and checkpoints are regenerated bit-identically by
-// the deterministic numerics.
+// records and checkpoints — the physics every row of a run is restored
+// from — are regenerated bit-identically by the deterministic numerics.
 //
 // The scrubber is deliberately an auditor, not a client: it reads
 // through the store backend directly, so its sweep does not pollute the
@@ -12,13 +12,12 @@
 // over a cold store costs exactly the bytes it reads, paced by the
 // byte-rate budget.
 //
-// Repair resolution uses the spec manifests the scheduler writes after
-// every successful execution (store.SpecManifest): a quarantined result
-// resolves to its spec by content hash directly; a quarantined record
-// or checkpoint by scanning manifests for the matching physics-prefix
-// hash. Kinds with no recompute path (manifests themselves, S-R
-// matrices) are quarantine-only — both are rebuilt on demand by their
-// producers.
+// Repair resolution uses the rows the scheduler writes after every
+// successful execution (store.SpecManifest): a quarantined record or
+// checkpoint resolves to a spec by scanning rows for the matching
+// physics-prefix hash, a quarantined whole result (a store from before
+// rows) by content hash directly. Rows themselves and S-R matrices are
+// quarantine-only — both are rebuilt on demand by their producers.
 package integrity
 
 import (
@@ -53,8 +52,8 @@ type Options struct {
 	// sleeps size/rate, so a pass over a large store trickles along
 	// instead of monopolising disk bandwidth. 0 means unpaced.
 	RateBytesPerSec int64
-	// Repair, when non-nil, regenerates quarantined results, records
-	// and checkpoints by recomputation. Nil means quarantine-only.
+	// Repair, when non-nil, regenerates quarantined records, checkpoints
+	// and whole results by recomputation. Nil means quarantine-only.
 	Repair Repairer
 	// RepairTimeout bounds each blocking repair call (default 10m).
 	RepairTimeout time.Duration
@@ -227,9 +226,11 @@ func (sc *Scrubber) throttle(ctx context.Context, size int64) {
 	}
 }
 
-// repair resolves a quarantined artifact back to the spec that produced
-// it and triggers a blocking recompute. One repair per spec per pass: a
-// run whose every artifact rotted is rebuilt by a single cold recompute.
+// repair resolves a quarantined artifact back to a spec that produced it
+// and triggers a blocking recompute, which rewrites every record and
+// checkpoint of the run and that spec's row; the other rows of the same
+// physics restore again as they are. One repair per spec per pass: a run
+// whose every artifact rotted is rebuilt by a single cold recompute.
 func (sc *Scrubber) repair(ctx context.Context, key string, repaired map[string]bool) {
 	if sc.opts.Repair == nil {
 		return
@@ -246,9 +247,11 @@ func (sc *Scrubber) repair(ctx context.Context, key string, repaired map[string]
 	case store.KindRecord, store.KindCheckpoint:
 		m = sc.manifestForPrefix(hash)
 	default:
-		// Manifests and S-R matrices have no recompute path: the
-		// scheduler rewrites manifests after every execution, the S-R
-		// service rebuilds matrices on demand. Quarantine-only.
+		// A row is a memo, not data: with it quarantined its spec is a
+		// miss, and the next submission reprices the physics still on
+		// record (a millisecond's core.Replay) and writes the same bytes
+		// again. The S-R service rebuilds matrices on demand.
+		// Quarantine-only, both.
 		return
 	}
 	if m == nil {

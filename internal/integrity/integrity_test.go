@@ -97,12 +97,40 @@ func checkpointKeys(t *testing.T, st *store.Store) []string {
 	return keys
 }
 
+// endCheckpointKey is where a run's Final lives: the checkpoint under its
+// end-of-run physics-prefix hash, which every row of that physics is
+// restored from.
+func endCheckpointKey(spec scenario.Spec) string {
+	n := spec.Normalize()
+	return store.KindCheckpoint + "/" + n.PhysicsPrefixHash(n.EndHour()) + ".snap"
+}
+
+// restoreAll opens a fresh scheduler over st (an empty cache: only the
+// store can answer) and requires every spec to come back as a store hit
+// with the given Final.
+func restoreAll(t *testing.T, st *store.Store, final []float64, specs ...scenario.Spec) {
+	t.Helper()
+	s := newSched(t, st)
+	for _, spec := range specs {
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.State != sched.Done || !job.FromStore {
+			t.Errorf("%v: not restored from the store after the repair: %+v", spec, job)
+		} else if !reflect.DeepEqual(job.Result.Final, final) {
+			t.Errorf("%v: restored Final differs from baseline (determinism broken)", spec)
+		}
+	}
+}
+
 // TestCorruptionChaosRepair is the end-to-end integrity drill: flip one
-// byte in a stored result and in a stored checkpoint, run a scrub pass,
-// and assert the rot is quarantined (never deleted), repaired by
-// recompute, and that the repaired artifacts are bit-identical to the
-// uncorrupted originals. Three seeds vary which checkpoint rots and
-// where the flipped byte lands.
+// byte in the end-of-run checkpoint — where a stored result's Final lives
+// — and in a seed-chosen checkpoint, run a scrub pass, and assert the rot
+// is quarantined (never deleted), repaired by recompute, that the
+// repaired artifacts are bit-identical to the uncorrupted originals, and
+// that every row of the physics restores again. Three seeds vary which
+// checkpoint rots and where the flipped bytes land.
 func TestCorruptionChaosRepair(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -114,26 +142,39 @@ func TestCorruptionChaosRepair(t *testing.T) {
 			base := runJob(t, s, chaosSpec())
 			baseFinal := append([]float64(nil), base.Result.Final...)
 			basePeaks := append([]float64(nil), base.Result.HourlyPeakO3...)
+			other := chaosSpec() // a second pricing of the same physics
+			other.Machine, other.Nodes = "paragon", 5
+			if job := runJob(t, s, other); !job.PhysicsReplay {
+				t.Fatalf("second pricing was not a replay: %+v", job)
+			}
 
 			ckKeys := checkpointKeys(t, st)
 			ckKey := ckKeys[rng.Intn(len(ckKeys))]
-			origCk, err := st.Backend().Get(ckKey)
-			if err != nil {
-				t.Fatalf("read pristine checkpoint: %v", err)
+			endKey := endCheckpointKey(chaosSpec())
+			rowKey := "specs/" + base.Hash + ".spec"
+			pristine := map[string][]byte{}
+			for _, key := range []string{ckKey, endKey, rowKey} {
+				data, err := st.Backend().Get(key)
+				if err != nil {
+					t.Fatalf("read pristine %s: %v", key, err)
+				}
+				pristine[key] = data
 			}
-			resKey := "results/" + base.Hash + ".res"
 
-			corruptRes := flipByte(t, dir, resKey, rng)
-			flipByte(t, dir, ckKey, rng)
+			rotten := map[string][]byte{endKey: flipByte(t, dir, endKey, rng)}
+			if ckKey != endKey {
+				rotten[ckKey] = flipByte(t, dir, ckKey, rng)
+			}
 
 			sc := New(Options{Store: st, Interval: -1, Repair: s, RepairTimeout: 2 * time.Minute, Logf: t.Logf})
 			sc.Pass(context.Background())
 			c := sc.Counters()
 
-			// The result is scanned first and its repair is a full cold
-			// recompute, which rewrites every checkpoint — so by the time
-			// the pass reaches the corrupted checkpoint it is healthy
-			// again. Exactly one quarantine, one repair.
+			// Whichever rotten checkpoint the pass meets first resolves,
+			// through a row naming its prefix, to a full cold recompute,
+			// which rewrites every checkpoint — so by the time the pass
+			// reaches the other it is healthy again. Exactly one
+			// quarantine, one repair.
 			if c.Quarantined != 1 {
 				t.Errorf("Quarantined = %d, want 1", c.Quarantined)
 			}
@@ -143,15 +184,31 @@ func TestCorruptionChaosRepair(t *testing.T) {
 
 			// Quarantine preserves the rotten bytes — corruption is
 			// evidence, never silently deleted.
-			qdata, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.FromSlash(resKey)))
-			if err != nil {
-				t.Fatalf("quarantined result missing: %v", err)
+			held := 0
+			for key, bad := range rotten {
+				qdata, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.FromSlash(key)))
+				if err != nil {
+					continue
+				}
+				held++
+				if !bytes.Equal(qdata, bad) {
+					t.Errorf("quarantined %s differs from the corrupted original", key)
+				}
 			}
-			if !bytes.Equal(qdata, corruptRes) {
-				t.Error("quarantined result bytes differ from the corrupted original")
+			if held != 1 {
+				t.Errorf("%d of the rotten checkpoints sit in quarantine, want 1", held)
 			}
 
-			// The repaired result is bit-identical to the baseline.
+			// Everything the repair rewrote is bit-identical to what was
+			// there before the rot: both checkpoints, and the row.
+			for key, want := range pristine {
+				if got, err := st.Backend().Get(key); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("repaired %s differs from the pristine original (err %v)", key, err)
+				}
+			}
+
+			// The stored result — row joined with the repaired physics —
+			// is the baseline again, for every pricing of it.
 			res, ok := st.GetResult(base.Hash)
 			if !ok {
 				t.Fatal("repaired result missing from store")
@@ -159,18 +216,10 @@ func TestCorruptionChaosRepair(t *testing.T) {
 			if !reflect.DeepEqual(res.Final, baseFinal) {
 				t.Error("repaired Final differs from baseline (determinism broken)")
 			}
-			if !reflect.DeepEqual(res.HourlyPeakO3, basePeaks) {
-				t.Error("repaired HourlyPeakO3 differs from baseline")
+			if !reflect.DeepEqual(res.HourlyPeakO3, basePeaks) || res.PeakO3 != base.Result.PeakO3 {
+				t.Error("repaired ozone peaks differ from baseline")
 			}
-
-			// The checkpoint rewritten by the repair is bit-identical too.
-			gotCk, err := st.Backend().Get(ckKey)
-			if err != nil {
-				t.Fatalf("read repaired checkpoint: %v", err)
-			}
-			if !bytes.Equal(gotCk, origCk) {
-				t.Error("repaired checkpoint bytes differ from pristine original")
-			}
+			restoreAll(t, st, baseFinal, chaosSpec(), other)
 
 			// A second pass over the healthy store is quiet.
 			sc.Pass(context.Background())
@@ -183,9 +232,10 @@ func TestCorruptionChaosRepair(t *testing.T) {
 }
 
 // TestResultSectionRotRepaired is the scrub drill with the flipped byte
-// forced into each section of the stored result — the gzipped metadata
-// and the raw float section — instead of wherever a seed lands it: both
-// are quarantined intact and repaired bit-identically.
+// forced into each section of the end-of-run checkpoint, the artifact a
+// stored result's Final is read from — its header and its raw float
+// section — instead of wherever a seed lands it: both are quarantined
+// intact and repaired bit-identically, and the row restores again.
 func TestResultSectionRotRepaired(t *testing.T) {
 	for _, section := range []string{"metadata", "floats"} {
 		t.Run(section, func(t *testing.T) {
@@ -195,17 +245,18 @@ func TestResultSectionRotRepaired(t *testing.T) {
 			base := runJob(t, s, chaosSpec())
 			baseFinal := append([]float64(nil), base.Result.Final...)
 
-			resKey := "results/" + base.Hash + ".res"
-			p := filepath.Join(dir, filepath.FromSlash(resKey))
+			endKey := endCheckpointKey(chaosSpec())
+			p := filepath.Join(dir, filepath.FromSlash(endKey))
 			data, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The float section is the file's tail, 8 bytes a float; the
-			// metadata section ends just before it.
+			orig := bytes.Clone(data)
+			// The snapshot is a header (magic, hour, dimensions, section tag
+			// and length), then 8 bytes a float, then a 4-byte CRC.
 			off := len(data) - 4*len(baseFinal)
 			if section == "metadata" {
-				off = len(data) - 8*len(baseFinal) - 1
+				off = len(data) - 4 - 8*len(baseFinal) - 1
 			}
 			data[off] ^= 0xff
 			if err := os.WriteFile(p, data, 0o644); err != nil {
@@ -217,15 +268,55 @@ func TestResultSectionRotRepaired(t *testing.T) {
 			if c := sc.Counters(); c.Quarantined != 1 || c.Repairs != 1 || c.RepairFailures != 0 {
 				t.Errorf("Quarantined/Repairs/RepairFailures = %d/%d/%d, want 1/1/0", c.Quarantined, c.Repairs, c.RepairFailures)
 			}
-			qdata, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.FromSlash(resKey)))
+			qdata, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.FromSlash(endKey)))
 			if err != nil || !bytes.Equal(qdata, data) {
-				t.Errorf("rotten result not preserved in quarantine (err %v)", err)
+				t.Errorf("rotten checkpoint not preserved in quarantine (err %v)", err)
+			}
+			if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, orig) {
+				t.Errorf("repaired checkpoint not bit-identical to the original (err %v)", err)
 			}
 			res, ok := st.GetResult(base.Hash)
-			if !ok || !reflect.DeepEqual(res.Final, baseFinal) {
+			if !ok || !reflect.DeepEqual(res.Final, baseFinal) || res.PeakO3 != base.Result.PeakO3 {
 				t.Error("repaired result missing or not bit-identical to the baseline")
 			}
+			restoreAll(t, st, baseFinal, chaosSpec())
 		})
+	}
+}
+
+// A rotten row is quarantine-only: nothing is recomputed, its spec is a
+// miss, and the next submission reprices the physics still on record and
+// writes the row back byte for byte.
+func TestRottenRowQuarantinedThenRewrittenBySubmission(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := newSched(t, st)
+	base := runJob(t, s, chaosSpec())
+	rowKey := "specs/" + base.Hash + ".spec"
+	orig, err := st.Backend().Get(rowKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotten := flipByte(t, dir, rowKey, rand.New(rand.NewSource(7)))
+
+	sc := New(Options{Store: st, Interval: -1, Repair: s, RepairTimeout: 2 * time.Minute, Logf: t.Logf})
+	sc.Pass(context.Background())
+	if c := sc.Counters(); c.Quarantined != 1 || c.Repairs != 0 || c.RepairFailures != 0 {
+		t.Errorf("Quarantined/Repairs/RepairFailures = %d/%d/%d, want 1/0/0", c.Quarantined, c.Repairs, c.RepairFailures)
+	}
+	if q, err := os.ReadFile(filepath.Join(dir, "quarantine", filepath.FromSlash(rowKey))); err != nil || !bytes.Equal(q, rotten) {
+		t.Errorf("rotten row not preserved in quarantine (err %v)", err)
+	}
+	if _, ok := st.GetResult(base.Hash); ok {
+		t.Error("a result was served with its row in quarantine")
+	}
+
+	again := runJob(t, newSched(t, st), chaosSpec())
+	if again.FromStore || !again.PhysicsReplay || !reflect.DeepEqual(again.Result, base.Result) {
+		t.Errorf("resubmission with the row gone: want a replay of the stored physics equal to the first run, got %+v", again)
+	}
+	if got, err := st.Backend().Get(rowKey); err != nil || !bytes.Equal(got, orig) {
+		t.Errorf("rewritten row is not byte-identical to the original (err %v)", err)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // Every entry is also indexed by its physics key — the end-of-run prefix
 // hash P(end) of its spec — so a physics replay can take trace, peaks and
 // Final, and a prediction its trace, from a cached result of the same
-// physics (see lookup).
-// An index on the same entries, not a second cache: at most one element
-// per key (the newest put), inside the one bound, dropped with its entry.
+// physics (see lookup). Results made that way share those slices with
+// their donor, so the byte cap charges them once per physics, not once
+// per entry: 120 pricings of one LA run hold one megabyte of Final.
+// An index on the same entries, not a second cache: one donor per key
+// (the newest put), inside the one bound, dropped with its entry.
 //
 // Not safe for concurrent use; the scheduler serialises access under its
 // own mutex.
@@ -30,7 +32,7 @@ type resultCache struct {
 	bytes   int64
 	order   *list.List // front = most recently used
 	entries map[string]*list.Element
-	physics map[string]*list.Element // by physics key; see above
+	physics map[string]*physicsShare // by physics key; see above
 
 	hits, misses, evictions uint64
 }
@@ -39,6 +41,18 @@ type cacheEntry struct {
 	hash    string
 	physics string
 	res     *core.Result
+	bytes   int64 // charged to this entry alone; see physicsShare
+}
+
+// physicsShare is what the entries of one physics have in common: the
+// newest of them (the donor; nil once evicted, until the next put), their
+// number, and the Final array whose bytes, with the trace's, are charged
+// once for all and released with the last. An entry with a copy of its own
+// (a whole frame from the store, a concurrent cold run) pays in full.
+type physicsShare struct {
+	donor   *list.Element
+	entries int
+	final   []float64
 	bytes   int64
 }
 
@@ -50,7 +64,7 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		entries:    make(map[string]*list.Element),
-		physics:    make(map[string]*list.Element),
+		physics:    make(map[string]*physicsShare),
 	}
 }
 
@@ -69,8 +83,8 @@ func (c *resultCache) get(hash string) (*core.Result, bool) {
 // getPhysics returns some cached result of the given physics, or nil: a
 // donor lookup, not a submission outcome, so recency and counters stay.
 func (c *resultCache) getPhysics(physics string) *core.Result {
-	if el, ok := c.physics[physics]; ok {
-		return el.Value.(*cacheEntry).res
+	if sh := c.physics[physics]; sh != nil && sh.donor != nil {
+		return sh.donor.Value.(*cacheEntry).res
 	}
 	return nil
 }
@@ -87,10 +101,21 @@ func (c *resultCache) put(hash, physics string, res *core.Result) {
 		c.order.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{hash: hash, physics: physics, res: res, bytes: approxResultBytes(res)}
+	own, shared := approxResultBytes(res)
+	sh := c.physics[physics]
+	switch {
+	case sh == nil:
+		sh = &physicsShare{final: res.Final, bytes: shared}
+		c.physics[physics] = sh
+		c.bytes += shared
+	case len(res.Final) == 0 || len(sh.final) == 0 || &res.Final[0] != &sh.final[0]:
+		own += shared
+	}
+	e := &cacheEntry{hash: hash, physics: physics, res: res, bytes: own}
 	el := c.order.PushFront(e)
-	c.entries[hash], c.physics[physics] = el, el
-	c.bytes += e.bytes
+	c.entries[hash] = el
+	sh.donor, sh.entries = el, sh.entries+1
+	c.bytes += own
 	for c.order.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.order.Len() > 1) {
 		c.evictOldest()
 	}
@@ -105,8 +130,13 @@ func (c *resultCache) evictOldest() {
 	e := el.Value.(*cacheEntry)
 	c.order.Remove(el)
 	delete(c.entries, e.hash)
-	if c.physics[e.physics] == el {
+	sh := c.physics[e.physics]
+	if sh.donor == el {
+		sh.donor = nil
+	}
+	if sh.entries--; sh.entries == 0 {
 		delete(c.physics, e.physics)
+		c.bytes -= sh.bytes
 	}
 	c.bytes -= e.bytes
 	c.evictions++
@@ -115,25 +145,26 @@ func (c *resultCache) evictOldest() {
 // len returns the number of cached entries.
 func (c *resultCache) len() int { return c.order.Len() }
 
-// approxResultBytes estimates a result's in-memory footprint: the large
-// float slices (final concentrations, per-step trace records) dominate,
-// so maps and scalars are charged with a small flat overhead.
-func approxResultBytes(res *core.Result) int64 {
+// approxResultBytes estimates a result's in-memory footprint: shared, the
+// large float slices that dominate (final concentrations, per-step trace
+// records) and that a result assembled from held physics shares with its
+// donor, and own, the rest, with maps and scalars at a small flat overhead.
+func approxResultBytes(res *core.Result) (own, shared int64) {
 	const w = 8
-	b := int64(256) // scalars, map headers
-	b += int64(len(res.Final)) * w
-	b += int64(len(res.HourlyPeakO3)) * w
-	b += int64(len(res.NodeUtilization)) * w
-	b += int64(len(res.CommSeconds)+len(res.RedistCounts)) * 48
+	own = 256 // scalars, map headers
+	own += int64(len(res.HourlyPeakO3)) * w
+	own += int64(len(res.NodeUtilization)) * w
+	own += int64(len(res.CommSeconds)+len(res.RedistCounts)) * 48
+	shared = int64(len(res.Final)) * w
 	if res.Trace != nil {
 		for i := range res.Trace.Hours {
 			h := &res.Trace.Hours[i]
-			b += 64
+			own += 64
 			for j := range h.Steps {
 				st := &h.Steps[j]
-				b += int64(len(st.LayerFlops)+len(st.CellFlops))*w + 32
+				shared += int64(len(st.LayerFlops)+len(st.CellFlops))*w + 32
 			}
 		}
 	}
-	return b
+	return own, shared
 }

@@ -9,7 +9,6 @@ import (
 
 	"airshed/internal/machine"
 	"airshed/internal/scenario"
-	"airshed/internal/store"
 )
 
 // The scheduler's integrity hooks: cost-derived per-job deadlines, the
@@ -147,32 +146,9 @@ func (s *Scheduler) watchJob(ctx context.Context, cancel context.CancelFunc, j *
 	}
 }
 
-// persistManifest writes the spec's repair manifest (canonical spec
-// JSON plus its physics-prefix boundary hashes) under the scenario
-// hash. The integrity scrubber inverts this mapping: a quarantined
-// result resolves by hash directly, a quarantined record or checkpoint
-// by scanning manifests for the matching prefix hash. Best-effort —
-// a lost manifest costs repairability of future quarantines, nothing
-// else.
-func (s *Scheduler) persistManifest(spec scenario.Spec, hash string) {
-	if s.opts.Store == nil {
-		return
-	}
-	n := spec.Normalize()
-	payload, err := json.Marshal(n)
-	if err != nil {
-		return
-	}
-	phs := make([]string, 0, n.Hours)
-	for k := n.StartHour + 1; k <= n.EndHour(); k++ {
-		phs = append(phs, n.PhysicsPrefixHash(k))
-	}
-	_ = s.opts.Store.PutManifest(hash, &store.SpecManifest{Spec: payload, PrefixHashes: phs})
-}
-
 // Recompute force-enqueues a spec for full re-execution, bypassing the
 // result cache, the stored-result fast path and every warm start: the
-// run simulates cold and re-persists its result, all hour records and
+// run simulates cold and re-persists its row, all hour records and
 // all checkpoints — the integrity scrubber's repair primitive after an
 // artifact is quarantined. Determinism makes the regenerated artifacts
 // bit-identical to the lost ones. It is Submit with the held rungs

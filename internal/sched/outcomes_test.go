@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"airshed/internal/core"
 	"airshed/internal/scenario"
 	"airshed/internal/store"
 )
@@ -84,6 +86,13 @@ func TestEveryOutcomeInOrder(t *testing.T) {
 		return func() (JobStatus, error) { return s.Submit(spec) }
 	}
 	var coldID, queuedID string
+	// executed[hash] is the result a job computed (or replayed) for a spec;
+	// a later store hit on the same spec must hand back its equal.
+	executed := map[string]*core.Result{}
+	// key is the backend key of one of base's physics artifacts.
+	key := func(kind, ext string, hour int) string {
+		return kind + "/" + base.Normalize().PhysicsPrefixHash(hour) + ext
+	}
 
 	// finished is what a step's job must look like once done; nil for steps
 	// that leave their job in flight (or have none).
@@ -103,6 +112,7 @@ func TestEveryOutcomeInOrder(t *testing.T) {
 		moved   outcomes
 		wrote   map[string]int
 		want    *finished
+		restore bool // the job's result must equal the executed one, bit for bit
 	}{
 		{name: "cold (enqueued)", do: func() (JobStatus, error) {
 			st, err := s.Submit(base)
@@ -133,33 +143,68 @@ func TestEveryOutcomeInOrder(t *testing.T) {
 		// The queue drains: the cold run, then its queued sibling as a
 		// replay of the physics the cold run just cached.
 		{name: "cold (finished)", do: func() (JobStatus, error) {
-			awaitDone(t, s, queuedID)
+			queued := awaitDone(t, s, queuedID)
+			executed[queued.Hash] = queued.Result
 			return s.Status(coldID)
 		}, moved: outcomes{PhysicsReplays: 1},
-			wrote: map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindResult: 2, store.KindSpec: 2},
+			wrote: map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindSpec: 2},
 			want:  &finished{stored: simulated, attempt: 1}},
 		{name: "cache hit", do: submit(base),
 			moved: outcomes{Submitted: 1, CacheHits: 1},
 			want:  &finished{cached: true, stored: served}},
 		{name: "cached-physics replay", do: submit(nodes(6)),
 			moved: outcomes{Submitted: 1, CacheMisses: 1, PhysicsReplays: 1},
-			wrote: map[string]int{store.KindResult: 1, store.KindSpec: 1},
+			wrote: map[string]int{store.KindSpec: 1},
 			want:  &finished{replay: true, warmHour: 2, stored: served, attempt: 1}},
 		{name: "stored-physics replay", restart: true, do: submit(nodes(7)),
 			moved: outcomes{Submitted: 1, CacheMisses: 1, PhysicsReplays: 1},
-			wrote: map[string]int{store.KindResult: 1, store.KindSpec: 1},
+			wrote: map[string]int{store.KindSpec: 1},
 			want:  &finished{replay: true, warmHour: 2, stored: served, attempt: 1}},
+		// Row + held physics: the first restore reads records and the
+		// end-of-run checkpoint, the second takes them from the first.
 		{name: "store hit after restart", do: submit(base),
-			moved: outcomes{Submitted: 1, StoreHits: 1},
-			want:  &finished{cached: true, fromStore: true, stored: served}},
+			moved: outcomes{Submitted: 1, StoreHits: 1}, restore: true,
+			want: &finished{cached: true, fromStore: true, stored: served}},
+		{name: "store hit sharing the cached physics", do: submit(nodes(6)),
+			moved: outcomes{Submitted: 1, StoreHits: 1}, restore: true,
+			want: &finished{cached: true, fromStore: true, stored: served}},
 		{name: "warm start", do: submit(long),
 			moved: outcomes{Submitted: 1, CacheMisses: 1, WarmStarts: 1},
-			wrote: map[string]int{store.KindRecord: 1, store.KindCheckpoint: 1, store.KindResult: 1, store.KindSpec: 1},
+			wrote: map[string]int{store.KindRecord: 1, store.KindCheckpoint: 1, store.KindSpec: 1},
 			want:  &finished{warmHour: 2, stored: []bool{true, true, false}, attempt: 1}},
 		{name: "repair", do: func() (JobStatus, error) { return s.Recompute(base) },
 			moved: outcomes{Submitted: 1, CacheMisses: 1, Repairs: 1},
-			wrote: map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindResult: 1, store.KindSpec: 1},
+			wrote: map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindSpec: 1},
 			want:  &finished{stored: simulated, attempt: 1}},
+		// A row is never an answer without its physics: the spec becomes a
+		// job, resolves down the ladder from what survives, and the row and
+		// the lost artifact are written again.
+		{name: "row, end-of-run checkpoint evicted", restart: true, do: func() (JobStatus, error) {
+			if err := backend.Delete(key(store.KindCheckpoint, ".snap", 2)); err != nil {
+				t.Fatal(err)
+			}
+			return s.Submit(base)
+		}, moved: outcomes{Submitted: 1, CacheMisses: 1, WarmStarts: 1},
+			wrote: map[string]int{store.KindRecord: 1, store.KindCheckpoint: 1, store.KindSpec: 1},
+			want:  &finished{warmHour: 1, stored: []bool{true, false}, attempt: 1}, restore: true},
+		{name: "row, first hour record rotten", restart: true, do: func() (JobStatus, error) {
+			rec := key(store.KindRecord, ".rec", 1)
+			data, err := backend.Get(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = bytes.Clone(data)
+			data[len(data)/2] ^= 0x40
+			if err := backend.MemBackend.Put(rec, data); err != nil {
+				t.Fatal(err)
+			}
+			return s.Submit(nodes(3))
+		}, moved: outcomes{Submitted: 1, CacheMisses: 1},
+			wrote: map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindSpec: 1},
+			want:  &finished{stored: simulated, attempt: 1}, restore: true},
+		{name: "store hit once the physics is whole again", restart: true, do: submit(nodes(7)),
+			moved: outcomes{Submitted: 1, StoreHits: 1}, restore: true,
+			want: &finished{cached: true, fromStore: true, stored: served}},
 	}
 	for _, step := range steps {
 		if step.restart {
@@ -200,6 +245,16 @@ func TestEveryOutcomeInOrder(t *testing.T) {
 			if ev.Hour != i || ev.Stored != w.stored[i] || ev.Attempt != w.attempt {
 				t.Errorf("%s: event %d = %+v, want stored=%v attempt=%d", step.name, i, ev, w.stored[i], w.attempt)
 			}
+		}
+		was := executed[st.Hash]
+		switch {
+		case was == nil:
+			executed[st.Hash] = st.Result
+		case !step.restore:
+		case !reflect.DeepEqual(st.Result, was):
+			t.Errorf("%s: result differs from the one first executed:\n got  %+v\n want %+v", step.name, st.Result, was)
+		case finalSHA(st.Result.Final) != finalSHA(was.Final):
+			t.Errorf("%s: sha256(Final) differs from the executed run's", step.name)
 		}
 	}
 }

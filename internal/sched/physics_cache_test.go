@@ -180,6 +180,68 @@ func TestCachedPhysicsReplayNeverWritesDonor(t *testing.T) {
 	}
 }
 
+// A replayed result shares Final and the trace's step records with its
+// donor, so the byte cap charges them once per physics: two hundred
+// pricings of one run fit a cache that holds a dozen whole results, the
+// donor among them, and the gauge reads one physics plus two hundred rows.
+func TestReplaysChargeTheirPhysicsOnce(t *testing.T) {
+	donor := New(Options{Workers: 1})
+	res := awaitDone(t, donor, mustSubmit(t, donor, physSpec()).ID).Result
+	shutdown(t, donor)
+	own, shared := approxResultBytes(res)
+	if shared < 10*own {
+		t.Fatalf("mini result: %d own bytes, %d shared; the test assumes the physics dominates", own, shared)
+	}
+
+	st, err := store.OpenBackend(store.NewMemBackend(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 2, Store: st, CacheEntries: 256, CacheBytes: 12 * (own + shared)})
+	defer shutdown(t, s)
+	awaitDone(t, s, mustSubmit(t, s, physSpec()).ID)
+	var ids []string
+	for nodes := 3; len(ids) < 200; nodes++ {
+		for _, m := range []string{"t3e", "t3d", "paragon"} {
+			for _, mode := range []string{scenario.ModeData, scenario.ModeTask} {
+				spec := physSpec()
+				spec.Machine, spec.Nodes, spec.Mode = m, nodes, mode
+				ids = append(ids, mustSubmit(t, s, spec).ID)
+			}
+		}
+		for _, id := range ids[len(ids)-6:] {
+			if fin := awaitDone(t, s, id); !fin.PhysicsReplay {
+				t.Fatalf("not a physics replay: %+v", fin)
+			}
+		}
+	}
+	c := s.Counters()
+	rows := int64(c.CacheEntries) * 2 * own // utilization grows with the node count
+	if c.Evictions != 0 || c.CacheEntries != len(ids)+1 || c.CacheBytes < shared || c.CacheBytes > shared+rows {
+		t.Errorf("after %d replays: %d evictions, %d entries, %d bytes; want 0, %d, between %d and %d",
+			len(ids), c.Evictions, c.CacheEntries, c.CacheBytes, len(ids)+1, shared, shared+rows)
+	}
+	if hit := mustSubmit(t, s, physSpec()); !hit.Cached {
+		t.Errorf("the donor was evicted by its own replays: %+v", hit)
+	}
+
+	// A second copy of the same physics shares nothing and pays in full;
+	// evicting entries gives back exactly what they were charged.
+	cache := newResultCache(2, 0)
+	copied := *res
+	copied.Final = append([]float64(nil), res.Final...)
+	cache.put("a", "p", res)
+	cache.put("b", "p", &copied)
+	if want := 2 * (own + shared); cache.bytes != want {
+		t.Errorf("two unshared results charged %d bytes, want %d", cache.bytes, want)
+	}
+	cache.put("c", "q", res)
+	cache.put("d", "q", res)
+	if cache.bytes != 2*own+shared || cache.getPhysics("p") != nil || len(cache.physics) != 1 {
+		t.Errorf("after eviction: %d bytes (want %d), physics index %v", cache.bytes, 2*own+shared, cache.physics)
+	}
+}
+
 func blobCount(t *testing.T, st *store.Store) map[string]int {
 	t.Helper()
 	infos, err := st.ListBlobs()
@@ -224,7 +286,7 @@ func TestRecomputeIgnoresCachedPhysics(t *testing.T) {
 	if finalSHA(fin.Result.Final) != finalSHA(base.Result.Final) {
 		t.Error("recomputed Final differs from the original run")
 	}
-	want := map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindResult: 1, store.KindSpec: 1}
+	want := map[string]int{store.KindRecord: 2, store.KindCheckpoint: 2, store.KindSpec: 1}
 	if got := blobCount(t, st); !reflect.DeepEqual(got, want) {
 		t.Errorf("artifacts after the repair: %v, want %v", got, want)
 	}
@@ -346,8 +408,8 @@ func TestCachedReplayOverRottenCheckpoint(t *testing.T) {
 
 // BenchmarkPhysicsReplay times the replay path end to end on a memory
 // backend: seed one mini run, then resolve b.N distinct machine / node /
-// mode variants of its physics (Submit, executeStored, core.Replay,
-// PutResult, PutManifest). -benchmem shows the path's allocation profile.
+// mode variants of its physics (Submit, lookup, core.Replay, PutManifest).
+// -benchmem shows the path's allocation profile.
 func BenchmarkPhysicsReplay(b *testing.B) {
 	var specs []scenario.Spec
 	for nodes := 3; nodes < 43; nodes++ {

@@ -16,9 +16,10 @@
 //     is attached to that job (same job ID) instead of enqueueing a
 //     duplicate — the single-flight guarantee;
 //   - store hit: the scenario completed in a previous process and its
-//     result survives in the persistent artifact store (Options.Store);
-//     it is verified, promoted into the LRU cache and returned as a
-//     finished job — daemon restarts do not forget completed scenarios;
+//     row survives in the persistent artifact store (Options.Store) with
+//     the physics it names held whole; the result is assembled from the
+//     two, promoted into the LRU cache and returned as a finished job —
+//     daemon restarts do not forget completed scenarios;
 //   - cache miss: the scenario is enqueued (an integrity repair is a
 //     forced miss: it skips the two held-result outcomes above);
 //   - rejected: the bounded queue is at depth and the submission is
@@ -29,7 +30,9 @@
 // scenario physics-prefix hash, and new jobs resume from the longest
 // stored prefix via core.RestartContext — or skip simulation entirely
 // when the whole run's physics is on record, or already held by a cached
-// result of the same physics (see warm.go).
+// result of the same physics (see warm.go). A row whose physics is gone
+// (evicted, quarantined, never written) is a miss like any other and
+// resolves down that same ladder.
 //
 // Every job carries a context cancelled by Cancel, by the per-job
 // timeout, or by scheduler shutdown-with-deadline; the core driver
@@ -47,6 +50,7 @@ import (
 	"time"
 
 	"airshed/internal/core"
+	"airshed/internal/datasets"
 	"airshed/internal/perfmodel"
 	"airshed/internal/resilience"
 	"airshed/internal/scenario"
@@ -455,10 +459,19 @@ func (s *Scheduler) admit(spec scenario.Spec, repair bool) (JobStatus, error) {
 
 	// Persistent store: the read does disk I/O and CRC verification, so
 	// release the lock and re-resolve afterwards — the world may have
-	// moved (shutdown begun, a twin enqueued, the cache filled).
+	// moved (shutdown begun, a twin enqueued, the cache filled). The row's
+	// physics comes through lookup: pricings of one physics restored in
+	// turn share the first one's Final, not a checkpoint decode each.
 	if s.opts.Store != nil && !repair {
 		s.mu.Unlock()
-		stored, found := s.opts.Store.GetResult(hash)
+		stored, found := s.opts.Store.Restore(hash, func(*store.SpecManifest) ([]*store.PhysicsRecord, []float64) {
+			ds, err := datasets.ByName(spec.Dataset)
+			if err != nil {
+				return nil, nil
+			}
+			h := s.lookup(spec, ds.Shape, false)
+			return h.hours, h.final
+		})
 		s.mu.Lock()
 		if s.closed {
 			s.counters.Submitted-- // the submission never happened
@@ -528,7 +541,7 @@ func (s *Scheduler) attachLocked(spec scenario.Spec, hash string, repair bool) (
 	if !repair {
 		if res, ok := s.cache.get(hash); ok {
 			s.counters.CacheHits++
-			s.repersistLocked(hash, res)
+			s.repersistLocked(spec, hash, res)
 			return s.finishedLocked(spec, hash, res, false), true
 		}
 	}
@@ -772,11 +785,11 @@ func (s *Scheduler) Persistent() bool { return s.opts.Store != nil }
 // and persist their own artifact kinds next to the run results.
 func (s *Scheduler) Store() *store.Store { return s.opts.Store }
 
-// repersistLocked re-issues the failed store write of a cached result
+// repersistLocked re-issues the failed row write of a cached result
 // (s.mu held; the write itself runs off-lock). The hash is removed from
 // the unpersisted set before the attempt so concurrent cache hits don't
 // pile up duplicate writers, and put back if the store fails again.
-func (s *Scheduler) repersistLocked(hash string, res *core.Result) {
+func (s *Scheduler) repersistLocked(spec scenario.Spec, hash string, res *core.Result) {
 	if s.opts.Store == nil {
 		return
 	}
@@ -785,7 +798,7 @@ func (s *Scheduler) repersistLocked(hash string, res *core.Result) {
 	}
 	delete(s.unpersisted, hash)
 	go func() {
-		if err := s.opts.Store.PutResult(hash, res); err != nil {
+		if err := s.persistRow(spec, hash, res); err != nil {
 			s.mu.Lock()
 			s.unpersisted[hash] = struct{}{}
 			s.mu.Unlock()
@@ -913,17 +926,12 @@ func (s *Scheduler) runJob(j *job) {
 		s.mu.Unlock()
 	})
 	if err == nil && s.opts.Store != nil {
-		// Persist outside the scheduler lock; a failure costs future
-		// restarts their head start, so remember the hash — the next
-		// cache hit re-issues the write (see repersistLocked).
-		perr := s.opts.Store.PutResult(j.hash, res)
-		if perr == nil {
-			// Record the result-hash → spec mapping the integrity
-			// scrubber needs to turn a quarantined artifact back into a
-			// recomputable job (best-effort: a lost manifest only costs
-			// repairability, not correctness).
-			s.persistManifest(j.spec, j.hash)
-		}
+		// The job's one write of its own, the row (its physics went to
+		// the store hour by hour, or was there already), outside the
+		// scheduler lock; a failure costs future restarts their head
+		// start, so remember the hash — the next cache hit re-issues the
+		// write (see repersistLocked).
+		perr := s.persistRow(j.spec, j.hash, res)
 		s.mu.Lock()
 		if perr != nil {
 			s.unpersisted[j.hash] = struct{}{}

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"runtime/debug"
 
 	"airshed/internal/core"
@@ -17,8 +18,10 @@ import (
 // cached result or, with a persistent artifact store, on disk — and how a
 // job executes from it. Every executed job feeds the store (hourly
 // checkpoints keyed by the physics-prefix hash, one physics record per
-// simulated hour, the full result under the scenario hash); every new job
-// and every Trace request asks lookup before anything is simulated.
+// simulated hour, and its row — spec, prefixes, pricing — under the
+// scenario hash); every new job, every stored row on its way back to being
+// a result and every Trace request asks lookup before anything is
+// simulated.
 //
 // Store layout contract (shared with scenario.Spec.PhysicsPrefixHash):
 //
@@ -28,7 +31,10 @@ import (
 //   - record P(k): the work trace and ozone diagnostics of hour k-1
 //     alone (a one-hour store.PhysicsRecord). Stitching the records
 //     P(StartHour+1 .. k) reconstructs the prefix trace without storing
-//     any hour twice across overlapping prefixes.
+//     any hour twice across overlapping prefixes;
+//   - row S: the run's store.SpecManifest. With records P(StartHour+1 ..
+//     EndHour) and checkpoint P(EndHour) it is the stored result; the
+//     megabyte of Final exists once per physics, not once per pricing.
 //
 // Every store interaction is best-effort: a missing, corrupt or evicted
 // artifact degrades to a shorter prefix and ultimately to a cold run,
@@ -235,41 +241,42 @@ func (s *Scheduler) carryOut(ctx context.Context, j *job, cfg core.Config, h hel
 // driver keeps the data-schedule utilization even in task mode), the
 // mode's own replay the ledger.
 func assembleResult(cfg core.Config, hours []*store.PhysicsRecord, final []float64) (*core.Result, error) {
-	tr := &core.Trace{Dataset: cfg.Dataset.Name, Shape: cfg.Dataset.Shape}
-	var peaks []float64
-	var cells []int
-	for _, rec := range hours {
-		tr.Hours = append(tr.Hours, rec.Trace.Hours...)
-		peaks = append(peaks, rec.HourlyPeakO3...)
-		cells = append(cells, rec.HourlyPeakCell...)
+	res, err := store.Assemble(hours, final)
+	if err != nil {
+		return nil, err
 	}
-	res := &core.Result{
-		Trace:          tr,
-		Final:          final,
-		TotalSteps:     tr.TotalSteps(),
-		HourlyPeakO3:   peaks,
-		HourlyPeakCell: cells,
-	}
-	for i, v := range peaks {
-		if v > res.PeakO3 {
-			res.PeakO3 = v
-			res.PeakO3Cell = cells[i]
-		}
-	}
-	dr, err := core.Replay(tr, cfg.Machine, cfg.Nodes, core.DataParallel)
+	dr, err := core.Replay(res.Trace, cfg.Machine, cfg.Nodes, core.DataParallel)
 	if err != nil {
 		return nil, err
 	}
 	res.NodeUtilization, res.Efficiency = dr.NodeUtilization, dr.Efficiency
 	res.Ledger, res.CommSeconds, res.RedistCounts = dr.Ledger, dr.CommSeconds, dr.RedistCounts
 	if cfg.Mode == core.TaskParallel {
-		trr, err := core.Replay(tr, cfg.Machine, cfg.Nodes, core.TaskParallel)
+		trr, err := core.Replay(res.Trace, cfg.Machine, cfg.Nodes, core.TaskParallel)
 		if err != nil {
 			return nil, err
 		}
 		res.Ledger, res.CommSeconds, res.RedistCounts = trr.Ledger, trr.CommSeconds, trr.RedistCounts
 	}
 	return res, nil
+}
+
+// persistRow writes a completed run's row under its scenario hash: the
+// normalized spec, the prefix hashes of its hours, res's pricing.
+func (s *Scheduler) persistRow(n scenario.Spec, hash string, res *core.Result) error {
+	payload, err := json.Marshal(n)
+	if err != nil {
+		return err
+	}
+	phs := make([]string, 0, n.Hours)
+	for k := n.StartHour + 1; k <= n.EndHour(); k++ {
+		phs = append(phs, n.PhysicsPrefixHash(k))
+	}
+	row := &store.SpecManifest{Spec: payload, PrefixHashes: phs}
+	if err := row.SetPricing(res); err != nil {
+		return err
+	}
+	return s.opts.Store.PutManifest(hash, row)
 }
 
 // hourRecords views res's physics as one record per hour, sharing its

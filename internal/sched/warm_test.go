@@ -147,17 +147,19 @@ func TestWarmStartMatchesColdRun(t *testing.T) {
 	}
 }
 
-// Resubmitting a completed scenario after the result entry is lost (but
-// physics records and checkpoints survive) must materialise the result
-// from stored physics without simulating.
+// Resubmitting a completed scenario after its row is lost (but physics
+// records and checkpoints survive) must materialise the result from
+// stored physics without simulating.
 func TestPhysicsReplayMaterialisesResult(t *testing.T) {
 	dir := t.TempDir()
 	spec := miniSpec()
 	spec.Hours = 2
 	cold := runOne(t, openStore(t, dir), spec)
 
-	// Drop only the result artifact, as a byte-capped GC might.
-	os.Remove(filepath.Join(dir, "results", spec.Hash()+".res"))
+	// Drop only the row, as a byte-capped GC might.
+	if err := os.Remove(filepath.Join(dir, "specs", spec.Hash()+".spec")); err != nil {
+		t.Fatal(err)
+	}
 
 	st2 := openStore(t, dir)
 	s2 := New(Options{Workers: 1, Store: st2})
@@ -181,7 +183,9 @@ func TestPhysicsReplayTaskMode(t *testing.T) {
 	spec.Mode = scenario.ModeTask
 	cold := runOne(t, openStore(t, dir), spec)
 
-	os.Remove(filepath.Join(dir, "results", spec.Hash()+".res"))
+	if err := os.Remove(filepath.Join(dir, "specs", spec.Hash()+".spec")); err != nil {
+		t.Fatal(err)
+	}
 	job := runOne(t, openStore(t, dir), spec)
 	if !job.PhysicsReplay {
 		t.Fatalf("expected a physics replay, got %+v", job)
@@ -235,26 +239,26 @@ func TestCorruptCheckpointFallsBackToColdRun(t *testing.T) {
 	}
 }
 
-// failResultsBackend wraps a MemBackend, failing result writes while
+// failRowsBackend wraps a MemBackend, failing row writes while
 // armed — the shape of a store outage that outlives a job's completion.
-type failResultsBackend struct {
+type failRowsBackend struct {
 	*store.MemBackend
 	armed atomic.Bool
 }
 
-func (b *failResultsBackend) Put(key string, data []byte) error {
-	if b.armed.Load() && strings.HasPrefix(key, "results/") {
-		return errors.New("backend: simulated result-write failure")
+func (b *failRowsBackend) Put(key string, data []byte) error {
+	if b.armed.Load() && strings.HasPrefix(key, "specs/") {
+		return errors.New("backend: simulated row-write failure")
 	}
 	return b.MemBackend.Put(key, data)
 }
 
 // TestCacheHitRepersistsFailedStoreWrite pins the recovery guarantee the
-// fleet journal depends on: a result whose store write failed lives only
+// fleet journal depends on: a result whose row write failed lives only
 // in the LRU cache, and the next cache hit writes it back — so every
 // completed result eventually reaches the store once it heals.
 func TestCacheHitRepersistsFailedStoreWrite(t *testing.T) {
-	backend := &failResultsBackend{MemBackend: store.NewMemBackend()}
+	backend := &failRowsBackend{MemBackend: store.NewMemBackend()}
 	st, err := store.OpenBackend(backend, 0)
 	if err != nil {
 		t.Fatal(err)

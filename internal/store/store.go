@@ -1,19 +1,22 @@
 // Package store is the crash-safe, content-addressed artifact store
-// behind the scenario service's persistence: completed run results
-// (keyed by the full scenario hash), machine-independent physics records
-// — work trace plus ozone diagnostics — and hourly concentration
-// checkpoints (both keyed by the scenario physics-prefix hash,
-// scenario.Spec.PhysicsPrefixHash), and source–receptor matrices
-// (internal/sr, keyed by matrix content key). Checkpoints reuse the
-// hourio checksummed snapshot format, so a stored checkpoint is directly
-// consumable by core.Restart; records, manifests and SR matrices travel
-// in a small CRC-framed envelope of gzip-framed gob (AIRSTOR1; stored
-// blocks, see writeMeta); results keep that encoding for their metadata
-// and carry Final — the megabyte gzip measured at ratio 1.0 — as one raw
-// float64 section under a single frame CRC (AIRSRES2; AIRSTOR1 results
-// still read, nothing writes them). Artifacts a daemon is actively
-// serving from memory can be pinned (Pin/Unpin) so the size-capped GC
-// never evicts them mid-serve.
+// behind the scenario service's persistence. A physics is stored once and
+// a pricing is a row: machine-independent physics records — work trace
+// plus ozone diagnostics — and hourly concentration checkpoints are keyed
+// by the scenario physics-prefix hash (scenario.Spec.PhysicsPrefixHash),
+// a completed run is a row (SpecManifest, keyed by the full scenario hash)
+// naming its prefixes and carrying only what machine, node count and mode
+// decide, and Restore joins the two back into a core.Result.
+// Source–receptor matrices (internal/sr) are keyed by matrix content key.
+// Checkpoints reuse the hourio checksummed snapshot format, so a stored
+// checkpoint is directly consumable by core.Restart; records, rows and SR
+// matrices travel in a small CRC-framed envelope of gzip-framed gob
+// (AIRSTOR1; stored blocks, see writeMeta). A whole result — PutResult's
+// self-contained form, and all that stores from before rows hold — keeps
+// that encoding for its metadata and carries Final, the megabyte gzip
+// measured at ratio 1.0, as one raw float64 section under a single frame
+// CRC (AIRSRES2; AIRSTOR1 results still read, nothing writes them).
+// Artifacts a daemon is actively serving from memory can be pinned
+// (Pin/Unpin) so the size-capped GC never evicts them mid-serve.
 //
 // Raw blob bytes live behind a pluggable Backend: the local directory
 // (DirBackend — the default, Open), an in-memory map (MemBackend), or a
@@ -72,6 +75,7 @@ import (
 	"airshed/internal/dist"
 	"airshed/internal/hourio"
 	"airshed/internal/resilience"
+	"airshed/internal/vm"
 )
 
 // ErrDegraded is returned by writes while the store's circuit breaker is
@@ -794,19 +798,94 @@ func (s *Store) getEnveloped(kind, hash, ext string, v any) bool {
 	return s.getVerified(kind, hash, ext, func(data []byte) error { return readEnvelope(data, v) })
 }
 
-// PutResult stores a completed run result under the scenario hash.
+// PutResult stores a completed run result, whole, under the scenario
+// hash: the self-contained form, for a store that holds no physics to
+// assemble it from. The scheduler writes rows (PutManifest) instead.
 func (s *Store) PutResult(specHash string, res *core.Result) error {
 	return s.putEncoded(kindResult, specHash, ".res", func() ([]byte, error) { return encodeResult(res) })
 }
 
-// GetResult returns the stored result for a scenario hash. Corrupt
-// entries are quarantined and reported as a miss.
-func (s *Store) GetResult(specHash string) (res *core.Result, ok bool) {
+// GetResult returns the stored result for a scenario hash, from the
+// store's own artifacts alone (see Restore). Corrupt entries are
+// quarantined and reported as a miss.
+func (s *Store) GetResult(specHash string) (*core.Result, bool) {
+	return s.Restore(specHash, s.Physics)
+}
+
+// Physics reads the physics a row names from the store, verified: one
+// record per hour and the end-of-run checkpoint's concentrations, or
+// nothing if a record is missing or fails its checks.
+func (s *Store) Physics(row *SpecManifest) (hours []*PhysicsRecord, final []float64) {
+	for _, ph := range row.PrefixHashes {
+		rec, ok := s.GetRecord(ph)
+		if !ok {
+			return nil, nil
+		}
+		if hours = append(hours, rec); len(hours) == len(row.PrefixHashes) {
+			cp, _ := s.CheckpointState(ph)
+			final = cp.Conc
+		}
+	}
+	return hours, final
+}
+
+// Restore is the one way a stored result is read back: a row joined with
+// the physics it names, which physics resolves from wherever the caller
+// holds it verified (Physics reads the store; the scheduler asks its
+// cache first). A row whose physics does not come back whole is a miss,
+// never half an answer. Without a row, a whole frame under results/ is
+// served: what PutResult writes, and all that stores from before rows hold.
+func (s *Store) Restore(specHash string, physics func(row *SpecManifest) (hours []*PhysicsRecord, final []float64)) (res *core.Result, ok bool) {
+	if _, err := relpath(kindSpec, specHash, ".spec"); err != nil {
+		return nil, false
+	}
+	row, found := s.GetManifest(specHash)
+	if found && row.Priced() {
+		res, err := Assemble(physics(row))
+		if err != nil || len(res.Trace.Hours) != len(row.PrefixHashes) {
+			return nil, false
+		}
+		row.price(res)
+		return res, true
+	}
+	if !found {
+		// One result looked for in two places is one lookup: the frame
+		// read below books the miss, if it is one.
+		s.mu.Lock()
+		s.counters.Misses--
+		s.mu.Unlock()
+	}
 	ok = s.getVerified(kindResult, specHash, ".res", func(data []byte) (err error) {
 		res, err = decodeResult(data)
 		return err
 	})
 	return res, ok
+}
+
+// Assemble stitches a run's physics — one record per hour from the run
+// start, and the concentrations at their end — into a core.Result with no
+// pricing yet, sharing the records' and final's slices.
+func Assemble(hours []*PhysicsRecord, final []float64) (*core.Result, error) {
+	if len(hours) == 0 {
+		return nil, fmt.Errorf("store: no hour records to assemble")
+	}
+	tr := &core.Trace{Dataset: hours[0].Trace.Dataset, Shape: hours[0].Trace.Shape}
+	if len(final) != tr.Shape.Len() {
+		return nil, fmt.Errorf("store: %d final concentrations for shape %v", len(final), tr.Shape)
+	}
+	res := &core.Result{Trace: tr, Final: final}
+	for _, rec := range hours {
+		tr.Hours = append(tr.Hours, rec.Trace.Hours...)
+		res.HourlyPeakO3 = append(res.HourlyPeakO3, rec.HourlyPeakO3...)
+		res.HourlyPeakCell = append(res.HourlyPeakCell, rec.HourlyPeakCell...)
+	}
+	res.TotalSteps = tr.TotalSteps()
+	for i, v := range res.HourlyPeakO3 {
+		if v > res.PeakO3 {
+			res.PeakO3, res.PeakO3Cell = v, res.HourlyPeakCell[i]
+		}
+	}
+	return res, nil
 }
 
 // PutRecord stores a physics record under a physics-prefix hash.
@@ -872,34 +951,118 @@ func (s *Store) Checkpoint(prefixHash string) (data []byte, hour int, ok bool) {
 	return cp.Data, cp.Hour, ok
 }
 
-// SpecManifest records, for one completed run, the scenario spec that
-// produced it and the physics-prefix hashes its execution writes
-// warm-start artifacts (records, checkpoints) under. Content hashes
-// cannot be inverted back to specs, so the manifest is the integrity
-// scrubber's repair map: a quarantined result resolves to its spec by
-// hash, a quarantined record or checkpoint by scanning manifests'
-// prefix hashes, and re-running the spec regenerates the artifact
-// bit-identically.
+// SpecManifest is one completed run as the store keeps it — a row: the
+// scenario spec that produced it, the physics-prefix hashes its execution
+// wrote records and checkpoints under, and the run's pricing, everything
+// of its core.Result that machine, node count and mode decide. The
+// physics — trace, peaks, Final — is what those hashes name, stored once
+// however many rows price it; Restore puts the two back together. Content
+// hashes cannot be inverted back to specs, so the row is also the
+// integrity scrubber's repair map: a quarantined record or checkpoint
+// resolves to a spec by scanning rows' prefix hashes, and re-running the
+// spec regenerates the artifact bit-identically.
 type SpecManifest struct {
 	// Spec is the canonical JSON encoding of the scenario.Spec, kept as
 	// raw bytes so the store stays independent of the scenario package.
 	Spec []byte
-	// PrefixHashes are the physics-prefix boundary hashes of the spec.
+	// PrefixHashes are the spec's physics-prefix boundary hashes, one per
+	// hour: each keys that hour's record and end-of-hour checkpoint, the
+	// last one the end-of-run state.
 	PrefixHashes []string
+
+	// The pricing (SetPricing); all zero in a manifest from before rows,
+	// whose result is a whole frame. Gob writes a map in iteration order,
+	// so the result's maps are kept as value slices in their keys'
+	// canonical order: a row's bytes are a function of its content, and a
+	// row written again — by a repair, a re-persist, another fleet worker
+	// — is the same blob.
+	Machine         string // the ledger's
+	Nodes           int
+	Total           float64
+	ByCat           []float64 // per vm.Categories()
+	NodeUtilization []float64
+	Efficiency      float64
+	CommSeconds     []float64 // per core.RedistKinds()
+	RedistCounts    []int     // likewise; 0: the kind never ran, and has no map entry
 }
 
-// PutManifest stores a run's repair manifest under its scenario hash.
+// Priced reports whether the manifest carries a pricing, i.e. is a row.
+func (m *SpecManifest) Priced() bool { return m.Nodes > 0 }
+
+// SetPricing copies res's pricing, as core produces it, into the row.
+func (m *SpecManifest) SetPricing(res *core.Result) error {
+	m.Machine, m.Nodes, m.Total = res.Ledger.Machine, res.Ledger.Nodes, res.Ledger.Total
+	m.NodeUtilization, m.Efficiency = res.NodeUtilization, res.Efficiency
+	m.ByCat, m.CommSeconds, m.RedistCounts = nil, nil, nil
+	for _, c := range vm.Categories() {
+		m.ByCat = append(m.ByCat, res.Ledger.ByCat[c])
+	}
+	for _, k := range core.RedistKinds() {
+		m.CommSeconds, m.RedistCounts = append(m.CommSeconds, res.CommSeconds[k]), append(m.RedistCounts, res.RedistCounts[k])
+	}
+	return m.validate()
+}
+
+// price copies the row's pricing into res, SetPricing's inverse.
+func (m *SpecManifest) price(res *core.Result) {
+	res.Ledger = vm.Ledger{Machine: m.Machine, Nodes: m.Nodes, Total: m.Total, ByCat: make(map[vm.Category]float64, len(m.ByCat))}
+	for i, c := range vm.Categories() {
+		res.Ledger.ByCat[c] = m.ByCat[i]
+	}
+	res.NodeUtilization, res.Efficiency = m.NodeUtilization, m.Efficiency
+	res.CommSeconds, res.RedistCounts = make(map[string]float64), make(map[string]int)
+	for i, k := range core.RedistKinds() {
+		if n := m.RedistCounts[i]; n > 0 {
+			res.CommSeconds[k], res.RedistCounts[k] = m.CommSeconds[i], n
+		}
+	}
+}
+
+// validate refuses half a pricing: a manifest with any pricing in it must
+// be a whole row — a machine, nodes, a second per ledger category, a
+// utilization per node, seconds and a count per redistribution kind, at
+// least one physics prefix.
+func (m *SpecManifest) validate() error {
+	if m.Machine == "" && m.Nodes == 0 && m.Total == 0 && m.Efficiency == 0 &&
+		len(m.ByCat)+len(m.NodeUtilization)+len(m.CommSeconds)+len(m.RedistCounts) == 0 {
+		return nil
+	}
+	kinds := len(core.RedistKinds())
+	if m.Machine == "" || m.Nodes <= 0 || len(m.ByCat) != len(vm.Categories()) || len(m.NodeUtilization) != m.Nodes ||
+		len(m.CommSeconds) != kinds || len(m.RedistCounts) != kinds || len(m.PrefixHashes) == 0 {
+		return fmt.Errorf("store: row priced for %q on %d nodes has %d ledger categories, %d node utilizations, %d+%d redistribution kinds, %d physics prefixes",
+			m.Machine, m.Nodes, len(m.ByCat), len(m.NodeUtilization), len(m.CommSeconds), len(m.RedistCounts), len(m.PrefixHashes))
+	}
+	return nil
+}
+
+// decodeRow verifies and decodes a stored manifest, priced or not.
+func decodeRow(data []byte) (*SpecManifest, error) {
+	var m SpecManifest
+	if err := readEnvelope(data, &m); err != nil {
+		return nil, err
+	}
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// PutManifest stores a run's row under its scenario hash.
 func (s *Store) PutManifest(specHash string, m *SpecManifest) error {
+	if err := m.validate(); err != nil {
+		return err
+	}
 	return s.putEnveloped(kindSpec, specHash, ".spec", m)
 }
 
-// GetManifest returns the repair manifest for a scenario hash.
-func (s *Store) GetManifest(specHash string) (*SpecManifest, bool) {
-	var m SpecManifest
-	if !s.getEnveloped(kindSpec, specHash, ".spec", &m) {
-		return nil, false
-	}
-	return &m, true
+// GetManifest returns the row (or unpriced manifest) for a scenario hash.
+func (s *Store) GetManifest(specHash string) (m *SpecManifest, ok bool) {
+	ok = s.getVerified(kindSpec, specHash, ".spec", func(data []byte) (err error) {
+		m, err = decodeRow(data)
+		return err
+	})
+	return m, ok
 }
 
 // SRMatrixKey is the blob key of a stored source–receptor matrix, the
@@ -973,7 +1136,8 @@ func (s *Store) GetBlob(key string) ([]byte, error) {
 // verify through the hourio snapshot format (magic, dimensions, trailing
 // CRC); results through exactly the decode GetResult runs (either
 // layout: frame CRC over every section, section lengths against the
-// blob's size, float count against the trace's shape); every other kind,
+// blob's size, float count against the trace's shape); rows through the
+// decode GetManifest runs (a pricing is whole or absent); every other kind,
 // whose payload type the store does not know, through the AIRSTOR1 frame
 // (magic, length, payload CRC) plus a full gzip decompression, whose
 // stream carries its own trailing checksum. A nil return means every
@@ -988,6 +1152,8 @@ func VerifyBlob(key string, data []byte) error {
 		_, _, _, _, _, _, err = hourio.ReadSnapshot(bytes.NewReader(data))
 	case kindResult:
 		_, err = decodeResult(data)
+	case kindSpec:
+		_, err = decodeRow(data)
 	default:
 		err = readEnvelope(data, nil)
 	}
