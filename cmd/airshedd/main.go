@@ -101,13 +101,11 @@ func run() error {
 		retries      = flag.Int("retries", 3, "attempts per job for transiently-failed runs (1 = no retries)")
 
 		// Integrity subsystem: background store scrubbing with quarantine
-		// + recompute repair, paranoid read verification, and
-		// deadline/watchdog enforcement on running jobs.
+		// + recompute repair, paranoid read verification, and the
+		// stuck-hour watchdog on running jobs.
 		verifyReads    = flag.Bool("verify-reads", false, "re-verify checksums on every store read; rotten blobs quarantine instead of being served")
 		scrubInterval  = flag.Duration("scrub-interval", 5*time.Minute, "idle period between background store scrub passes (0 disables scrubbing; requires -store)")
 		scrubRateMB    = flag.Float64("scrub-rate-mb", 32, "scrub read pacing in MiB/s (0 = unpaced)")
-		maxRunSeconds  = flag.Float64("max-run-seconds", 0, "absolute per-job execution cap in seconds, clamping the cost-derived deadline (0 = none)")
-		deadlineFactor = flag.Float64("deadline-factor", 0, "per-job deadline as a multiple of its perfmodel wall estimate (0 disables)")
 		watchdogFactor = flag.Float64("watchdog-factor", 0, "cancel a job when no hour completes within this multiple of its per-hour estimate, with a stack-dump diagnostic (0 disables)")
 
 		showVersion = flag.Bool("version", false, "print version and exit")
@@ -228,8 +226,6 @@ func run() error {
 		Store:          artifacts,
 		Retry:          resilience.RetryPolicy{MaxAttempts: *retries, Jitter: 0.5},
 		Journal:        journal,
-		DeadlineFactor: *deadlineFactor,
-		MaxRun:         time.Duration(*maxRunSeconds * float64(time.Second)),
 		WatchdogFactor: *watchdogFactor,
 	})
 	replayJournal(journal, scheduler)

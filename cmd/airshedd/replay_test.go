@@ -91,10 +91,10 @@ func TestReplayJournalAvoidsStaleIDCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for j2.Len() != 0 && time.Now().Before(deadline) {
+	for len(j2.Pending()) != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := j2.Len(); n != 0 {
+	if n := len(j2.Pending()); n != 0 {
 		t.Fatalf("journal still holds %d entries after both jobs finished", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -29,30 +30,10 @@ var auditAllow = map[string]string{}
 // an io.Writer / encoder. Per-key updates (`out[k] += v` with k the
 // range key) are order-independent and pass.
 func TestDeterminismAudit(t *testing.T) {
-	a := newAuditor(t)
-	var dirs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata" || n == "out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			if dir := filepath.Dir(path); len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		a.audit(dir)
+	m := loadModule(t)
+	a := &auditor{module: m, allowed: map[string]bool{}, ranges: map[string]int{}}
+	for _, path := range m.paths {
+		a.audit(path)
 	}
 
 	sort.Strings(a.findings)
@@ -115,59 +96,104 @@ func mapInside(t types.Type, seen map[types.Type]bool) string {
 	return ""
 }
 
-type auditor struct {
-	t      *testing.T
+// module is the module's non-test code, type-checked once per test binary
+// and shared by the audits that read it.
+type module struct {
 	fset   *token.FileSet
 	std    types.Importer
 	pkgs   map[string]*types.Package // module packages by import path
 	infos  map[string]*types.Info
 	files  map[string][]*ast.File
+	paths  []string // every package with non-test code, in directory order
 	writer *types.Interface
-
-	findings []string
-	allowed  map[string]bool
-	ranges   map[string]int // map ranges seen, by package directory
 }
 
-func newAuditor(t *testing.T) *auditor {
+var (
+	moduleOnce sync.Once
+	moduleMemo *module
+	moduleErr  error
+)
+
+// loadModule type-checks every non-test package of the module, the
+// first time it is called in a test binary; later calls share the result.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	moduleOnce.Do(func() { moduleMemo, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleMemo
+}
+
+func typeCheckModule() (*module, error) {
 	// The stdlib is type-checked from GOROOT source; without cgo so the
-	// audit needs no C toolchain.
+	// audits need no C toolchain.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	a := &auditor{
-		t: t, fset: fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    map[string]*types.Package{},
-		infos:   map[string]*types.Info{},
-		files:   map[string][]*ast.File{},
-		allowed: map[string]bool{},
-		ranges:  map[string]int{},
+	m := &module{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		pkgs:  map[string]*types.Package{},
+		infos: map[string]*types.Info{},
+		files: map[string][]*ast.File{},
 	}
-	iopkg, err := a.std.Import("io")
+	iopkg, err := m.std.Import("io")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	a.writer = iopkg.Scope().Lookup("Writer").Type().Underlying().(*types.Interface)
-	return a
+	m.writer = iopkg.Scope().Lookup("Writer").Type().Underlying().(*types.Interface)
+
+	var dirs []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata" || n == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			if dir := filepath.Dir(path); len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, dir := range dirs {
+		path := modulePath
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		if _, err := m.check(dir, path); err != nil {
+			return nil, err
+		}
+		m.paths = append(m.paths, path)
+	}
+	return m, nil
 }
 
 const modulePath = "airshed"
 
 // Import resolves module packages from source (memoised) and everything
 // else through the stdlib importer.
-func (a *auditor) Import(path string) (*types.Package, error) {
+func (m *module) Import(path string) (*types.Package, error) {
 	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
-		return a.std.Import(path)
+		return m.std.Import(path)
 	}
 	dir := "." + strings.TrimPrefix(path, modulePath)
-	return a.check(filepath.Clean(dir), path)
+	return m.check(filepath.Clean(dir), path)
 }
 
-func (a *auditor) check(dir, path string) (*types.Package, error) {
-	if p, ok := a.pkgs[path]; ok {
+func (m *module) check(dir, path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
 		return p, nil
 	}
-	parsed, err := parser.ParseDir(a.fset, dir, func(fi fs.FileInfo) bool {
+	parsed, err := parser.ParseDir(m.fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.SkipObjectResolution)
 	if err != nil {
@@ -179,7 +205,7 @@ func (a *auditor) check(dir, path string) (*types.Package, error) {
 			files = append(files, f)
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return a.fset.File(files[i].Pos()).Name() < a.fset.File(files[j].Pos()).Name() })
+	sort.Slice(files, func(i, j int) bool { return m.fset.File(files[i].Pos()).Name() < m.fset.File(files[j].Pos()).Name() })
 	info := &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Uses:  map[*ast.Ident]types.Object{},
@@ -187,21 +213,27 @@ func (a *auditor) check(dir, path string) (*types.Package, error) {
 
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	pkg, err := (&types.Config{Importer: a}).Check(path, a.fset, files, info)
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
 	}
-	a.pkgs[path], a.infos[path], a.files[path] = pkg, info, files
+	m.pkgs[path], m.infos[path], m.files[path] = pkg, info, files
 	return pkg, nil
 }
 
-func (a *auditor) audit(dir string) {
-	path := modulePath
-	if dir != "." {
-		path += "/" + filepath.ToSlash(dir)
-	}
-	if _, err := a.check(dir, path); err != nil {
-		a.t.Fatal(err)
+// auditor runs the determinism audit over a type-checked module.
+type auditor struct {
+	*module
+
+	findings []string
+	allowed  map[string]bool
+	ranges   map[string]int // map ranges seen, by package directory
+}
+
+func (a *auditor) audit(path string) {
+	dir := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")
+	if dir == "" {
+		dir = "."
 	}
 	info := a.infos[path]
 	for _, f := range a.files[path] {

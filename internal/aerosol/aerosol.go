@@ -106,15 +106,3 @@ func (m *Model) Step(conc []float64, ns, nl, ncells int, tempK float64) (float64
 	// ~9 flops per (cell, layer) in each pass.
 	return float64(2 * 9 * nl * ncells), nil
 }
-
-// SulfateBurden returns the domain total aerosol sulfate (a diagnostic
-// consumed by the population exposure module).
-func (m *Model) SulfateBurden(conc []float64, ns, nl, ncells int) float64 {
-	var total float64
-	for c := 0; c < ncells; c++ {
-		for l := 0; l < nl; l++ {
-			total += conc[m.iASO4+ns*(l+nl*c)]
-		}
-	}
-	return total
-}

@@ -65,23 +65,11 @@ func NewOperator(mech *species.Mechanism, geo *ColumnGeometry, cfg Config) (*Ope
 	return op, nil
 }
 
-// Mechanism returns the operator's mechanism.
-func (op *Operator) Mechanism() *species.Mechanism { return op.mech }
-
-// Geometry returns the operator's column geometry.
-func (op *Operator) Geometry() *ColumnGeometry { return op.geo }
-
 // CellWork is the work performed by one Lcz application on one column.
 type CellWork struct {
 	Chem Work
 	// VertFlops counts vertical-solver floating point work units.
 	VertFlops float64
-}
-
-// Add accumulates o into w.
-func (w *CellWork) Add(o CellWork) {
-	w.Chem.Add(o.Chem)
-	w.VertFlops += o.VertFlops
 }
 
 // Flops converts the cell work into charged floating point operations

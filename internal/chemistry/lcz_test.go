@@ -18,8 +18,8 @@ func newOperator(t *testing.T) *Operator {
 
 // stdEnv builds a daytime urban environment.
 func stdEnv(op *Operator) *CellEnv {
-	nl := op.Geometry().Layers()
-	ns := op.Mechanism().N()
+	nl := op.geo.Layers()
+	ns := op.mech.N()
 	temp := make([]float64, nl)
 	for l := range temp {
 		temp[l] = 298 - 2*float64(l)
@@ -41,10 +41,10 @@ func stdEnv(op *Operator) *CellEnv {
 
 // column builds a background column for the operator's mechanism.
 func column(op *Operator) []float64 {
-	ns := op.Mechanism().N()
-	nl := op.Geometry().Layers()
+	ns := op.mech.N()
+	nl := op.geo.Layers()
 	conc := make([]float64, ns*nl)
-	bg := op.Mechanism().Backgrounds()
+	bg := op.mech.Backgrounds()
 	for l := 0; l < nl; l++ {
 		copy(conc[ns*l:ns*(l+1)], bg)
 	}
@@ -74,7 +74,7 @@ func TestOperatorApply(t *testing.T) {
 // exists to predict.
 func TestOzoneFormation(t *testing.T) {
 	op := newOperator(t)
-	m := op.Mechanism()
+	m := op.mech
 	ns := m.N()
 	conc := column(op)
 	env := stdEnv(op)
@@ -97,7 +97,7 @@ func TestOzoneFormation(t *testing.T) {
 		t.Errorf("no photochemical ozone production: %g -> %g ppm", before, after)
 	}
 	// Sanity: ozone stays below absurd levels (< 1 ppm).
-	for l := 0; l < op.Geometry().Layers(); l++ {
+	for l := 0; l < op.geo.Layers(); l++ {
 		v := conc[iO3+ns*l]
 		if v > 1 {
 			t.Errorf("layer %d ozone %g ppm is unphysical", l, v)
@@ -108,7 +108,7 @@ func TestOzoneFormation(t *testing.T) {
 // Nighttime: no photolysis, NO titrates O3 away.
 func TestNighttimeTitration(t *testing.T) {
 	op := newOperator(t)
-	m := op.Mechanism()
+	m := op.mech
 	conc := column(op)
 	env := stdEnv(op)
 	env.Sun = 0
@@ -144,9 +144,8 @@ func TestApplyErrors(t *testing.T) {
 
 func TestCellWorkAccumulation(t *testing.T) {
 	a := CellWork{Chem: Work{Substeps: 2, Rejected: 1, Evals: 5}, VertFlops: 10}
-	b := CellWork{Chem: Work{Substeps: 3, Evals: 7}, VertFlops: 4}
-	a.Add(b)
-	if a.Chem.Substeps != 5 || a.Chem.Rejected != 1 || a.Chem.Evals != 12 || a.VertFlops != 14 {
+	a.Chem.Add(Work{Substeps: 3, Evals: 7})
+	if a.Chem.Substeps != 5 || a.Chem.Rejected != 1 || a.Chem.Evals != 12 {
 		t.Errorf("Add result: %+v", a)
 	}
 	m := species.StandardMechanism()
@@ -163,7 +162,7 @@ func TestOperatorDeterminism(t *testing.T) {
 		op := newOperator(t)
 		conc := column(op)
 		env := stdEnv(op)
-		env.Vert.Emis[op.Mechanism().MustIndex("NO")] = 1e-3
+		env.Vert.Emis[op.mech.MustIndex("NO")] = 1e-3
 		for step := 0; step < 6; step++ {
 			if _, err := op.Apply(conc, env, 600); err != nil {
 				t.Fatal(err)

@@ -41,15 +41,6 @@ func NewColumnGeometry(dz []float64) (*ColumnGeometry, error) {
 // Layers returns the layer count.
 func (g *ColumnGeometry) Layers() int { return len(g.Dz) }
 
-// Depth returns the total column depth in metres.
-func (g *ColumnGeometry) Depth() float64 {
-	total := 0.0
-	for _, d := range g.Dz {
-		total += d
-	}
-	return total
-}
-
 // StandardLayers returns the 5-layer structure used by the paper's data
 // sets (both LA and NE use 5 layers): a shallow surface layer growing to a
 // deep upper layer, spanning a ~1.1 km modelling domain.
@@ -102,9 +93,6 @@ func NewVerticalSolver(geo *ColumnGeometry) *VerticalSolver {
 		col: make([]float64, n),
 	}
 }
-
-// Geometry returns the solver's column geometry.
-func (vs *VerticalSolver) Geometry() *ColumnGeometry { return vs.geo }
 
 // Step advances one column by dt seconds. conc is the column's
 // concentration block indexed conc[species + nspecies*layer] (the natural

@@ -140,9 +140,6 @@ func NewIntegrator(mech *species.Mechanism, cfg Config) (*Integrator, error) {
 	}, nil
 }
 
-// Mechanism returns the integrated mechanism.
-func (in *Integrator) Mechanism() *species.Mechanism { return in.mech }
-
 // Integrate advances the concentration vector c (length N, modified in
 // place, units ppm) by total minutes of simulated time at temperature T
 // (K) and actinic flux sun in [0, 1]. It returns the work performed.

@@ -8,6 +8,11 @@ import (
 	"airshed/internal/species"
 )
 
+// constRate is a fixed rate constant for synthetic test mechanisms.
+type constRate float64
+
+func (c constRate) K(_, _ float64) float64 { return float64(c) }
+
 // linearDecay builds the mechanism A -> B with rate k.
 func linearDecay(t *testing.T, k float64) *species.Mechanism {
 	t.Helper()
@@ -16,7 +21,7 @@ func linearDecay(t *testing.T, k float64) *species.Mechanism {
 		[]species.Reaction{{
 			Label: "A->B", Reactants: []int{0},
 			Products: []species.Term{{Species: 1, Yield: 1}},
-			Rate:     species.Constant{Value: k},
+			Rate:     constRate(k),
 		}},
 	)
 	if err != nil {
@@ -93,8 +98,8 @@ func TestStiffSteadyState(t *testing.T) {
 		[]species.Spec{{Name: "S"}, {Name: "A"}},
 		[]species.Reaction{
 			{Reactants: []int{0}, Products: []species.Term{{Species: 0, Yield: 1}, {Species: 1, Yield: 1}},
-				Rate: species.Constant{Value: 1e-2}},
-			{Reactants: []int{1}, Rate: species.Constant{Value: 1e4}},
+				Rate: constRate(1e-2)},
+			{Reactants: []int{1}, Rate: constRate(1e4)},
 		},
 	)
 	if err != nil {
@@ -177,9 +182,9 @@ func TestAgainstExplicitReference(t *testing.T) {
 		[]species.Spec{{Name: "A"}, {Name: "B"}, {Name: "C"}},
 		[]species.Reaction{
 			{Reactants: []int{0, 1}, Products: []species.Term{{Species: 2, Yield: 1}},
-				Rate: species.Constant{Value: 5}},
+				Rate: constRate(5)},
 			{Reactants: []int{2}, Products: []species.Term{{Species: 0, Yield: 1}, {Species: 1, Yield: 1}},
-				Rate: species.Constant{Value: 0.7}},
+				Rate: constRate(0.7)},
 		},
 	)
 	if err != nil {
@@ -256,13 +261,5 @@ func TestResetStep(t *testing.T) {
 	in.ResetStep()
 	if in.dt != in.cfg.InitialDt {
 		t.Errorf("ResetStep left dt = %g", in.dt)
-	}
-}
-
-func TestMechanismAccessor(t *testing.T) {
-	m := species.StandardMechanism()
-	in := newIntegrator(t, m)
-	if in.Mechanism() != m {
-		t.Error("Mechanism() does not return the constructor argument")
 	}
 }

@@ -146,7 +146,7 @@ func TestTraceIndependentOfNodeCount(t *testing.T) {
 	if r1.Trace.SumTransportFlops() != r4.Trace.SumTransportFlops() {
 		t.Errorf("transport flops differ")
 	}
-	if r1.Trace.SumIOBytes() != r4.Trace.SumIOBytes() {
+	if sumIOBytes(r1.Trace) != sumIOBytes(r4.Trace) {
 		t.Errorf("io bytes differ")
 	}
 }

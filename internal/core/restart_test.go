@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestRestartBitIdentical(t *testing.T) {
 	}
 	second := base
 	second.Hours = 1
-	secondRes, err := Restart(filepath.Join(dir, "hour_000.snap"), second)
+	secondRes, err := RestartContext(context.Background(), filepath.Join(dir, "hour_000.snap"), second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +82,10 @@ func TestRestartValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restart("nonexistent.snap", Config{Dataset: ds, Machine: machine.CrayT3E(), Nodes: 1, Hours: 1}); err == nil {
+	if _, err := RestartContext(context.Background(), "nonexistent.snap", Config{Dataset: ds, Machine: machine.CrayT3E(), Nodes: 1, Hours: 1}); err == nil {
 		t.Error("missing snapshot accepted")
 	}
-	if _, err := Restart("x.snap", Config{Machine: machine.CrayT3E(), Nodes: 1, Hours: 1}); err == nil {
+	if _, err := RestartContext(context.Background(), "x.snap", Config{Machine: machine.CrayT3E(), Nodes: 1, Hours: 1}); err == nil {
 		t.Error("nil dataset accepted")
 	}
 	// Dimension mismatch: snapshot from Mini fed to LA would be wrong;
@@ -114,7 +115,7 @@ func TestRestartRejectsWrongDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restart(filepath.Join(dir, "hour_000.snap"),
+	if _, err := RestartContext(context.Background(), filepath.Join(dir, "hour_000.snap"),
 		Config{Dataset: la, Machine: machine.CrayT3E(), Nodes: 1, Hours: 1}); err == nil {
 		t.Error("snapshot with wrong dimensions accepted")
 	}

@@ -188,11 +188,6 @@ func StepsForHour(in *meteo.HourInput, minCell float64, maxSteps int) int {
 	return n
 }
 
-// Run executes the simulation and returns the result.
-func (s *Simulation) Run() (*Result, error) {
-	return s.RunContext(context.Background())
-}
-
 // RunContext executes the simulation, checking ctx at every hour and
 // every inner time step; on cancellation it abandons the run and returns
 // an error wrapping ctx.Err(). The check granularity is one step — the
@@ -564,16 +559,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return s.RunContext(ctx)
 }
 
-// Restart resumes a simulation from an hourly snapshot file written by a
-// previous run (Config.SnapshotDir): the snapshot's concentrations become
-// the initial state and its hour+1 the start hour. The continuation is
-// bit-identical to having run straight through (asserted by
+// RestartContext resumes a simulation from an hourly snapshot file written
+// by a previous run (Config.SnapshotDir): the snapshot's concentrations
+// become the initial state and its hour+1 the start hour. The continuation
+// is bit-identical to having run straight through (asserted by
 // TestRestartBitIdentical).
-func Restart(snapshotPath string, cfg Config) (*Result, error) {
-	return RestartContext(context.Background(), snapshotPath, cfg)
-}
-
-// RestartContext is the context-aware restart from a snapshot file.
 func RestartContext(ctx context.Context, snapshotPath string, cfg Config) (*Result, error) {
 	f, err := os.Open(snapshotPath)
 	if err != nil {

@@ -124,12 +124,3 @@ func (t *Trace) SumAeroFlops() float64 {
 	}
 	return total
 }
-
-// SumIOBytes totals the sequential I/O volume over the run.
-func (t *Trace) SumIOBytes() int64 {
-	var total int64
-	for hi := range t.Hours {
-		total += t.Hours[hi].InBytes + t.Hours[hi].OutBytes
-	}
-	return total
-}

@@ -158,9 +158,6 @@ func (iv Interval) Len() int {
 	return iv.Hi - iv.Lo
 }
 
-// Empty reports whether the interval contains no indices.
-func (iv Interval) Empty() bool { return iv.Len() == 0 }
-
 // Intersect returns the overlap of two intervals.
 func (iv Interval) Intersect(o Interval) Interval {
 	lo, hi := iv.Lo, iv.Hi
@@ -179,11 +176,17 @@ func (iv Interval) Intersect(o Interval) Interval {
 // Contains reports whether i is in the interval.
 func (iv Interval) Contains(i int) bool { return i >= iv.Lo && i < iv.Hi }
 
+// BlockSize returns the most indices any one of p nodes owns of an axis
+// of extent n under BLOCK: the HPF block size ceil(n/p). For n, p >= 1 it
+// equals the paper's ceil(n/min(n,p)) (Section 4.1), the slowest node's
+// share of a data-parallel phase.
+func BlockSize(n, p int) int { return (n + p - 1) / p }
+
 // BlockOwner returns the owner interval of node on an axis of extent n
-// under a BLOCK distribution over p nodes, using the standard HPF block
-// size ceil(n/p). Nodes past the data own the empty interval.
+// under a BLOCK distribution over p nodes. Nodes past the data own the
+// empty interval.
 func BlockOwner(n, p, node int) Interval {
-	bs := (n + p - 1) / p
+	bs := BlockSize(n, p)
 	lo := node * bs
 	hi := lo + bs
 	if lo > n {
@@ -197,8 +200,7 @@ func BlockOwner(n, p, node int) Interval {
 
 // BlockOwnerOf returns which node owns index i under BLOCK(n, p).
 func BlockOwnerOf(n, p, i int) int {
-	bs := (n + p - 1) / p
-	return i / bs
+	return i / BlockSize(n, p)
 }
 
 // CyclicOwnerOf returns which node owns index i under CYCLIC on p nodes.
@@ -274,35 +276,4 @@ func OwnedIndices(sh Shape, d Dist, p, node int) []int {
 	default:
 		panic(fmt.Sprintf("dist: bad kind %d", int(d.Kind)))
 	}
-}
-
-// UsefulParallelism returns the degree of useful parallelism of a
-// computation parallelised along the distributed axis of d: the minimum of
-// the axis extent and the machine size (paper Section 4.1). For Replicated
-// the computation is sequential and the result is 1.
-func UsefulParallelism(sh Shape, d Dist, p int) int {
-	if d.Kind == Replicated {
-		return 1
-	}
-	n := sh.Extent(d.Dim)
-	if p < n {
-		return p
-	}
-	return n
-}
-
-// MaxOwnedShare returns ceil(n/min(n,p))/n: the largest fraction of the
-// distributed axis any single node owns under BLOCK, as used by the
-// paper's redistribution cost formulas. For Replicated it returns 1.
-func MaxOwnedShare(sh Shape, d Dist, p int) float64 {
-	if d.Kind == Replicated {
-		return 1
-	}
-	n := sh.Extent(d.Dim)
-	m := p
-	if n < m {
-		m = n
-	}
-	ceil := (n + m - 1) / m
-	return float64(ceil) / float64(n)
 }

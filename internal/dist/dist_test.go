@@ -69,10 +69,10 @@ func TestBlockOwnerPartition(t *testing.T) {
 				if iv.Lo < prevHi {
 					t.Fatalf("n=%d p=%d node=%d: interval %v overlaps previous", n, p, node, iv)
 				}
-				if !iv.Empty() && iv.Lo != prevHi {
+				if iv.Len() > 0 && iv.Lo != prevHi {
 					t.Fatalf("n=%d p=%d node=%d: gap before %v", n, p, node, iv)
 				}
-				if !iv.Empty() {
+				if iv.Len() > 0 {
 					prevHi = iv.Hi
 				}
 				covered += iv.Len()
@@ -139,41 +139,30 @@ func TestOwnedCountSums(t *testing.T) {
 	}
 }
 
-func TestUsefulParallelism(t *testing.T) {
-	sh := laShape()
-	cases := []struct {
-		d    Dist
-		p    int
-		want int
-	}{
-		{DTrans, 4, 4},
-		{DTrans, 5, 5},
-		{DTrans, 8, 5},   // bounded by 5 layers
-		{DTrans, 128, 5}, // bounded by 5 layers
-		{DChem, 128, 128},
-		{DChem, 1000, 700}, // bounded by 700 cells
-		{DRepl, 64, 1},     // sequential
-	}
-	for _, c := range cases {
-		if got := UsefulParallelism(sh, c.d, c.p); got != c.want {
-			t.Errorf("UsefulParallelism(%v, p=%d) = %d, want %d", c.d, c.p, got, c.want)
-		}
-	}
-}
-
+// The largest share of an axis any node owns under BLOCK is
+// BlockSize(n, p)/n.
 func TestMaxOwnedShare(t *testing.T) {
-	sh := laShape()
 	// LA: layers=5. P=4 -> ceil(5/4)=2 -> 2/5. P>=5 -> 1/5.
-	if got := MaxOwnedShare(sh, DTrans, 4); math.Abs(got-0.4) > 1e-15 {
+	share := func(p int) float64 { return float64(BlockSize(5, p)) / 5 }
+	if got := share(4); math.Abs(got-0.4) > 1e-15 {
 		t.Errorf("share(DTrans, 4) = %g, want 0.4", got)
 	}
 	for _, p := range []int{5, 8, 128} {
-		if got := MaxOwnedShare(sh, DTrans, p); math.Abs(got-0.2) > 1e-15 {
+		if got := share(p); math.Abs(got-0.2) > 1e-15 {
 			t.Errorf("share(DTrans, %d) = %g, want 0.2", p, got)
 		}
 	}
-	if got := MaxOwnedShare(sh, DRepl, 16); got != 1 {
-		t.Errorf("share(DRepl) = %g, want 1", got)
+	// ceil(n/p) is ceil(n/min(n,p)), the paper's form, for n, p >= 1.
+	for n := 1; n <= 40; n++ {
+		for p := 1; p <= 50; p++ {
+			m := p
+			if n < m {
+				m = n
+			}
+			if got, want := BlockSize(n, p), (n+m-1)/m; got != want {
+				t.Errorf("BlockSize(%d, %d) = %d, want ceil(n/min(n,p)) = %d", n, p, got, want)
+			}
+		}
 	}
 }
 
@@ -205,7 +194,7 @@ func TestIntervalIntersect(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := c.a.Intersect(c.b)
-		if got.Len() != c.want.Len() || (!got.Empty() && got != c.want) {
+		if got.Len() != c.want.Len() || (got.Len() > 0 && got != c.want) {
 			t.Errorf("%v ∩ %v = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}

@@ -23,19 +23,16 @@ func ExampleNewPlan() {
 	// worst node: 24.54 ms
 }
 
-// The degree of useful parallelism of each Airshed phase (paper
-// Section 4.1): transport is bounded by the 5 layers, chemistry by the
-// 700 grid cells.
-func ExampleUsefulParallelism() {
-	sh := dist.Shape{Species: 35, Layers: 5, Cells: 700}
+// The most work any one node holds in each Airshed phase (paper
+// Section 4.1): transport splits the 5 layers and chemistry the 700 grid
+// cells, so transport stops getting faster past P=5.
+func ExampleBlockSize() {
 	for _, p := range []int{4, 64, 1024} {
-		fmt.Printf("P=%4d: transport %d-way, chemistry %d-way\n",
-			p,
-			dist.UsefulParallelism(sh, dist.DTrans, p),
-			dist.UsefulParallelism(sh, dist.DChem, p))
+		fmt.Printf("P=%4d: transport %d layer(s)/node, chemistry %d cells/node\n",
+			p, dist.BlockSize(5, p), dist.BlockSize(700, p))
 	}
 	// Output:
-	// P=   4: transport 4-way, chemistry 4-way
-	// P=  64: transport 5-way, chemistry 64-way
-	// P=1024: transport 5-way, chemistry 700-way
+	// P=   4: transport 2 layer(s)/node, chemistry 175 cells/node
+	// P=  64: transport 1 layer(s)/node, chemistry 11 cells/node
+	// P=1024: transport 1 layer(s)/node, chemistry 1 cells/node
 }

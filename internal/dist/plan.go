@@ -32,15 +32,6 @@ func (t NodeTraffic) Cost(p *machine.Profile) float64 {
 	return p.CommTime(t.MsgsSent+t.MsgsRecv, b, t.BytesCopied)
 }
 
-// Add accumulates o into t.
-func (t *NodeTraffic) Add(o NodeTraffic) {
-	t.MsgsSent += o.MsgsSent
-	t.MsgsRecv += o.MsgsRecv
-	t.BytesSent += o.BytesSent
-	t.BytesRecv += o.BytesRecv
-	t.BytesCopied += o.BytesCopied
-}
-
 // Transfer is one point-to-point message of a redistribution plan: Elems
 // array elements move from node From's shard to node To's shard. The
 // element set is implied by ownership: exactly the elements From owns under

@@ -101,12 +101,7 @@ func (ctx *Context) AblationTransportScheme() (*Figure, error) {
 	tb := report.NewTable("Transport scheme comparison (one hour, all layers and species, T3E model)",
 		"Scheme", "Cells", "Seq time (s)", "Useful parallelism", "T @ P=4", "T @ P=64", "T @ P=400")
 	timeAt := func(seq float64, par, p int) float64 {
-		m := p
-		if par < m {
-			m = par
-		}
-		ceil := (par + m - 1) / m
-		return seq * float64(ceil) / float64(par)
+		return seq * float64(dist.BlockSize(par, p)) / float64(par)
 	}
 	tb.AddRow("2-D multiscale SUPG", len(multi.Cells), seq2, par2,
 		timeAt(seq2, par2, 4), timeAt(seq2, par2, 64), timeAt(seq2, par2, 400))

@@ -85,9 +85,9 @@ func NewCoupler(model *popexp.Model, pop *popexp.Population, ns, nl, workers int
 		ns:      ns,
 		nl:      nl,
 	}
-	c.rep = c.machine.SpawnHandle("airshed-representative")
+	c.rep = c.machine.SpawnHandle()
 	for w := 0; w < workers; w++ {
-		tid := c.machine.Spawn(fmt.Sprintf("popexp-worker-%d", w), func(t *pvm.Task) {
+		tid := c.machine.Spawn(func(t *pvm.Task) {
 			// Worker errors surface as missing results in
 			// ProcessHour; the loop exits on the stop message.
 			_ = popexp.PVMWorker(t, model, pop, ns, nl)

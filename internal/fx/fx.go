@@ -200,27 +200,6 @@ func (a *Array) owner(s, l, c int) int {
 	}
 }
 
-// storage returns the buffer holding element data for a node.
-func (a *Array) storage(node int) []float64 {
-	if a.d.Kind == dist.Replicated {
-		return a.repl
-	}
-	return a.shards[node]
-}
-
-// At reads element (s, l, c) from its owner's shard.
-func (a *Array) At(s, l, c int) float64 {
-	n := a.owner(s, l, c)
-	return a.storage(n)[a.localOffset(n, s, l, c)]
-}
-
-// Set writes element (s, l, c) into its owner's shard (and, for replicated
-// arrays, the shared replica).
-func (a *Array) Set(s, l, c int, v float64) {
-	n := a.owner(s, l, c)
-	a.storage(n)[a.localOffset(n, s, l, c)] = v
-}
-
 // scatterGlobal loads a full canonical array into the current shards.
 // The Block distributions take bulk-copy fast paths: a DChem shard is a
 // contiguous span of the canonical array, and a DTrans shard is one
@@ -487,39 +466,4 @@ func (rt *Runtime) ParallelGroup(nodes []int, cat vm.Category, body func(node in
 	}
 	rt.VM.BarrierGroup(nodes)
 	return nil
-}
-
-// Group is a node subgroup used for task parallelism.
-type Group []int
-
-// SplitGroups partitions p nodes into groups of the given sizes; sizes
-// must sum to at most p, and the remainder goes to the last group when
-// grow is true.
-func SplitGroups(p int, sizes ...int) ([]Group, error) {
-	total := 0
-	for _, s := range sizes {
-		if s <= 0 {
-			return nil, fmt.Errorf("fx: group sizes must be positive, got %v", sizes)
-		}
-		total += s
-	}
-	if total > p {
-		return nil, fmt.Errorf("fx: group sizes %v exceed %d nodes", sizes, p)
-	}
-	groups := make([]Group, len(sizes))
-	next := 0
-	for gi, s := range sizes {
-		g := make(Group, s)
-		for i := 0; i < s; i++ {
-			g[i] = next
-			next++
-		}
-		groups[gi] = g
-	}
-	// Distribute any remaining nodes to the last group.
-	for next < p {
-		groups[len(groups)-1] = append(groups[len(groups)-1], next)
-		next++
-	}
-	return groups, nil
 }

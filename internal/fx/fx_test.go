@@ -10,6 +10,15 @@ import (
 	"airshed/internal/vm"
 )
 
+// at reads element (s, l, c) straight from its owner's shard.
+func at(a *Array, s, l, c int) float64 {
+	n := a.owner(s, l, c)
+	if a.d.Kind == dist.Replicated {
+		return a.repl[a.localOffset(n, s, l, c)]
+	}
+	return a.shards[n][a.localOffset(n, s, l, c)]
+}
+
 func newRT(t *testing.T, p int) *Runtime {
 	t.Helper()
 	m, err := vm.New(machine.CrayT3E(), p)
@@ -68,12 +77,8 @@ func TestArrayRoundTripAllDists(t *testing.T) {
 				}
 			}
 			// Element access.
-			if v := a.At(3, 2, 7); v != global[sh.Index(3, 2, 7)] {
-				t.Fatalf("%v p=%d: At = %g", d, p, v)
-			}
-			a.Set(3, 2, 7, -1)
-			if v := a.At(3, 2, 7); v != -1 {
-				t.Fatalf("%v p=%d: Set/At = %g", d, p, v)
+			if v := at(a, 3, 2, 7); v != global[sh.Index(3, 2, 7)] {
+				t.Fatalf("%v p=%d: at = %g", d, p, v)
 			}
 		}
 	}
@@ -166,7 +171,7 @@ func TestOwnedViews(t *testing.T) {
 	}
 	for l := 0; l < sh.Layers; l++ {
 		for s := 0; s < sh.Species; s++ {
-			want := a.At(s, l, c)
+			want := at(a, s, l, c)
 			if block[s+sh.Species*l] != want {
 				t.Fatalf("block[%d,%d] = %g, want %g", s, l, block[s+sh.Species*l], want)
 			}
@@ -174,7 +179,7 @@ func TestOwnedViews(t *testing.T) {
 	}
 	// Mutation writes through.
 	block[0] = -42
-	if a.At(0, 0, c) != -42 {
+	if at(a, 0, 0, c) != -42 {
 		t.Error("CellBlock is not a view")
 	}
 	if _, err := a.CellBlock(1, sh.Cells+5); err == nil {
@@ -201,7 +206,7 @@ func TestLayerFieldGatherScatter(t *testing.T) {
 					t.Fatal(err)
 				}
 				for c := 0; c < sh.Cells; c++ {
-					if buf[c] != a.At(s, l, c) {
+					if buf[c] != at(a, s, l, c) {
 						t.Fatalf("gather mismatch at s=%d l=%d c=%d", s, l, c)
 					}
 				}
@@ -212,7 +217,7 @@ func TestLayerFieldGatherScatter(t *testing.T) {
 				if err := a.ScatterLayerField(n, s, l, buf); err != nil {
 					t.Fatal(err)
 				}
-				if a.At(s, 1*0+l, 0) != buf[0] {
+				if at(a, s, 1*0+l, 0) != buf[0] {
 					t.Fatal("scatter did not write through")
 				}
 			}
@@ -301,42 +306,6 @@ var errTest = &testErr{}
 type testErr struct{}
 
 func (*testErr) Error() string { return "test error" }
-
-func TestSplitGroups(t *testing.T) {
-	groups, err := SplitGroups(10, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups", len(groups))
-	}
-	if len(groups[0]) != 2 {
-		t.Errorf("group 0 size %d", len(groups[0]))
-	}
-	// Remainder (5 nodes) joins the last group.
-	if len(groups[1]) != 8 {
-		t.Errorf("group 1 size %d, want 8 (3 + remainder)", len(groups[1]))
-	}
-	// Disjoint coverage.
-	seen := map[int]bool{}
-	for _, g := range groups {
-		for _, n := range g {
-			if seen[n] {
-				t.Fatalf("node %d in two groups", n)
-			}
-			seen[n] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Errorf("groups cover %d of 10 nodes", len(seen))
-	}
-	if _, err := SplitGroups(4, 3, 3); err == nil {
-		t.Error("oversized split accepted")
-	}
-	if _, err := SplitGroups(4, 0); err == nil {
-		t.Error("zero group size accepted")
-	}
-}
 
 // Property: redistribution through any sequence of the Airshed cycle
 // preserves data for random shapes and node counts.

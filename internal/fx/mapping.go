@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"airshed/internal/dist"
 )
 
 // This file implements the processor-allocation machinery the paper
@@ -169,12 +171,7 @@ func DataParallelCost(seq float64, parallelism int, fixed float64) TaskCost {
 		if parallelism <= 1 {
 			return seq + fixed
 		}
-		m := p
-		if parallelism < m {
-			m = parallelism
-		}
-		ceil := (parallelism + m - 1) / m
-		return seq*float64(ceil)/float64(parallelism) + fixed
+		return seq*float64(dist.BlockSize(parallelism, p))/float64(parallelism) + fixed
 	}
 }
 

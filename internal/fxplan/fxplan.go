@@ -45,9 +45,6 @@ type Move struct {
 	Cost float64
 }
 
-// Hops returns the number of redistribution steps in the move.
-func (m *Move) Hops() int { return len(m.Route) - 1 }
-
 // Plan is the planned redistribution schedule of a program.
 type Plan struct {
 	Moves []Move
@@ -69,8 +66,7 @@ type Planner struct {
 }
 
 // NewPlanner creates a planner. The candidate set defaults to the three
-// Airshed distributions (replicated, block over layers, block over cells);
-// AddCandidate extends it.
+// Airshed distributions (replicated, block over layers, block over cells).
 func NewPlanner(sh dist.Shape, prof *machine.Profile, p int) (*Planner, error) {
 	if !sh.Valid() {
 		return nil, fmt.Errorf("fxplan: invalid shape %v", sh)
@@ -88,16 +84,6 @@ func NewPlanner(sh dist.Shape, prof *machine.Profile, p int) (*Planner, error) {
 		candidates: []dist.Dist{dist.DRepl, dist.DTrans, dist.DChem},
 		cost:       make(map[[2]dist.Dist]float64),
 	}, nil
-}
-
-// AddCandidate registers an additional distribution routes may use.
-func (pl *Planner) AddCandidate(d dist.Dist) {
-	for _, c := range pl.candidates {
-		if c == d {
-			return
-		}
-	}
-	pl.candidates = append(pl.candidates, d)
 }
 
 // DirectCost returns the worst-node cost of the direct redistribution

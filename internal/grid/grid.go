@@ -210,11 +210,6 @@ func (r Rect) Contains(x, y float64) bool {
 	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1
 }
 
-// Center returns the rectangle centre.
-func (r Rect) Center() (float64, float64) {
-	return (r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2
-}
-
 // Refine splits every leaf whose centre lies inside rect and whose level is
 // below maxLevel, repeating until no such leaf remains. It returns the
 // number of split operations performed.

@@ -25,7 +25,6 @@ package machine
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Profile describes one target machine for the virtual bulk-synchronous
@@ -183,30 +182,18 @@ func GoHost() *Profile {
 	}
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() *Profile{
-		"t3e":     CrayT3E,
-		"t3d":     CrayT3D,
-		"paragon": IntelParagon,
-		"gohost":  GoHost,
-	}
-)
-
-// Register adds a named profile constructor to the lookup table used by
-// ByName. Registering an existing key replaces it.
-func Register(key string, ctor func() *Profile) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[key] = ctor
+// registry is read-only after package initialisation.
+var registry = map[string]func() *Profile{
+	"t3e":     CrayT3E,
+	"t3d":     CrayT3D,
+	"paragon": IntelParagon,
+	"gohost":  GoHost,
 }
 
 // ByName returns a fresh profile for a registry key ("t3e", "t3d",
-// "paragon", "gohost", or any key added via Register).
+// "paragon" or "gohost").
 func ByName(key string) (*Profile, error) {
-	registryMu.RLock()
 	ctor, ok := registry[key]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("machine: unknown machine %q (known: %v)", key, Names())
 	}
@@ -215,8 +202,6 @@ func ByName(key string) (*Profile, error) {
 
 // Names returns the sorted registry keys.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	keys := make([]string, 0, len(registry))
 	for k := range registry {
 		keys = append(keys, k)

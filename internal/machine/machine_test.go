@@ -106,7 +106,10 @@ func TestIOTime(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, key := range []string{"t3e", "t3d", "paragon", "gohost"} {
+	if got, want := strings.Join(Names(), ","), "gohost,paragon,t3d,t3e"; got != want {
+		t.Errorf("Names() = %s, want %s", got, want)
+	}
+	for _, key := range Names() {
 		p, err := ByName(key)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", key, err)
@@ -120,29 +123,6 @@ func TestByName(t *testing.T) {
 		t.Error("unknown machine accepted")
 	} else if !strings.Contains(err.Error(), "unknown machine") {
 		t.Errorf("unhelpful error: %v", err)
-	}
-}
-
-func TestRegister(t *testing.T) {
-	Register("testbox", func() *Profile {
-		p := GoHost()
-		p.Name = "Test Box"
-		return p
-	})
-	p, err := ByName("testbox")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "Test Box" {
-		t.Errorf("got %q", p.Name)
-	}
-	names := Names()
-	found := false
-	for _, n := range names {
-		found = found || n == "testbox"
-	}
-	if !found {
-		t.Errorf("Names() = %v missing testbox", names)
 	}
 }
 

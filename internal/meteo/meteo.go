@@ -55,18 +55,6 @@ type HourInput struct {
 	Inflow []float64
 }
 
-// Provider generates hour inputs for a particular scenario.
-type Provider interface {
-	// HourInput computes the input for an absolute hour.
-	HourInput(hour int) (*HourInput, error)
-	// Grid returns the horizontal grid the inputs are defined on.
-	Grid() *grid.Grid
-	// Mechanism returns the chemical mechanism.
-	Mechanism() *species.Mechanism
-	// Geometry returns the column geometry.
-	Geometry() *chemistry.ColumnGeometry
-}
-
 // Scenario parameterises the synthetic generator.
 type Scenario struct {
 	// Name labels the scenario ("Los Angeles basin").
@@ -128,7 +116,7 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// Synthetic is the analytic Provider.
+// Synthetic is the analytic generator of a scenario's hour inputs.
 type Synthetic struct {
 	scn  Scenario
 	g    *grid.Grid
@@ -168,13 +156,13 @@ func NewSynthetic(scn Scenario, g *grid.Grid, mech *species.Mechanism, geo *chem
 	return s, nil
 }
 
-// Grid implements Provider.
+// Grid returns the horizontal grid the inputs are defined on.
 func (s *Synthetic) Grid() *grid.Grid { return s.g }
 
-// Mechanism implements Provider.
+// Mechanism returns the chemical mechanism.
 func (s *Synthetic) Mechanism() *species.Mechanism { return s.mech }
 
-// Geometry implements Provider.
+// Geometry returns the column geometry.
 func (s *Synthetic) Geometry() *chemistry.ColumnGeometry { return s.geo }
 
 // Scenario returns the provider's scenario.
@@ -199,7 +187,7 @@ func TrafficAt(hour int) float64 {
 	return 0.35 + 1.9*(morning+0.85*evening)
 }
 
-// HourInput implements Provider.
+// HourInput computes the input for an absolute hour.
 func (s *Synthetic) HourInput(hour int) (*HourInput, error) {
 	if hour < 0 {
 		return nil, fmt.Errorf("meteo: negative hour %d", hour)

@@ -29,12 +29,7 @@ import (
 // ceilShare returns ceil(n/min(n,p))/n: the largest fraction of an
 // n-extent axis owned by one node under BLOCK on p nodes.
 func ceilShare(n, p int) float64 {
-	m := p
-	if n < m {
-		m = n
-	}
-	ceil := (n + m - 1) / m
-	return float64(ceil) / float64(n)
+	return float64(dist.BlockSize(n, p)) / float64(n)
 }
 
 // PredictReplToTrans evaluates the paper's closed form for D_Repl ->

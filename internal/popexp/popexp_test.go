@@ -72,9 +72,6 @@ func TestSyntheticPopulation(t *testing.T) {
 	if _, err := SyntheticPopulation(g, 0, 0, -1, 1e6); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if p.Grid() != g {
-		t.Error("Grid accessor broken")
-	}
 }
 
 func TestModelConstruction(t *testing.T) {
@@ -197,10 +194,10 @@ func TestPVMMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 3, 5} {
 		vm := pvm.NewMachine()
-		master := vm.SpawnHandle("master")
+		master := vm.SpawnHandle()
 		var tids []int
 		for w := 0; w < workers; w++ {
-			tids = append(tids, vm.Spawn("worker", func(t *pvm.Task) {
+			tids = append(tids, vm.Spawn(func(t *pvm.Task) {
 				_ = PVMWorker(t, m, pop, mech.N(), nl)
 			}))
 		}

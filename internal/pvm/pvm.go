@@ -1,9 +1,9 @@
 // Package pvm is a small in-process message-passing library in the shape
 // of PVM 3, the system the paper's population exposure module (PopExp) was
 // parallelised with. It provides spawned tasks with typed pack/unpack
-// message buffers, point-to-point send/receive with tag matching, task
-// groups with barriers and broadcast, and per-task traffic statistics that
-// the foreign-module coupling layer uses to charge the virtual machine.
+// message buffers, point-to-point send/receive with tag matching,
+// multicast, and per-task traffic statistics that the foreign-module
+// coupling layer uses to charge the virtual machine.
 //
 // Tasks are goroutines and mailboxes are channels; the library is a real,
 // working message-passing substrate (PopExp genuinely computes through
@@ -32,12 +32,10 @@ type message struct {
 // Machine is a PVM virtual machine: a set of tasks that can exchange
 // messages.
 type Machine struct {
-	mu       sync.Mutex
-	nextTid  int
-	tasks    map[int]*Task
-	groups   map[string][]int
-	barriers map[string]*barrier
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	nextTid int
+	tasks   map[int]*Task
+	wg      sync.WaitGroup
 }
 
 // NewMachine creates an empty PVM machine.
@@ -45,15 +43,13 @@ func NewMachine() *Machine {
 	return &Machine{
 		nextTid: 1,
 		tasks:   make(map[int]*Task),
-		groups:  make(map[string][]int),
 	}
 }
 
 // Task is one PVM task: a mailbox plus traffic counters.
 type Task struct {
-	m    *Machine
-	tid  int
-	name string
+	m   *Machine
+	tid int
 
 	inbox chan message
 	// pending holds messages received from the mailbox but not yet
@@ -77,11 +73,11 @@ type Stats struct {
 
 // Spawn creates a task running fn in a goroutine and returns its tid
 // immediately. fn receives the task handle.
-func (m *Machine) Spawn(name string, fn func(*Task)) int {
+func (m *Machine) Spawn(fn func(*Task)) int {
 	m.mu.Lock()
 	tid := m.nextTid
 	m.nextTid++
-	t := &Task{m: m, tid: tid, name: name, inbox: make(chan message, 1024)}
+	t := &Task{m: m, tid: tid, inbox: make(chan message, 1024)}
 	m.tasks[tid] = t
 	m.mu.Unlock()
 	m.wg.Add(1)
@@ -94,24 +90,18 @@ func (m *Machine) Spawn(name string, fn func(*Task)) int {
 
 // SpawnHandle is Spawn for callers that drive the task from the current
 // goroutine instead (no goroutine is started).
-func (m *Machine) SpawnHandle(name string) *Task {
+func (m *Machine) SpawnHandle() *Task {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tid := m.nextTid
 	m.nextTid++
-	t := &Task{m: m, tid: tid, name: name, inbox: make(chan message, 1024)}
+	t := &Task{m: m, tid: tid, inbox: make(chan message, 1024)}
 	m.tasks[tid] = t
 	return t
 }
 
 // Wait blocks until every spawned task function has returned.
 func (m *Machine) Wait() { m.wg.Wait() }
-
-// Tid returns the task identifier.
-func (t *Task) Tid() int { return t.tid }
-
-// Name returns the task's spawn name.
-func (t *Task) Name() string { return t.name }
 
 // Stats returns the task's traffic counters.
 func (t *Task) Stats() Stats {
@@ -176,60 +166,6 @@ func (t *Task) Mcast(dsts []int, tag int, b *Buffer) error {
 	return nil
 }
 
-// JoinGroup adds the task to a named group and returns its instance
-// number within the group.
-func (t *Task) JoinGroup(name string) int {
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	t.m.groups[name] = append(t.m.groups[name], t.tid)
-	return len(t.m.groups[name]) - 1
-}
-
-// GroupTids returns the tids in a group, in join order.
-func (m *Machine) GroupTids(name string) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int(nil), m.groups[name]...)
-}
-
-// barrier tracks one named barrier's state.
-type barrier struct {
-	waiting int
-	gen     int
-	ch      chan struct{}
-}
-
-// Barrier blocks until count tasks have called Barrier with the same group
-// name (pvm_barrier). The barrier is reusable: once count arrivals release,
-// the next count arrivals form a new round.
-func (t *Task) Barrier(name string, count int) error {
-	if count <= 0 {
-		return fmt.Errorf("pvm: barrier count must be positive, got %d", count)
-	}
-	m := t.m
-	m.mu.Lock()
-	if m.barriers == nil {
-		m.barriers = make(map[string]*barrier)
-	}
-	b, ok := m.barriers[name]
-	if !ok || b.ch == nil {
-		b = &barrier{ch: make(chan struct{})}
-		m.barriers[name] = b
-	}
-	b.waiting++
-	if b.waiting >= count {
-		// Last arrival: release everyone and reset for reuse.
-		close(b.ch)
-		m.barriers[name] = &barrier{ch: make(chan struct{}), gen: b.gen + 1}
-		m.mu.Unlock()
-		return nil
-	}
-	ch := b.ch
-	m.mu.Unlock()
-	<-ch
-	return nil
-}
-
 // Buffer is a typed pack/unpack message buffer (pvm_initsend /
 // pvm_pkdouble / pvm_upkdouble, in PVM terms).
 type Buffer struct {
@@ -239,12 +175,6 @@ type Buffer struct {
 
 // NewBuffer returns an empty send buffer.
 func NewBuffer() *Buffer { return &Buffer{} }
-
-// Len returns the packed size in bytes.
-func (b *Buffer) Len() int { return len(b.data) }
-
-// Reset clears the buffer for reuse.
-func (b *Buffer) Reset() { b.data = b.data[:0]; b.pos = 0 }
 
 // PackInt appends an int64.
 func (b *Buffer) PackInt(v int) {
@@ -266,12 +196,6 @@ func (b *Buffer) PackDoubles(v []float64) {
 	for _, x := range v {
 		b.PackDouble(x)
 	}
-}
-
-// PackString appends a length-prefixed string.
-func (b *Buffer) PackString(s string) {
-	b.PackInt(len(s))
-	b.data = append(b.data, s...)
 }
 
 // UnpackInt reads an int64.
@@ -311,18 +235,4 @@ func (b *Buffer) UnpackDoubles() ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// UnpackString reads a length-prefixed string.
-func (b *Buffer) UnpackString() (string, error) {
-	n, err := b.UnpackInt()
-	if err != nil {
-		return "", err
-	}
-	if n < 0 || b.pos+n > len(b.data) {
-		return "", fmt.Errorf("pvm: corrupt string length %d", n)
-	}
-	s := string(b.data[b.pos : b.pos+n])
-	b.pos += n
-	return s, nil
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestBufferPackUnpackRoundTrip(t *testing.T) {
@@ -12,7 +11,6 @@ func TestBufferPackUnpackRoundTrip(t *testing.T) {
 	b.PackInt(-42)
 	b.PackDouble(3.14159)
 	b.PackDoubles([]float64{1, 2, 3})
-	b.PackString("airshed")
 
 	i, err := b.UnpackInt()
 	if err != nil || i != -42 {
@@ -26,10 +24,6 @@ func TestBufferPackUnpackRoundTrip(t *testing.T) {
 	if err != nil || len(ds) != 3 || ds[2] != 3 {
 		t.Fatalf("UnpackDoubles = %v, %v", ds, err)
 	}
-	s, err := b.UnpackString()
-	if err != nil || s != "airshed" {
-		t.Fatalf("UnpackString = %q, %v", s, err)
-	}
 	// Reading past the end errors.
 	if _, err := b.UnpackInt(); err == nil {
 		t.Error("read past end accepted")
@@ -37,10 +31,9 @@ func TestBufferPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestBufferQuick(t *testing.T) {
-	f := func(xs []float64, s string, n int64) bool {
+	f := func(xs []float64, n int64) bool {
 		b := NewBuffer()
 		b.PackDoubles(xs)
-		b.PackString(s)
 		b.PackInt(int(n))
 		got, err := b.UnpackDoubles()
 		if err != nil || len(got) != len(xs) {
@@ -51,10 +44,6 @@ func TestBufferQuick(t *testing.T) {
 				return false
 			}
 		}
-		gs, err := b.UnpackString()
-		if err != nil || gs != s {
-			return false
-		}
 		gn, err := b.UnpackInt()
 		return err == nil && gn == int(n)
 	}
@@ -63,19 +52,10 @@ func TestBufferQuick(t *testing.T) {
 	}
 }
 
-func TestBufferReset(t *testing.T) {
-	b := NewBuffer()
-	b.PackInt(1)
-	b.Reset()
-	if b.Len() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
 func TestSendRecv(t *testing.T) {
 	m := NewMachine()
-	main := m.SpawnHandle("main")
-	echo := m.Spawn("echo", func(t *Task) {
+	main := m.SpawnHandle()
+	echo := m.Spawn(func(t *Task) {
 		buf, src, err := t.Recv(AnySource, AnyTag)
 		if err != nil {
 			return
@@ -106,17 +86,17 @@ func TestSendRecv(t *testing.T) {
 
 func TestRecvTagMatching(t *testing.T) {
 	m := NewMachine()
-	main := m.SpawnHandle("main")
+	main := m.SpawnHandle()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	sender := m.Spawn("sender", func(t *Task) {
+	sender := m.Spawn(func(t *Task) {
 		defer wg.Done()
 		a := NewBuffer()
 		a.PackInt(1)
-		_ = t.Send(main.Tid(), 100, a)
+		_ = t.Send(main.tid, 100, a)
 		b := NewBuffer()
 		b.PackInt(2)
-		_ = t.Send(main.Tid(), 200, b)
+		_ = t.Send(main.tid, 200, b)
 	})
 	_ = sender
 	wg.Wait()
@@ -141,7 +121,7 @@ func TestRecvTagMatching(t *testing.T) {
 
 func TestSendUnknownTask(t *testing.T) {
 	m := NewMachine()
-	main := m.SpawnHandle("main")
+	main := m.SpawnHandle()
 	if err := main.Send(999, 0, NewBuffer()); err == nil {
 		t.Error("send to unknown task accepted")
 	}
@@ -149,28 +129,28 @@ func TestSendUnknownTask(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	m := NewMachine()
-	a := m.SpawnHandle("a")
-	b := m.SpawnHandle("b")
+	a := m.SpawnHandle()
+	b := m.SpawnHandle()
 	buf := NewBuffer()
 	buf.PackDoubles(make([]float64, 100))
-	if err := a.Send(b.Tid(), 1, buf); err != nil {
+	if err := a.Send(b.tid, 1, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Recv(a.Tid(), 1); err != nil {
+	if _, _, err := b.Recv(a.tid, 1); err != nil {
 		t.Fatal(err)
 	}
 	sa, sb := a.Stats(), b.Stats()
-	if sa.MsgsSent != 1 || sa.BytesSent != int64(buf.Len()) {
+	if sa.MsgsSent != 1 || sa.BytesSent != int64(len(buf.data)) {
 		t.Errorf("sender stats: %+v", sa)
 	}
-	if sb.MsgsRecv != 1 || sb.BytesRecv != int64(buf.Len()) {
+	if sb.MsgsRecv != 1 || sb.BytesRecv != int64(len(buf.data)) {
 		t.Errorf("receiver stats: %+v", sb)
 	}
 }
 
 func TestMcastAndGroups(t *testing.T) {
 	m := NewMachine()
-	main := m.SpawnHandle("main")
+	main := m.SpawnHandle()
 	const n = 4
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -178,16 +158,14 @@ func TestMcastAndGroups(t *testing.T) {
 	tids := make([]int, n)
 	for i := 0; i < n; i++ {
 		i := i
-		tids[i] = m.Spawn("w", func(t *Task) {
+		tids[i] = m.Spawn(func(t *Task) {
 			defer wg.Done()
-			inst := t.JoinGroup("workers")
 			buf, _, err := t.Recv(AnySource, 5)
 			if err != nil {
 				return
 			}
 			v, _ := buf.UnpackDouble()
-			got[inst] = v // instance numbers are unique; inst used as slot
-			_ = i
+			got[i] = v
 		})
 	}
 	buf := NewBuffer()
@@ -201,91 +179,17 @@ func TestMcastAndGroups(t *testing.T) {
 			t.Errorf("worker slot %d got %g", i, v)
 		}
 	}
-	if g := m.GroupTids("workers"); len(g) != n {
-		t.Errorf("group has %d members", len(g))
-	}
 	m.Wait()
 }
 
 func TestSpawnNameAndTid(t *testing.T) {
 	m := NewMachine()
-	a := m.SpawnHandle("alpha")
-	if a.Name() != "alpha" || a.Tid() <= 0 {
-		t.Errorf("task identity: %q %d", a.Name(), a.Tid())
+	a := m.SpawnHandle()
+	if a.tid <= 0 {
+		t.Errorf("task identity: %d", a.tid)
 	}
-	b := m.SpawnHandle("beta")
-	if b.Tid() == a.Tid() {
+	b := m.SpawnHandle()
+	if b.tid == a.tid {
 		t.Error("tids not unique")
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	m := NewMachine()
-	const n = 5
-	var mu sync.Mutex
-	arrived := 0
-	released := 0
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		m.Spawn("b", func(task *Task) {
-			defer wg.Done()
-			mu.Lock()
-			arrived++
-			mu.Unlock()
-			if err := task.Barrier("sync", n); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			if arrived != n {
-				t.Errorf("released with only %d arrivals", arrived)
-			}
-			released++
-			mu.Unlock()
-		})
-	}
-	wg.Wait()
-	if released != n {
-		t.Errorf("%d of %d tasks released", released, n)
-	}
-	m.Wait()
-}
-
-func TestBarrierReusable(t *testing.T) {
-	m := NewMachine()
-	const n = 3
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		m.Spawn("b", func(task *Task) {
-			defer wg.Done()
-			for round := 0; round < 4; round++ {
-				if err := task.Barrier("loop", n); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		})
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("barrier rounds deadlocked")
-	}
-	m.Wait()
-}
-
-func TestBarrierValidation(t *testing.T) {
-	m := NewMachine()
-	main := m.SpawnHandle("main")
-	if err := main.Barrier("x", 0); err == nil {
-		t.Error("zero count accepted")
-	}
-	// count 1: immediate release.
-	if err := main.Barrier("solo", 1); err != nil {
-		t.Error(err)
 	}
 }

@@ -16,39 +16,26 @@ import (
 //
 //  1. cancellation and deadline expiry are permanent — retrying against
 //     a dead context only delays the inevitable;
-//  2. an explicit mark (MarkTransient / MarkPermanent) wins;
+//  2. an explicit mark (MarkTransient, MarkCorrupt) wins;
 //  3. errors that declare themselves via a Transient() bool method
 //     (including InjectedError) are believed;
 //  4. OS-level timeouts are transient;
 //  5. everything else is permanent — unknown failures (bad specs, logic
 //     errors, panics) must surface, not spin.
 
-// classified wraps an error with an explicit class mark.
-type classified struct {
-	err       error
-	transient bool
-}
+// transientError carries MarkTransient's mark.
+type transientError struct{ err error }
 
-func (c *classified) Error() string { return c.err.Error() }
-func (c *classified) Unwrap() error { return c.err }
-
-// Transient reports the explicit mark.
-func (c *classified) Transient() bool { return c.transient }
+func (e *transientError) Error() string   { return e.err.Error() }
+func (e *transientError) Unwrap() error   { return e.err }
+func (e *transientError) Transient() bool { return true }
 
 // MarkTransient marks err retryable. nil stays nil.
 func MarkTransient(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classified{err: err, transient: true}
-}
-
-// MarkPermanent marks err non-retryable. nil stays nil.
-func MarkPermanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{err: err, transient: false}
+	return &transientError{err: err}
 }
 
 // transienter is the self-classification interface (errors carry their
@@ -76,12 +63,6 @@ func MarkCorrupt(err error) error {
 		return nil
 	}
 	return &CorruptionError{err: err}
-}
-
-// IsCorrupt reports whether err's chain contains a CorruptionError.
-func IsCorrupt(err error) bool {
-	var c *CorruptionError
-	return errors.As(err, &c)
 }
 
 // netTimeoutError wraps a transport-level timeout as transient with the

@@ -300,16 +300,6 @@ func (j *Journal) Pending() map[string][]byte {
 	return out
 }
 
-// Len returns the pending count.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.pending)
-}
-
-// Path returns the journal file location.
-func (j *Journal) Path() string { return j.path }
-
 // Warning reports whether OpenJournal's replay was partial: non-nil when
 // the header was unrecognisable or corrupt/torn records were dropped, so
 // some accepted work may not have been recovered. The journal is still

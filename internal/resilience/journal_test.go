@@ -39,8 +39,8 @@ func TestJournalAcceptDonePending(t *testing.T) {
 	if err := j.Done("never-accepted"); err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", j.Len())
+	if len(j.Pending()) != 1 {
+		t.Fatalf("Len = %d, want 1", len(j.Pending()))
 	}
 }
 
@@ -107,8 +107,8 @@ func TestJournalGarbageFileRecoversEmpty(t *testing.T) {
 	}
 	j := openJournal(t, path)
 	defer j.Close()
-	if j.Len() != 0 {
-		t.Fatalf("garbage journal has %d pending", j.Len())
+	if len(j.Pending()) != 0 {
+		t.Fatalf("garbage journal has %d pending", len(j.Pending()))
 	}
 	// Dropping an unrecognisable file is loud, not silent.
 	if j.Warning() == nil {

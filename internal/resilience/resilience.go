@@ -153,9 +153,6 @@ func New(seed uint64) *Injector {
 	return &Injector{seed: seed, points: make(map[string]*point)}
 }
 
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 { return in.seed }
-
 // Set configures a point to fire errors at the given per-call
 // probability (0 disables, 1 fires every call). Returns the injector for
 // chaining.

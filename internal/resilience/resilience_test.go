@@ -158,7 +158,7 @@ func TestClassification(t *testing.T) {
 		{"nil", nil, false},
 		{"unknown", base, false},
 		{"marked transient", MarkTransient(base), true},
-		{"marked permanent", MarkPermanent(base), false},
+		{"marked corrupt", MarkCorrupt(base), false},
 		{"wrapped transient", fmt.Errorf("hour 3: %w", MarkTransient(base)), true},
 		{"injected", &InjectedError{Point: "x", Call: 1}, true},
 		{"wrapped injected", fmt.Errorf("store: %w", &InjectedError{Point: "x"}), true},

@@ -34,7 +34,7 @@ type resultCache struct {
 	entries map[string]*list.Element
 	physics map[string]*physicsShare // by physics key; see above
 
-	hits, misses, evictions uint64
+	evictions uint64
 }
 
 type cacheEntry struct {
@@ -72,16 +72,14 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 func (c *resultCache) get(hash string) (*core.Result, bool) {
 	el, ok := c.entries[hash]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	c.hits++
 	return el.Value.(*cacheEntry).res, true
 }
 
 // getPhysics returns some cached result of the given physics, or nil: a
-// donor lookup, not a submission outcome, so recency and counters stay.
+// donor lookup, not a submission outcome, so recency stays.
 func (c *resultCache) getPhysics(physics string) *core.Result {
 	if sh := c.physics[physics]; sh != nil && sh.donor != nil {
 		return sh.donor.Value.(*cacheEntry).res

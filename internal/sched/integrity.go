@@ -65,26 +65,6 @@ func (s *Scheduler) rateLocked() float64 {
 	return machine.GoHost().FlopTime
 }
 
-// deadlineLocked derives the job's execution deadline: DeadlineFactor ×
-// the estimated wall time (perfmodel cost × calibrated rate), floored
-// at WatchdogFloor so estimate noise cannot kill tiny jobs, clamped by
-// MaxRun. With DeadlineFactor unset, MaxRun alone applies. 0 means no
-// deadline; s.mu held.
-func (s *Scheduler) deadlineLocked(j *job) time.Duration {
-	var d time.Duration
-	if s.opts.DeadlineFactor > 0 && j.cost > 0 {
-		est := j.cost * s.rateLocked()
-		d = time.Duration(est * s.opts.DeadlineFactor * float64(time.Second))
-		if d < s.opts.WatchdogFloor {
-			d = s.opts.WatchdogFloor
-		}
-	}
-	if s.opts.MaxRun > 0 && (d == 0 || d > s.opts.MaxRun) {
-		d = s.opts.MaxRun
-	}
-	return d
-}
-
 // watchdogBoundLocked derives the stuck-hour bound: WatchdogFactor ×
 // the job's per-hour wall estimate, floored at WatchdogFloor. 0 means
 // the watchdog is off (disabled, or no usable estimate); s.mu held.

@@ -99,14 +99,14 @@ func TestWatchdogCancelsWedgedHour(t *testing.T) {
 	}
 }
 
-// TestMaxRunDeadline wedges the run under a hard per-job deadline (no
-// watchdog): the deadline alone must unstick it.
+// TestMaxRunDeadline wedges the run under the absolute per-job cap (no
+// watchdog): the cap alone must unstick it.
 func TestMaxRunDeadline(t *testing.T) {
 	inj := resilience.New(5).Set(resilience.PointCoreWedge, 1)
 	resilience.Enable(inj)
 	defer resilience.Disable()
 
-	s := New(Options{Workers: 1, MaxRun: 300 * time.Millisecond})
+	s := New(Options{Workers: 1, JobTimeout: 300 * time.Millisecond})
 	defer shutdown(t, s)
 
 	st := mustSubmit(t, s, miniSpec())

@@ -122,7 +122,9 @@ type Options struct {
 	// 512 MiB; 0 means the default, negative means unlimited).
 	CacheBytes int64
 	// JobTimeout bounds each run's execution time once it starts
-	// (0 = no timeout). A timed-out job fails with context.DeadlineExceeded.
+	// (0 = no timeout). The deadline lives on the job context, so the
+	// core driver observes it between time steps; a timed-out job fails
+	// with context.DeadlineExceeded.
 	JobTimeout time.Duration
 	// Ignored: every run executes on the host engine. The field survives
 	// only because the frozen bench/ sources still set it, and goes away
@@ -160,25 +162,15 @@ type Options struct {
 	// moves hour I/O off the compute critical path. Negative values fail
 	// every job at core.Config.Validate.
 	PipelineDepth int
-	// DeadlineFactor derives a per-job execution deadline from the
-	// perfmodel cost estimate: deadline = factor × (cost × calibrated
-	// rate), floored at WatchdogFloor. 0 disables cost-derived
-	// deadlines. The deadline flows into the job's context, so the core
-	// driver observes it between time steps.
-	DeadlineFactor float64
-	// MaxRun is an absolute per-job execution cap (the -max-run-seconds
-	// flag): it clamps the cost-derived deadline and applies alone when
-	// DeadlineFactor is 0. 0 means no cap.
-	MaxRun time.Duration
 	// WatchdogFactor arms the stuck-hour watchdog: a running job that
 	// completes no hour within factor × its per-hour estimate (floored
 	// at WatchdogFloor) is cancelled with a stack-dump diagnostic
 	// (*WatchdogError) instead of pinning a worker slot forever. 0
 	// disables the watchdog.
 	WatchdogFactor float64
-	// WatchdogFloor is the minimum derived deadline and stuck-hour bound
-	// (default 5s): estimates for tiny jobs are noise-dominated, and a
-	// floor keeps scheduling jitter from cancelling healthy runs.
+	// WatchdogFloor is the minimum stuck-hour bound (default 5s):
+	// estimates for tiny jobs are noise-dominated, and a floor keeps
+	// scheduling jitter from cancelling healthy runs.
 	WatchdogFloor time.Duration
 }
 
@@ -869,19 +861,13 @@ func (s *Scheduler) runJob(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	// Effective deadline: the static JobTimeout, tightened by the
-	// cost-derived per-job deadline (DeadlineFactor × estimated wall
-	// time, clamped by MaxRun). The deadline lives on the job context,
-	// so it propagates through executeJob into core.RunContext and the
-	// driver observes it between time steps.
-	timeout := s.opts.JobTimeout
-	if d := s.deadlineLocked(j); d > 0 && (timeout == 0 || d < timeout) {
-		timeout = d
-	}
+	// JobTimeout lives on the job context, so it propagates through
+	// executeJob into core.RunContext and the driver observes it between
+	// time steps.
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
+	if s.opts.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeout(s.baseCtx, s.opts.JobTimeout)
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}

@@ -9,7 +9,7 @@ func TestAuditDetectsImbalance(t *testing.T) {
 	m, err := NewMechanism(
 		[]Spec{{Name: "A"}, {Name: "B"}},
 		[]Reaction{{Label: "A->B", Reactants: []int{0},
-			Products: []Term{{Species: 1, Yield: 1}}, Rate: Constant{1}}},
+			Products: []Term{{Species: 1, Yield: 1}}, Rate: constRate(1)}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestAuditBalancedReaction(t *testing.T) {
 		[]Spec{{Name: "A"}, {Name: "B"}, {Name: "C"}, {Name: "D"}},
 		[]Reaction{{Label: "bal", Reactants: []int{0, 1},
 			Products: []Term{{Species: 2, Yield: 0.5}, {Species: 3, Yield: 0.5}},
-			Rate:     Constant{1}}},
+			Rate:     constRate(1)}},
 	)
 	if err != nil {
 		t.Fatal(err)

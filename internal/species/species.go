@@ -85,14 +85,6 @@ func (p Photolysis) K(_, sun float64) float64 {
 	return p.JMax * sun
 }
 
-// Constant is a fixed rate constant, mainly for synthetic test mechanisms.
-type Constant struct {
-	Value float64
-}
-
-// K implements RateExpr.
-func (c Constant) K(_, _ float64) float64 { return c.Value }
-
 // Term is one product of a reaction with its stoichiometric yield.
 type Term struct {
 	Species int

@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// constRate is a fixed rate constant for synthetic test mechanisms.
+type constRate float64
+
+func (c constRate) K(_, _ float64) float64 { return float64(c) }
+
 func TestNewMechanismValidation(t *testing.T) {
 	good := []Spec{{Name: "A"}, {Name: "B"}}
 	cases := []struct {
@@ -16,11 +21,11 @@ func TestNewMechanismValidation(t *testing.T) {
 		{"empty name", []Spec{{Name: ""}}, nil},
 		{"duplicate name", []Spec{{Name: "A"}, {Name: "A"}}, nil},
 		{"negative background", []Spec{{Name: "A", Background: -1}}, nil},
-		{"no reactants", good, []Reaction{{Rate: Constant{1}}}},
-		{"three reactants", good, []Reaction{{Reactants: []int{0, 0, 1}, Rate: Constant{1}}}},
-		{"bad reactant index", good, []Reaction{{Reactants: []int{7}, Rate: Constant{1}}}},
-		{"bad product index", good, []Reaction{{Reactants: []int{0}, Products: []Term{{9, 1}}, Rate: Constant{1}}}},
-		{"negative yield", good, []Reaction{{Reactants: []int{0}, Products: []Term{{1, -1}}, Rate: Constant{1}}}},
+		{"no reactants", good, []Reaction{{Rate: constRate(1)}}},
+		{"three reactants", good, []Reaction{{Reactants: []int{0, 0, 1}, Rate: constRate(1)}}},
+		{"bad reactant index", good, []Reaction{{Reactants: []int{7}, Rate: constRate(1)}}},
+		{"bad product index", good, []Reaction{{Reactants: []int{0}, Products: []Term{{9, 1}}, Rate: constRate(1)}}},
+		{"negative yield", good, []Reaction{{Reactants: []int{0}, Products: []Term{{1, -1}}, Rate: constRate(1)}}},
 		{"nil rate", good, []Reaction{{Reactants: []int{0}}}},
 	}
 	for _, c := range cases {
@@ -29,7 +34,7 @@ func TestNewMechanismValidation(t *testing.T) {
 		}
 	}
 	if _, err := NewMechanism(good, []Reaction{
-		{Reactants: []int{0}, Products: []Term{{1, 1}}, Rate: Constant{1}},
+		{Reactants: []int{0}, Products: []Term{{1, 1}}, Rate: constRate(1)},
 	}); err != nil {
 		t.Errorf("valid mechanism rejected: %v", err)
 	}
@@ -152,7 +157,7 @@ func TestProdLossSimpleChain(t *testing.T) {
 	// A -> B with k=2: P_B = 2*[A], L_A = 2.
 	specs := []Spec{{Name: "A"}, {Name: "B"}}
 	m, err := NewMechanism(specs, []Reaction{
-		{Label: "A->B", Reactants: []int{0}, Products: []Term{{1, 1}}, Rate: Constant{2}},
+		{Label: "A->B", Reactants: []int{0}, Products: []Term{{1, 1}}, Rate: constRate(2)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +180,7 @@ func TestProdLossBimolecular(t *testing.T) {
 	// A + B -> C with k=1.5.
 	specs := []Spec{{Name: "A"}, {Name: "B"}, {Name: "C"}}
 	m, err := NewMechanism(specs, []Reaction{
-		{Reactants: []int{0, 1}, Products: []Term{{2, 1}}, Rate: Constant{1.5}},
+		{Reactants: []int{0, 1}, Products: []Term{{2, 1}}, Rate: constRate(1.5)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +210,7 @@ func TestProdLossSelfReaction(t *testing.T) {
 	// A + A -> B with k=1: L_A = 2k[A], rate = k[A]^2.
 	specs := []Spec{{Name: "A"}, {Name: "B"}}
 	m, err := NewMechanism(specs, []Reaction{
-		{Reactants: []int{0, 0}, Products: []Term{{1, 1}}, Rate: Constant{1}},
+		{Reactants: []int{0, 0}, Products: []Term{{1, 1}}, Rate: constRate(1)},
 	})
 	if err != nil {
 		t.Fatal(err)

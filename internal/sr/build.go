@@ -8,7 +8,6 @@ import (
 	"airshed/internal/datasets"
 	"airshed/internal/popexp"
 	"airshed/internal/scenario"
-	"airshed/internal/store"
 	"airshed/internal/sweep"
 )
 
@@ -173,28 +172,6 @@ func diffColumn(knob string, group int, base, pert *response, step float64) Colu
 		}
 	}
 	return col
-}
-
-// AssembleFromStore assembles the matrix from run results already in
-// an artifact store — the fleet path, where the perturbation runs were
-// computed by remote workers into the shared store and the coordinator
-// (or any later daemon) assembles without rerunning anything. Missing
-// runs are reported, not computed.
-func AssembleFromStore(set Set, st *store.Store) (*Matrix, error) {
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	n := set.Normalize()
-	results := make(map[string]*core.Result)
-	for _, sp := range n.Specs() {
-		h := sp.Hash()
-		res, ok := st.GetResult(h)
-		if !ok {
-			return nil, fmt.Errorf("sr: store has no result for %s", sp)
-		}
-		results[h] = res
-	}
-	return Assemble(n, results)
 }
 
 // Builder drives SR matrix builds through a sweep engine, so the

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"airshed/internal/core"
 	"airshed/internal/sched"
 	"airshed/internal/store"
 	"airshed/internal/sweep"
@@ -208,7 +209,16 @@ func TestClaimAssemblyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mFleet, err := AssembleFromStore(set, st2)
+	n := set.Normalize()
+	stored := make(map[string]*core.Result)
+	for _, sp := range n.Specs() {
+		res, ok := st2.GetResult(sp.Hash())
+		if !ok {
+			t.Fatalf("store has no result for %s", sp)
+		}
+		stored[sp.Hash()] = res
+	}
+	mFleet, err := Assemble(n, stored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +231,8 @@ func TestClaimAssemblyBitIdentical(t *testing.T) {
 }
 
 // The serving layer single-flights concurrent builds of one key,
-// persists the matrix, survives eviction by faulting back in from the
-// store, and reports a typed miss for unknown keys.
+// persists the matrix, faults it back in from the store in a service
+// that never held it, and reports a typed miss for unknown keys.
 func TestServiceSingleFlightAndResidency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; skipped in -short")
@@ -273,12 +283,14 @@ func TestServiceSingleFlightAndResidency(t *testing.T) {
 		t.Fatal("predict counter did not advance")
 	}
 
-	// Evict, then fault back in from the store — no rebuild.
-	if !svc.Evict(key) {
-		t.Fatal("evict of resident matrix failed")
+	// A service that never built it faults it in from the store — no
+	// rebuild.
+	fresh := NewService(NewBuilder(eng))
+	if _, err := fresh.Predict(key, Query{NOxScale: 1.02}); err != nil {
+		t.Fatalf("predict on a fresh service should fault in from store: %v", err)
 	}
-	if _, err := svc.Predict(key, Query{NOxScale: 1.02}); err != nil {
-		t.Fatalf("predict after evict should fault in from store: %v", err)
+	if got := fresh.Metrics().Builds; got != 0 {
+		t.Fatalf("fault-in rebuilt the matrix: %d builds", got)
 	}
 	if got := svc.Metrics().Builds; got != 1 {
 		t.Fatalf("fault-in rebuilt the matrix: %d builds", got)

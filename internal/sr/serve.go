@@ -199,22 +199,6 @@ func (s *Service) Matrices() []MatrixInfo {
 	return out
 }
 
-// Evict drops a matrix from memory and releases its GC pin. Serving
-// continues to work — the next Predict faults it back in from the
-// store (re-pinning it) if the blob still exists.
-func (s *Service) Evict(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.resident[key]; !ok {
-		return false
-	}
-	delete(s.resident, key)
-	if s.store != nil {
-		s.store.Unpin(store.SRMatrixKey(key))
-	}
-	return true
-}
-
 // Metrics is a snapshot of the service counters.
 type Metrics struct {
 	// Predicts counts served predictions, Builds completed builds.

@@ -115,7 +115,7 @@ func TestHTTPBackendAgainstBlobServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !worker.Shared() {
+	if !worker.shared {
 		t.Fatal("HTTP-backed store must be shared")
 	}
 

@@ -56,7 +56,7 @@ func TestStoreConcurrentAccessUnderGC(t *testing.T) {
 				gets.Add(1)
 				s.getEnveloped(kindResult, other, ".res", &got)
 				if i%10 == 0 {
-					s.SweepTemps()
+					sweepTemps(s)
 				}
 			}
 		}(g)

@@ -52,11 +52,6 @@ func NewHTTPBackend(base string, client *http.Client) *HTTPBackend {
 	}
 }
 
-// SetRetry replaces the backend's transient-failure retry policy (e.g.
-// a fault seed for reproducible chaos schedules, or MaxAttempts 1 to
-// disable retries). Call before concurrent use.
-func (b *HTTPBackend) SetRetry(p resilience.RetryPolicy) { b.retry = p.WithDefaults() }
-
 // Shared implements Backend: the coordinator's store is multi-writer.
 func (b *HTTPBackend) Shared() bool { return true }
 

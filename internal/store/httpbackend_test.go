@@ -14,7 +14,7 @@ import (
 
 // fastRetry is a test policy: real retries, negligible backoff.
 func fastRetry(attempts int) resilience.RetryPolicy {
-	return resilience.RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 0.5, Seed: 42}
+	return resilience.RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 0.5, Seed: 42}.WithDefaults()
 }
 
 func withInjector(t *testing.T, in *resilience.Injector) {
@@ -36,7 +36,7 @@ func TestHTTPBackendRetriesInjectedFaults(t *testing.T) {
 	defer srv.Close()
 
 	backend := NewHTTPBackend(srv.URL, srv.Client())
-	backend.SetRetry(fastRetry(3))
+	backend.retry = fastRetry(3)
 	worker, err := OpenBackend(backend, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestHTTPBackendBenign404NeverScoresBreaker(t *testing.T) {
 	defer srv.Close()
 
 	backend := NewHTTPBackend(srv.URL, srv.Client())
-	backend.SetRetry(fastRetry(4))
+	backend.retry = fastRetry(4)
 	worker, err := OpenBackend(backend, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestHTTPBackendClassifiesTransportErrors(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 	b := NewHTTPBackend(deadURL, nil)
-	b.SetRetry(fastRetry(1))
+	b.retry = fastRetry(1)
 	if _, err := b.Get("results/aa.res"); err == nil || !resilience.IsTransient(err) {
 		t.Errorf("connection refused not transient: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestHTTPBackendClassifiesTransportErrors(t *testing.T) {
 	}))
 	defer slow.Close()
 	bt := NewHTTPBackend(slow.URL, &http.Client{Timeout: 50 * time.Millisecond})
-	bt.SetRetry(fastRetry(1))
+	bt.retry = fastRetry(1)
 	if _, err := bt.Get("results/aa.res"); err == nil || !resilience.IsTransient(err) {
 		t.Errorf("timeout not transient: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestHTTPBackendClassifiesTransportErrors(t *testing.T) {
 	}))
 	defer codes.Close()
 	bc := NewHTTPBackend(codes.URL, codes.Client())
-	bc.SetRetry(fastRetry(1))
+	bc.retry = fastRetry(1)
 	if _, err := bc.Get("results/5xx.res"); err == nil || !resilience.IsTransient(err) {
 		t.Errorf("502 not transient: %v", err)
 	}

@@ -47,29 +47,27 @@ func TestGCNeverEvictsPinnedSRMatrix(t *testing.T) {
 		}
 	}
 
-	// Double pin, single unpin: still held.
+	// Pinning twice holds one pin.
 	if err := s.Pin(SRMatrixKey("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	s.Unpin(SRMatrixKey("aaaa"))
-	if err := s.putEnveloped(kindResult, "cccc", ".res", &srPayload{Key: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	var got srPayload
-	if !s.GetSRMatrix("aaaa", &got) {
-		t.Fatal("matrix evicted while still holding one pin")
+	if s.Counters().Pinned != 1 {
+		t.Fatal("pinned gauge counts a key twice")
 	}
 
-	// Final unpin releases it: the next GC pass may evict it.
-	s.Unpin(SRMatrixKey("aaaa"))
-	if s.Counters().Pinned != 0 {
-		t.Fatal("pinned gauge did not return to zero")
+	// An unpinned matrix is fair game for the next GC pass.
+	if err := s.PutSRMatrix("eeee", matrix); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.putEnveloped(kindResult, "dddd", ".res", &srPayload{Key: "d"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.GetSRMatrix("aaaa", &got) {
+	var got srPayload
+	if s.GetSRMatrix("eeee", &got) {
 		t.Fatal("unpinned over-budget matrix survived GC — eviction is broken")
+	}
+	if !s.GetSRMatrix("aaaa", &got) {
+		t.Fatal("GC evicted the pinned matrix")
 	}
 }
 
@@ -86,11 +84,8 @@ func TestPinValidatesKeys(t *testing.T) {
 			t.Errorf("Pin(%q) accepted an invalid key", bad)
 		}
 	}
-	// Unpin of a never-pinned or invalid key is a harmless no-op.
-	s.Unpin("srmatrices/never.srm")
-	s.Unpin("not a key")
 	if got := s.Counters().Pinned; got != 0 {
-		t.Fatalf("pinned gauge %d after no-op unpins", got)
+		t.Fatalf("pinned gauge %d after refused pins", got)
 	}
 }
 

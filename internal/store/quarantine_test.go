@@ -93,7 +93,7 @@ func TestVerifyReadsQuarantines(t *testing.T) {
 	}
 
 	s.SetVerifyReads(true)
-	if !s.VerifyReads() {
+	if !s.verifyReads.Load() {
 		t.Fatal("SetVerifyReads did not stick")
 	}
 	if _, err := s.GetBlob("results/r2.res"); err == nil {

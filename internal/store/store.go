@@ -8,15 +8,15 @@
 // decide, and Restore joins the two back into a core.Result.
 // Source–receptor matrices (internal/sr) are keyed by matrix content key.
 // Checkpoints reuse the hourio checksummed snapshot format, so a stored
-// checkpoint is directly consumable by core.Restart; records, rows and SR
-// matrices travel in a small CRC-framed envelope of gzip-framed gob
-// (AIRSTOR1; stored blocks, see writeMeta). A whole result — PutResult's
+// checkpoint is directly consumable by core.RestartReaderContext; records,
+// rows and SR matrices travel in a small CRC-framed envelope of gzip-framed
+// gob (AIRSTOR1; stored blocks, see writeMeta). A whole result — PutResult's
 // self-contained form, and all that stores from before rows hold — keeps
 // that encoding for its metadata and carries Final, the megabyte gzip
 // measured at ratio 1.0, as one raw float64 section under a single frame
 // CRC (AIRSRES2; AIRSTOR1 results still read, nothing writes them).
-// Artifacts a daemon is actively serving from memory can be pinned
-// (Pin/Unpin) so the size-capped GC never evicts them mid-serve.
+// Artifacts a daemon is actively serving from memory are pinned (Pin) so
+// the size-capped GC never evicts them mid-serve.
 //
 // Raw blob bytes live behind a pluggable Backend: the local directory
 // (DirBackend — the default, Open), an in-memory map (MemBackend), or a
@@ -122,7 +122,6 @@ const (
 	KindResult     = kindResult
 	KindRecord     = kindRecord
 	KindCheckpoint = kindCheckpoint
-	KindSRMatrix   = kindSRMatrix
 	KindSpec       = kindSpec
 )
 
@@ -136,17 +135,6 @@ type PhysicsRecord struct {
 	Trace          *core.Trace
 	HourlyPeakO3   []float64
 	HourlyPeakCell []int
-}
-
-// PeakO3 returns the record's overall ozone peak and its cell.
-func (r *PhysicsRecord) PeakO3() (peak float64, cell int) {
-	for i, v := range r.HourlyPeakO3 {
-		if v > peak {
-			peak = v
-			cell = r.HourlyPeakCell[i]
-		}
-	}
-	return peak, cell
 }
 
 // Validate checks internal consistency.
@@ -213,7 +201,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	entries  map[string]entry // by relpath kind/hash.ext; nil when shared
-	pinned   map[string]int   // GC-exempt relpaths, by pin refcount
+	pinned   map[string]bool  // GC-exempt relpaths
 	bytes    int64
 	counters Counters
 }
@@ -239,7 +227,7 @@ func OpenBackend(b Backend, maxBytes int64) (*Store, error) {
 		backend:  b,
 		shared:   b.Shared(),
 		maxBytes: maxBytes,
-		pinned:   make(map[string]int),
+		pinned:   make(map[string]bool),
 		breaker:  resilience.NewBreaker(resilience.DefaultBreakerThreshold, resilience.DefaultBreakerCooldown),
 	}
 	if s.shared {
@@ -268,10 +256,6 @@ func (s *Store) Dir() string {
 
 // Backend returns the store's raw blob backend.
 func (s *Store) Backend() Backend { return s.backend }
-
-// Shared reports whether the store sits on a shared backend (no local
-// index, no local GC).
-func (s *Store) Shared() bool { return s.shared }
 
 // Breaker returns the store's circuit breaker (never nil) for state
 // inspection and tuning.
@@ -321,9 +305,6 @@ func (s *Store) ioFailure() {
 // always verify regardless of this mode.
 func (s *Store) SetVerifyReads(on bool) { s.verifyReads.Store(on) }
 
-// VerifyReads reports whether paranoid read verification is armed.
-func (s *Store) VerifyReads() bool { return s.verifyReads.Load() }
-
 // Counters snapshots the metrics.
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
@@ -338,12 +319,12 @@ func (s *Store) Counters() Counters {
 	return c
 }
 
-// Pin exempts a blob (by "kind/name" key) from garbage collection for as
-// long as at least one pin on it is held: a daemon serving a
-// memory-resident SR matrix pins its backing artifact so a size-capped
-// GC pass can never evict the blob out from under the serving layer.
-// Pins nest (refcounted) and are an in-process property only — they are
-// not persisted, so a restarted daemon re-pins whatever it re-loads.
+// Pin exempts a blob (by "kind/name" key) from garbage collection for the
+// life of the process: a daemon serving a memory-resident SR matrix pins
+// its backing artifact so a size-capped GC pass can never evict the blob
+// out from under the serving layer. Pins are an in-process property
+// only — they are not persisted, so a restarted daemon re-pins whatever
+// it re-loads.
 // Pinning never fails on a missing blob; the pin simply protects the key
 // if it is (re)written later. Corrupt entries are still quarantined — a
 // pin protects bytes from eviction, not from being broken.
@@ -354,25 +335,8 @@ func (s *Store) Pin(key string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pinned[kind+"/"+name]++
+	s.pinned[kind+"/"+name] = true
 	return nil
-}
-
-// Unpin releases one pin on a blob key; the last release makes the blob
-// evictable again. Unpinning a key that is not pinned is a no-op.
-func (s *Store) Unpin(key string) {
-	kind, name, err := SplitKey(key)
-	if err != nil {
-		return
-	}
-	rel := kind + "/" + name
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pinned[rel] > 1 {
-		s.pinned[rel]--
-	} else {
-		delete(s.pinned, rel)
-	}
 }
 
 // relpath builds the index key / backend location of an artifact.
@@ -467,7 +431,7 @@ func (s *Store) gcLocked(keep string) {
 	}
 	victims := make([]aged, 0, len(s.entries))
 	for rel, e := range s.entries {
-		if rel != keep && s.pinned[rel] == 0 {
+		if rel != keep && !s.pinned[rel] {
 			victims = append(victims, aged{rel, e.added})
 		}
 	}
@@ -500,15 +464,6 @@ func (s *Store) sweepTempsLocked() int {
 	n := sw.SweepTemps()
 	s.counters.TempsSwept += uint64(n)
 	return n
-}
-
-// SweepTemps removes orphaned temp files left by crashed writers (those
-// belonging to in-flight writes are skipped) and returns how many went.
-// Backends without write temp files sweep nothing.
-func (s *Store) SweepTemps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sweepTempsLocked()
 }
 
 // removeLocked drops an entry from the index and the backend; s.mu held.

@@ -91,10 +91,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		len(back.Trace.Hours) != len(rec.Trace.Hours) {
 		t.Error("record did not round-trip")
 	}
-	p1, c1 := rec.PeakO3()
-	p2, c2 := back.PeakO3()
-	if p1 != p2 || c1 != c2 {
-		t.Errorf("peak mismatch: %g@%d vs %g@%d", p1, c1, p2, c2)
+	if !reflect.DeepEqual(rec.HourlyPeakCell, back.HourlyPeakCell) {
+		t.Errorf("peak cells mismatch: %v vs %v", rec.HourlyPeakCell, back.HourlyPeakCell)
 	}
 }
 
@@ -327,6 +325,13 @@ func TestOpenRecoversFromCrashMidRename(t *testing.T) {
 	}
 }
 
+// sweepTemps runs the GC pass's temp sweep on its own.
+func sweepTemps(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sweepTempsLocked()
+}
+
 func TestSweepTempsRemovesOrphans(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -342,7 +347,7 @@ func TestSweepTempsRemovesOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if swept := s.SweepTemps(); swept != len(temps) {
+	if swept := sweepTemps(s); swept != len(temps) {
 		t.Errorf("swept %d orphans, want %d", swept, len(temps))
 	}
 	for _, tmp := range temps {
@@ -356,7 +361,7 @@ func TestSweepTempsRemovesOrphans(t *testing.T) {
 	if c := s.Counters(); c.TempsSwept != uint64(len(temps)) {
 		t.Errorf("TempsSwept = %d, want %d", c.TempsSwept, len(temps))
 	}
-	if s.SweepTemps() != 0 {
+	if sweepTemps(s) != 0 {
 		t.Error("second sweep found debris again")
 	}
 }

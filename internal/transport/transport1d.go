@@ -49,9 +49,6 @@ func New1D(g *grid.Grid) (*Operator1D, error) {
 	return op, nil
 }
 
-// Grid returns the operator's grid.
-func (op *Operator1D) Grid() *grid.Grid { return op.g }
-
 // Prepare validates the environment and computes the stable substep bound.
 func (op *Operator1D) Prepare(env *Env) (float64, error) {
 	if len(env.U) != len(op.g.Cells) || len(env.V) != len(op.g.Cells) {

@@ -70,9 +70,6 @@ func New2D(g *grid.Grid) (*Operator2D, error) {
 	}, nil
 }
 
-// Grid returns the operator's grid.
-func (op *Operator2D) Grid() *grid.Grid { return op.g }
-
 // SUPGAlpha returns the optimal streamline-upwind parameter
 // coth(Pe) - 1/Pe for a local Peclet number.
 func SUPGAlpha(pe float64) float64 {

@@ -73,7 +73,6 @@ type Machine struct {
 	prof  *machine.Profile
 	clock []float64                // per-node virtual clocks, seconds
 	spent [][numCategories]float64 // per-node per-category time
-	steps int                      // number of phase barriers executed
 }
 
 // New creates a virtual machine with p nodes of the given profile.
@@ -112,14 +111,9 @@ func (m *Machine) ChargeCompute(node int, cat Category, flops float64) {
 	m.chargeSeconds(node, cat, m.prof.ComputeTime(flops))
 }
 
-// ChargeComm charges a communication cost Ct = L*m + G*b + H*c to a node.
-// The category is always CatComm.
-func (m *Machine) ChargeComm(node int, messages int, bytes, copied int64) {
-	m.chargeSeconds(node, CatComm, m.prof.CommTime(messages, bytes, copied))
-}
-
-// ChargeCommAs is ChargeComm with an explicit category, used by foreign
-// modules whose internal communication is attributed to their own category.
+// ChargeCommAs charges a communication cost Ct = L*m + G*b + H*c to a node
+// under cat: CatComm, or a foreign module's own category for its internal
+// communication.
 func (m *Machine) ChargeCommAs(node int, cat Category, messages int, bytes, copied int64) {
 	m.chargeSeconds(node, cat, m.prof.CommTime(messages, bytes, copied))
 }
@@ -162,7 +156,6 @@ func (m *Machine) BarrierGroup(nodes []int) float64 {
 		// that node.
 		m.clock[n] = max
 	}
-	m.steps++
 	return max
 }
 
@@ -181,9 +174,6 @@ func (m *Machine) Elapsed() float64 {
 // Clock returns the private clock of one node.
 func (m *Machine) Clock(node int) float64 { return m.clock[node] }
 
-// Barriers returns the number of barrier operations executed.
-func (m *Machine) Barriers() int { return m.steps }
-
 // CategorySeconds returns the maximum-over-nodes time spent in the category.
 // For phase-synchronous programs this equals the wall-clock contribution of
 // the category, which is what the paper's Figure 4 plots.
@@ -195,11 +185,6 @@ func (m *Machine) CategorySeconds(cat Category) float64 {
 		}
 	}
 	return max
-}
-
-// NodeCategorySeconds returns the time node has spent in cat.
-func (m *Machine) NodeCategorySeconds(node int, cat Category) float64 {
-	return m.spent[node][cat]
 }
 
 // Ledger is a per-category time report.
@@ -268,16 +253,6 @@ func (m *Machine) Utilization() (perNode []float64, efficiency float64) {
 		sum += perNode[n]
 	}
 	return perNode, sum / float64(len(m.clock))
-}
-
-// Reset zeroes all clocks and category ledgers, keeping the profile and
-// node count.
-func (m *Machine) Reset() {
-	for i := range m.clock {
-		m.clock[i] = 0
-		m.spent[i] = [numCategories]float64{}
-	}
-	m.steps = 0
 }
 
 // AdvanceTo moves every listed node's clock forward to at least t. Used by

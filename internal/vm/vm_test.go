@@ -51,9 +51,6 @@ func TestBarrierTakesMax(t *testing.T) {
 			t.Errorf("node %d clock %g after barrier, want %g", n, m.Clock(n), want)
 		}
 	}
-	if m.Barriers() != 1 {
-		t.Errorf("Barriers() = %d", m.Barriers())
-	}
 }
 
 func TestBarrierGroupLeavesOthers(t *testing.T) {
@@ -76,7 +73,7 @@ func TestCategoryAccounting(t *testing.T) {
 	m := newTestVM(t, 2)
 	m.ChargeCompute(0, CatChemistry, 2e6)
 	m.ChargeCompute(0, CatTransport, 1e6)
-	m.ChargeComm(1, 3, 1000, 500)
+	m.ChargeCommAs(1, CatComm, 3, 1000, 500)
 	m.ChargeIO(0, 4096)
 
 	chem := m.Profile().ComputeTime(2e6)
@@ -92,7 +89,7 @@ func TestCategoryAccounting(t *testing.T) {
 		t.Errorf("io = %g, want %g", got, io)
 	}
 	// Per-node category view.
-	if got := m.NodeCategorySeconds(1, CatChemistry); got != 0 {
+	if got := m.spent[1][CatChemistry]; got != 0 {
 		t.Errorf("node 1 chemistry = %g, want 0", got)
 	}
 }
@@ -128,19 +125,6 @@ func TestNegativeChargePanics(t *testing.T) {
 		}
 	}()
 	m.ChargeSeconds(0, CatOther, -1)
-}
-
-func TestReset(t *testing.T) {
-	m := newTestVM(t, 3)
-	m.ChargeCompute(0, CatChemistry, 1e6)
-	m.Barrier()
-	m.Reset()
-	if m.Elapsed() != 0 || m.Barriers() != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if m.CategorySeconds(CatChemistry) != 0 {
-		t.Error("Reset did not clear categories")
-	}
 }
 
 func TestAdvanceTo(t *testing.T) {
