@@ -281,19 +281,6 @@ func BenchmarkYoungBoris(b *testing.B) {
 	}
 }
 
-// BenchmarkRedistributePlan measures constructing the D_Chem -> D_Repl
-// plan for the LA shape on 64 nodes (the compiler's communication
-// generation).
-func BenchmarkRedistributePlan(b *testing.B) {
-	sh := dist.Shape{Species: 35, Layers: 5, Cells: 700}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dist.NewPlan(sh, dist.DChem, dist.DRepl, 64, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRedistributeData measures physically redistributing the LA
 // concentration array across 8 virtual nodes (D_Trans -> D_Chem).
 func BenchmarkRedistributeData(b *testing.B) {

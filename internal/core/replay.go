@@ -67,13 +67,13 @@ func Replay(tr *Trace, prof *machine.Profile, p int, mode Mode) (*ReplayResult, 
 	}
 }
 
-// RedistPlans caches the four redistribution plans for a shape and node
-// count.
+// RedistPlans holds the three redistribution plans of the Airshed cycle
+// for a shape and node count. The hourly D_Trans->D_Repl gather is priced
+// as transToChem then chemToRepl, the route the physical driver takes.
 type RedistPlans struct {
 	replToTrans *dist.Plan
 	transToChem *dist.Plan
 	chemToRepl  *dist.Plan
-	transToRepl *dist.Plan
 }
 
 // NewRedistPlans builds the plan cache for a shape on p nodes.
@@ -87,9 +87,6 @@ func NewRedistPlans(sh dist.Shape, p, wordSize int) (*RedistPlans, error) {
 		return nil, err
 	}
 	if rp.chemToRepl, err = dist.NewPlan(sh, dist.DChem, dist.DRepl, p, wordSize); err != nil {
-		return nil, err
-	}
-	if rp.transToRepl, err = dist.NewPlan(sh, dist.DTrans, dist.DRepl, p, wordSize); err != nil {
 		return nil, err
 	}
 	return &rp, nil
@@ -110,7 +107,7 @@ func chargeRedist(m *vm.Machine, nodes []int, plan *dist.Plan, kind string, res 
 
 // chargeTransport prices one transport call on a node group: each node
 // executes its owned layers.
-func chargeTransport(m *vm.Machine, nodes []int, layers []float64, st *StepTrace) {
+func chargeTransport(m *vm.Machine, nodes []int, st *StepTrace) {
 	p := len(nodes)
 	for i, n := range nodes {
 		iv := dist.BlockOwner(len(st.LayerFlops), p, i)
@@ -121,7 +118,6 @@ func chargeTransport(m *vm.Machine, nodes []int, layers []float64, st *StepTrace
 		m.ChargeCompute(n, vm.CatTransport, flops)
 	}
 	m.BarrierGroup(nodes)
-	_ = layers
 }
 
 // chargeChemistry prices one chemistry call on a node group: each node
@@ -157,14 +153,14 @@ func ChargeHourSteps(m *vm.Machine, nodes []int, rp *RedistPlans, ht *HourTrace,
 			chargeRedist(m, nodes, rp.replToTrans, KindReplToTrans, res)
 			cur = dist.DTrans
 		}
-		chargeTransport(m, nodes, st.LayerFlops, st)
+		chargeTransport(m, nodes, st)
 		chargeRedist(m, nodes, rp.transToChem, KindTransToChem, res)
 		chargeChemistry(m, nodes, st)
 		chargeRedist(m, nodes, rp.chemToRepl, KindChemToRepl, res)
 		chargeAerosol(m, nodes, st)
 		chargeRedist(m, nodes, rp.replToTrans, KindReplToTrans, res)
 		cur = dist.DTrans
-		chargeTransport(m, nodes, st.LayerFlops, st)
+		chargeTransport(m, nodes, st)
 	}
 }
 

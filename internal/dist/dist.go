@@ -13,10 +13,12 @@
 //	D_Trans = A(*,BLOCK,*)    block over layers (horizontal transport)
 //	D_Chem  = A(*,*,BLOCK)    block over cells (chemistry + vertical transport)
 //
-// A Plan captures, for a redistribution between two distributions on P
-// machine nodes, exactly the per-node quantities of the paper's cost
-// equation Ct = L*m + G*b + H*c: messages sent and received, bytes sent and
-// received, and bytes copied locally.
+// A Plan is, for a redistribution between two distributions on P machine
+// nodes, exactly the per-node quantities of the paper's cost equation
+// Ct = L*m + G*b + H*c: messages sent and received, bytes sent and
+// received, and bytes copied locally. NewPlan computes them in closed form
+// in O(P) for every redistribution of the Airshed cycle; it keeps no list
+// of individual messages.
 package dist
 
 import (

@@ -32,36 +32,28 @@ func (t NodeTraffic) Cost(p *machine.Profile) float64 {
 	return p.CommTime(t.MsgsSent+t.MsgsRecv, b, t.BytesCopied)
 }
 
-// Transfer is one point-to-point message of a redistribution plan: Elems
-// array elements move from node From's shard to node To's shard. The
-// element set is implied by ownership: exactly the elements From owns under
-// the source distribution and To owns under the destination distribution.
-type Transfer struct {
-	From, To int
-	Elems    int
-}
-
-// Plan is a complete communication plan for redistributing the
-// concentration array from Src to Dst on P machine nodes.
+// Plan is the per-node traffic of redistributing the concentration array
+// from Src to Dst on P machine nodes: the m, b and c of the paper's cost
+// equation for every node, and nothing else. No message list is kept;
+// the counts follow in closed form from the owned counts of the two
+// distributions.
 type Plan struct {
 	Shape    Shape
 	Src, Dst Dist
 	P        int
 	WordSize int
 
-	// Transfers lists every point-to-point message (From != To). Local
-	// moves (From == To) are accounted in Traffic[n].BytesCopied and do
-	// not appear here.
-	Transfers []Transfer
-
 	// Traffic is indexed by machine node.
 	Traffic []NodeTraffic
 }
 
-// NewPlan builds the redistribution plan from src to dst for the given
-// array shape on p nodes with wordSize-byte elements.
+// NewPlan computes the per-node traffic of the redistribution from src to
+// dst for the given array shape on p nodes with wordSize-byte elements.
+// Node i sends node j the elements i owns under src that j owns under
+// dst; a non-empty overlap is one message when i != j and a local copy
+// (BytesCopied) when i == j.
 //
-// Plan construction rules:
+// Every case the Airshed cycle uses costs O(p):
 //
 //   - src == dst: identity, nothing moves.
 //
@@ -70,15 +62,18 @@ type Plan struct {
 //     paper's D_Repl -> D_Trans: "a local data copy but no actual transfer
 //     of data across nodes".
 //
-//   - dst Replicated: an all-gather. Every node sends its src-owned shard
-//     to every other node and locally copies its own shard into the
-//     replicated buffer. This is D_Chem -> D_Repl.
+//   - dst Replicated: an all-gather. With shard sizes s_i summing to S over
+//     k non-empty shards, a node with s_i > 0 sends s_i elements to each of
+//     the p-1 others and copies its own shard; every node receives the
+//     other k-[s_i>0] shards, S-s_i elements. This is D_Chem -> D_Repl.
 //
-//   - both partitioned: node i sends to node j the elements i owns under
-//     src that j owns under dst; the i==j overlap is a local copy. This is
-//     D_Trans -> D_Chem.
+//   - both partitioned on different axes: with owned axis counts a_i
+//     (src) and b_j (dst), the i->j overlap is a_i*b_j times the extent of
+//     the third axis, so each node's sums are a total minus its own term.
+//     This is D_Trans -> D_Chem.
 //
-// A message is counted only when the overlap is non-empty.
+// Both partitioned on the same axis, which the Airshed cycle never does,
+// intersects the owned index sets pair by pair in O(p^2).
 func NewPlan(sh Shape, src, dst Dist, p, wordSize int) (*Plan, error) {
 	if !sh.Valid() {
 		return nil, fmt.Errorf("dist: invalid shape %v", sh)
@@ -95,85 +90,112 @@ func NewPlan(sh Shape, src, dst Dist, p, wordSize int) (*Plan, error) {
 		return pl, nil
 	}
 	w := int64(wordSize)
+	tr := pl.Traffic
 
 	switch {
 	case src.Kind == Replicated:
-		for n := 0; n < p; n++ {
-			owned := OwnedCount(sh, dst, p, n)
-			pl.Traffic[n].BytesCopied += int64(owned) * w
+		for n := range tr {
+			tr[n].BytesCopied = int64(OwnedCount(sh, dst, p, n)) * w
 		}
 
 	case dst.Kind == Replicated:
-		for i := 0; i < p; i++ {
-			shard := OwnedCount(sh, src, p, i)
-			if shard == 0 {
-				continue
+		shard := func(n int) int64 { return int64(OwnedCount(sh, src, p, n)) }
+		var total int64
+		nonEmpty := 0
+		for n := range tr {
+			s := shard(n)
+			total += s
+			if s > 0 {
+				nonEmpty++
 			}
-			for j := 0; j < p; j++ {
-				if j == i {
-					pl.Traffic[i].BytesCopied += int64(shard) * w
-					continue
+		}
+		for n := range tr {
+			s := shard(n)
+			tr[n].BytesCopied = s * w
+			tr[n].BytesRecv = (total - s) * w
+			tr[n].MsgsRecv = nonEmpty
+			if s > 0 {
+				tr[n].MsgsSent = p - 1
+				tr[n].BytesSent = int64(p-1) * s * w
+				tr[n].MsgsRecv--
+			}
+		}
+
+	case src.Dim != dst.Dim:
+		third := int64(sh.Len() / sh.Extent(src.Dim) / sh.Extent(dst.Dim))
+		srcAxis := func(n int) int64 { return int64(ownedAxisCount(sh, src, p, n)) }
+		dstAxis := func(n int) int64 { return int64(ownedAxisCount(sh, dst, p, n)) }
+		var totalA, totalB int64
+		nonEmptyA, nonEmptyB := 0, 0
+		for n := range tr {
+			a, b := srcAxis(n), dstAxis(n)
+			totalA += a
+			totalB += b
+			if a > 0 {
+				nonEmptyA++
+			}
+			if b > 0 {
+				nonEmptyB++
+			}
+		}
+		for n := range tr {
+			a, b := srcAxis(n), dstAxis(n)
+			tr[n].BytesCopied = a * b * third * w
+			if a > 0 {
+				tr[n].MsgsSent = nonEmptyB
+				if b > 0 {
+					tr[n].MsgsSent--
 				}
-				pl.Transfers = append(pl.Transfers, Transfer{From: i, To: j, Elems: shard})
-				pl.Traffic[i].MsgsSent++
-				pl.Traffic[i].BytesSent += int64(shard) * w
-				pl.Traffic[j].MsgsRecv++
-				pl.Traffic[j].BytesRecv += int64(shard) * w
+				tr[n].BytesSent = a * (totalB - b) * third * w
+			}
+			if b > 0 {
+				tr[n].MsgsRecv = nonEmptyA
+				if a > 0 {
+					tr[n].MsgsRecv--
+				}
+				tr[n].BytesRecv = b * (totalA - a) * third * w
 			}
 		}
 
 	default:
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
-				elems := overlapElems(sh, src, dst, p, i, j)
+				elems := sameAxisOverlap(sh, src, dst, p, i, j)
 				if elems == 0 {
 					continue
 				}
 				bytes := int64(elems) * w
 				if i == j {
-					pl.Traffic[i].BytesCopied += bytes
+					tr[i].BytesCopied += bytes
 					continue
 				}
-				pl.Transfers = append(pl.Transfers, Transfer{From: i, To: j, Elems: elems})
-				pl.Traffic[i].MsgsSent++
-				pl.Traffic[i].BytesSent += bytes
-				pl.Traffic[j].MsgsRecv++
-				pl.Traffic[j].BytesRecv += bytes
+				tr[i].MsgsSent++
+				tr[i].BytesSent += bytes
+				tr[j].MsgsRecv++
+				tr[j].BytesRecv += bytes
 			}
 		}
 	}
 	return pl, nil
 }
 
-// overlapElems counts the elements node i owns under src that node j owns
-// under dst, for two partitioned (Block or Cyclic) distributions.
-func overlapElems(sh Shape, src, dst Dist, p, i, j int) int {
-	if src.Dim == dst.Dim {
-		// Same axis: intersect the two owned index sets; every other
-		// axis is full.
-		perIndex := sh.Len() / sh.Extent(src.Dim)
-		if src.Kind == Block && dst.Kind == Block {
-			n := sh.Extent(src.Dim)
-			iv := BlockOwner(n, p, i).Intersect(BlockOwner(n, p, j))
-			return iv.Len() * perIndex
-		}
-		count := 0
-		for _, k := range OwnedIndices(sh, src, p, i) {
-			if Owner(sh, dst, p, j, k) {
-				count++
-			}
-		}
-		return count * perIndex
+// sameAxisOverlap counts the elements node i owns under src that node j
+// owns under dst, for two distributions partitioning the same axis: the
+// owned index sets intersect and every other axis is full.
+func sameAxisOverlap(sh Shape, src, dst Dist, p, i, j int) int {
+	perIndex := sh.Len() / sh.Extent(src.Dim)
+	if src.Kind == Block && dst.Kind == Block {
+		n := sh.Extent(src.Dim)
+		iv := BlockOwner(n, p, i).Intersect(BlockOwner(n, p, j))
+		return iv.Len() * perIndex
 	}
-	// Different axes: cross product of the two owned counts times the
-	// extent of the remaining axis.
-	nSrc := ownedAxisCount(sh, src, p, i)
-	nDst := ownedAxisCount(sh, dst, p, j)
-	if nSrc == 0 || nDst == 0 {
-		return 0
+	count := 0
+	for _, k := range OwnedIndices(sh, src, p, i) {
+		if Owner(sh, dst, p, j, k) {
+			count++
+		}
 	}
-	third := sh.Len() / sh.Extent(src.Dim) / sh.Extent(dst.Dim)
-	return nSrc * nDst * third
+	return count * perIndex
 }
 
 // ownedAxisCount returns how many indices along d's distributed axis the
