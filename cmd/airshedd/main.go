@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -56,6 +55,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -63,7 +63,6 @@ import (
 	"airshed/internal/fleet"
 	"airshed/internal/integrity"
 	"airshed/internal/resilience"
-	"airshed/internal/scenario"
 	"airshed/internal/sched"
 	"airshed/internal/store"
 )
@@ -97,7 +96,7 @@ func run() error {
 		hostWorkers  = flag.Int("host-workers", 0, "host engine workers per job (0 = shared GOMAXPROCS pool, 1 = serial reference)")
 		pipeline     = flag.Int("pipeline", 0, "hour-pipeline depth per run: overlap input prefetch and async snapshot writes with compute (0 = both stages inline)")
 		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
-		journalPath  = flag.String("journal", "", "crash-recovery journal file (default <store>/journal.wal when -store is set; \"off\" disables)")
+		journalPath  = flag.String("journal", "", "crash-recovery journal file of jobs and fleet sweeps (default <store>/journal.wal when -store is set; \"off\" disables)")
 		retries      = flag.Int("retries", 3, "attempts per job for transiently-failed runs (1 = no retries)")
 
 		// Integrity subsystem: background store scrubbing with quarantine
@@ -125,7 +124,6 @@ func run() error {
 		fleetMaxBackoff  = flag.Duration("fleet-max-backoff", 30*time.Second, "worker: cap on the re-register retry backoff when the coordinator is unreachable")
 		fleetHBTimeout   = flag.Duration("fleet-heartbeat-timeout", 10*time.Second, "coordinator: declare a worker lost after this silence")
 		fleetPoll        = flag.Duration("fleet-poll", 500*time.Millisecond, "coordinator: shard progress poll interval")
-		fleetJournalPath = flag.String("fleet-journal", "", "coordinator sweep journal file (default <store>/fleet.wal; \"off\" disables); journaled sweeps resume across restarts")
 		fleetHedge       = flag.Float64("fleet-hedge", 0, "coordinator: hedge a shard running this multiple of its estimated duration (0 = default 4, <0 disables)")
 	)
 	flag.Parse()
@@ -192,21 +190,11 @@ func run() error {
 		fmt.Println("airshedd: paranoid read verification enabled (-verify-reads)")
 	}
 
-	// Crash-recovery journal: accepted-but-unfinished jobs are WAL-logged
-	// next to the store and re-submitted after a crash or kill -9.
-	var journal *resilience.Journal
-	switch {
-	case *journalPath == "off":
-	case *journalPath != "":
-		var err error
-		if journal, err = resilience.OpenJournal(*journalPath); err != nil {
-			return err
-		}
-	case *storeDir != "":
-		var err error
-		if journal, err = resilience.OpenJournal(filepath.Join(*storeDir, "journal.wal")); err != nil {
-			return err
-		}
+	// Crash-recovery journal: accepted-but-unfinished jobs and sweeps are
+	// WAL-logged next to the store and resumed after a crash or kill -9.
+	journal, err := openJournal(*journalPath, *storeDir)
+	if err != nil {
+		return err
 	}
 	if journal != nil {
 		defer journal.Close()
@@ -228,7 +216,11 @@ func run() error {
 		Journal:        journal,
 		WatchdogFactor: *watchdogFactor,
 	})
-	replayJournal(journal, scheduler)
+	if n, err := scheduler.Recover(); err != nil {
+		return fmt.Errorf("journal recovery: %w", err)
+	} else if n > 0 {
+		fmt.Printf("airshedd: journal: re-submitted %d unfinished jobs\n", n)
+	}
 
 	// Background store scrubber: re-verify artifacts at rest, quarantine
 	// failures, repair by recompute through the scheduler. Only the
@@ -251,33 +243,13 @@ func run() error {
 	}
 
 	var coordinator *fleet.Coordinator
-	var fleetJournal *resilience.Journal
 	if *fleetCoordinator {
 		// Durable sweep state: submissions are journaled before dispatch,
 		// so a coordinator killed mid-sweep resumes on restart.
-		switch {
-		case *fleetJournalPath == "off":
-		case *fleetJournalPath != "":
-			var err error
-			if fleetJournal, err = resilience.OpenJournal(*fleetJournalPath); err != nil {
-				return err
-			}
-		default:
-			var err error
-			if fleetJournal, err = resilience.OpenJournal(filepath.Join(*storeDir, "fleet.wal")); err != nil {
-				return err
-			}
-		}
-		if fleetJournal != nil {
-			defer fleetJournal.Close()
-			if w := fleetJournal.Warning(); w != nil {
-				fmt.Fprintln(os.Stderr, "airshedd: fleet journal recovery was partial:", w)
-			}
-		}
 		coordinator = fleet.NewCoordinator(fleet.Options{
 			HeartbeatTimeout: *fleetHBTimeout,
 			PollInterval:     *fleetPoll,
-			Journal:          fleetJournal,
+			Journal:          journal,
 			Store:            artifacts,
 			HedgeFactor:      *fleetHedge,
 			Logf: func(format string, args ...any) {
@@ -304,7 +276,7 @@ func run() error {
 	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newServer(scheduler, artifacts, *pprofFlag, coordinator, role).withJournals(journal, fleetJournal).withScrubber(scrubber).handler(),
+		Handler:           newServer(scheduler, artifacts, *pprofFlag, coordinator, role).withJournal(journal).withScrubber(scrubber).handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -370,41 +342,56 @@ func run() error {
 	return nil
 }
 
-// replayJournal re-submits the journal's accepted-but-unfinished jobs
-// from before a crash. Each re-submission journals itself under a fresh
-// job ID (or resolves instantly from the store if the old process
-// finished the run before dying), after which the stale entry retires.
-// Jobs the scheduler rejects (queue full) stay pending for the next
-// restart.
-//
-// Before any re-submission the scheduler's ID sequence is seeded past
-// every replayed ID: a fresh boot otherwise restarts at j000001, fresh
-// IDs collide with stale pending keys, and Done(staleID) after Submit
-// would retire the re-submitted job's own journal entry — so a second
-// crash would silently lose accepted work.
-func replayJournal(journal *resilience.Journal, scheduler *sched.Scheduler) {
-	if journal == nil {
-		return
+// openJournal opens the daemon's one crash-recovery journal: path, or
+// <store>/journal.wal when path is empty; nil for "off" or with neither
+// set. The scheduler's jobs and the fleet coordinator's sweeps share it.
+// A sweep journal kept apart by earlier versions, <store>/fleet.wal, is
+// folded in.
+func openJournal(path, storeDir string) (*resilience.Journal, error) {
+	switch {
+	case path == "off", path == "" && storeDir == "":
+		return nil, nil
+	case path == "":
+		path = filepath.Join(storeDir, "journal.wal")
 	}
-	pending := journal.Pending()
-	if len(pending) == 0 {
-		return
+	j, err := resilience.OpenJournal(path)
+	if err != nil {
+		return nil, err
 	}
-	scheduler.SeedSequence(maxJournalSeq(pending))
-	resubmitted := 0
-	for id, payload := range pending {
-		var spec scenario.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			_ = journal.Done(id) // unreadable entry: nothing to recover
-			continue
+	if storeDir != "" {
+		if err := foldLegacyJournal(j, filepath.Join(storeDir, "fleet.wal")); err != nil {
+			j.Close()
+			return nil, err
 		}
-		if _, err := scheduler.Submit(spec); err != nil {
-			continue
-		}
-		resubmitted++
-		_ = journal.Done(id)
 	}
-	fmt.Printf("airshedd: journal: re-submitted %d of %d unfinished jobs\n", resubmitted, len(pending))
+	return j, nil
+}
+
+// foldLegacyJournal moves the pending records of the journal file at
+// legacy into j, in ID order, then deletes the file. A crash part-way
+// folds again on the next boot: Accept of a pending ID overwrites it.
+func foldLegacyJournal(j *resilience.Journal, legacy string) error {
+	pending, err := resilience.ReadJournal(legacy)
+	if err != nil {
+		return err
+	}
+	ids := make([]string, 0, len(pending))
+	for id := range pending {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if err := j.Accept(id, pending[id]); err != nil {
+			return err
+		}
+	}
+	if err := os.Remove(legacy); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if len(ids) > 0 {
+		fmt.Printf("airshedd: journal: folded %d records of %s\n", len(ids), legacy)
+	}
+	return nil
 }
 
 // workerIdentity derives the fleet name and self URL a worker
@@ -426,18 +413,4 @@ func workerIdentity(addr, name, selfURL string) (string, string, error) {
 		selfURL = "http://" + net.JoinHostPort(host, port)
 	}
 	return name, selfURL, nil
-}
-
-// maxJournalSeq extracts the highest numeric sequence among journaled
-// job IDs of the scheduler's "j%06d" form. IDs in any other shape are
-// skipped — they cannot collide with a scheduler-issued ID anyway.
-func maxJournalSeq(pending map[string][]byte) uint64 {
-	var max uint64
-	for id := range pending {
-		var n uint64
-		if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
 }

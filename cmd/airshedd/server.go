@@ -60,10 +60,8 @@ type server struct {
 	sr      *sr.Service // source–receptor matrix builds + serving
 	profile bool        // expose net/http/pprof under /debug/pprof/
 
-	// Crash-recovery journals, for /healthz warning surfacing: the
-	// scheduler's job WAL and (coordinator only) the fleet sweep WAL.
-	schedJournal *resilience.Journal
-	fleetJournal *resilience.Journal
+	// The crash-recovery journal, for /healthz warning surfacing.
+	journal *resilience.Journal
 
 	// scrub is the background store scrubber (nil when -store is unset
 	// or scrubbing disabled), for /healthz freshness and /metrics.
@@ -83,11 +81,10 @@ func newServer(s *sched.Scheduler, st *store.Store, profile bool, coord *fleet.C
 	}
 }
 
-// withJournals attaches the crash-recovery journals so /healthz can
-// surface partial-recovery warnings. Either may be nil.
-func (s *server) withJournals(schedJ, fleetJ *resilience.Journal) *server {
-	s.schedJournal = schedJ
-	s.fleetJournal = fleetJ
+// withJournal attaches the crash-recovery journal so /healthz can
+// surface a partial-recovery warning. It may be nil.
+func (s *server) withJournal(j *resilience.Journal) *server {
+	s.journal = j
 	return s
 }
 
@@ -466,12 +463,11 @@ type healthResponse struct {
 	FleetWorkers int    `json:"fleet_workers,omitempty"` // live workers (coordinator only)
 	SRMatrices   int    `json:"sr_matrices"`             // SR matrices resident in memory
 
-	// Journal warnings: non-empty when a crash-recovery replay was
+	// Journal warning: non-empty when the crash-recovery replay was
 	// partial (corrupt frames skipped). The daemon keeps serving — the
 	// skipped work re-resolves through the store or recomputes — but
 	// operators should know the WAL took damage.
-	JournalWarning      string `json:"journal_warning,omitempty"`
-	FleetJournalWarning string `json:"fleet_journal_warning,omitempty"`
+	JournalWarning string `json:"journal_warning,omitempty"`
 
 	// Admission pressure: how deep the submission queue is right now and
 	// the perfmodel-derived estimate of how long a new job would wait —
@@ -506,14 +502,9 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.coord != nil {
 		h.FleetWorkers = s.coord.Gauges().WorkersLive
 	}
-	if s.schedJournal != nil {
-		if warn := s.schedJournal.Warning(); warn != nil {
+	if s.journal != nil {
+		if warn := s.journal.Warning(); warn != nil {
 			h.JournalWarning = warn.Error()
-		}
-	}
-	if s.fleetJournal != nil {
-		if warn := s.fleetJournal.Warning(); warn != nil {
-			h.FleetJournalWarning = warn.Error()
 		}
 	}
 	writeJSON(w, http.StatusOK, h)

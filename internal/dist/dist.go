@@ -160,21 +160,6 @@ func (iv Interval) Len() int {
 	return iv.Hi - iv.Lo
 }
 
-// Intersect returns the overlap of two intervals.
-func (iv Interval) Intersect(o Interval) Interval {
-	lo, hi := iv.Lo, iv.Hi
-	if o.Lo > lo {
-		lo = o.Lo
-	}
-	if o.Hi < hi {
-		hi = o.Hi
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return Interval{lo, hi}
-}
-
 // Contains reports whether i is in the interval.
 func (iv Interval) Contains(i int) bool { return i >= iv.Lo && i < iv.Hi }
 

@@ -183,23 +183,6 @@ func TestDistString(t *testing.T) {
 	}
 }
 
-func TestIntervalIntersect(t *testing.T) {
-	cases := []struct {
-		a, b, want Interval
-	}{
-		{Interval{0, 10}, Interval{5, 15}, Interval{5, 10}},
-		{Interval{0, 5}, Interval{5, 10}, Interval{5, 5}},
-		{Interval{0, 5}, Interval{7, 10}, Interval{7, 7}},
-		{Interval{3, 8}, Interval{0, 100}, Interval{3, 8}},
-	}
-	for _, c := range cases {
-		got := c.a.Intersect(c.b)
-		if got.Len() != c.want.Len() || (got.Len() > 0 && got != c.want) {
-			t.Errorf("%v ∩ %v = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 // The plan's per-node traffic must conserve bytes: total sent == total
 // received, for every distribution pair.
 func TestPlanConservation(t *testing.T) {

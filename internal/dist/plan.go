@@ -72,8 +72,10 @@ type Plan struct {
 //     the third axis, so each node's sums are a total minus its own term.
 //     This is D_Trans -> D_Chem.
 //
-// Both partitioned on the same axis, which the Airshed cycle never does,
-// intersects the owned index sets pair by pair in O(p^2).
+// Both partitioned on the same axis — BLOCK against CYCLIC, since two
+// BLOCKs of one axis are equal and take the identity plan — which the
+// Airshed cycle never does, intersects the owned index sets pair by pair
+// in O(p^2).
 func NewPlan(sh Shape, src, dst Dist, p, wordSize int) (*Plan, error) {
 	if !sh.Valid() {
 		return nil, fmt.Errorf("dist: invalid shape %v", sh)
@@ -184,11 +186,6 @@ func NewPlan(sh Shape, src, dst Dist, p, wordSize int) (*Plan, error) {
 // owned index sets intersect and every other axis is full.
 func sameAxisOverlap(sh Shape, src, dst Dist, p, i, j int) int {
 	perIndex := sh.Len() / sh.Extent(src.Dim)
-	if src.Kind == Block && dst.Kind == Block {
-		n := sh.Extent(src.Dim)
-		iv := BlockOwner(n, p, i).Intersect(BlockOwner(n, p, j))
-		return iv.Len() * perIndex
-	}
 	count := 0
 	for _, k := range OwnedIndices(sh, src, p, i) {
 		if Owner(sh, dst, p, j, k) {

@@ -51,7 +51,8 @@ type Options struct {
 	// Journal, when set, makes sweep state durable: submissions, shard
 	// assignments and completions are written ahead (CRC-framed,
 	// fsynced), so a coordinator killed mid-sweep resumes its sweeps on
-	// restart via Recover.
+	// restart via Recover. It may be the scheduler's journal: the
+	// coordinator writes and recovers only "fs:" and "sh:" records.
 	Journal *resilience.Journal
 	// Store, when set, lets Recover resolve journaled specs against the
 	// artifact store: specs whose results already persisted count as
@@ -509,19 +510,24 @@ func (c *Coordinator) StartSweep(req sweep.Request) (SweepStatus, error) {
 // whole result, in a store from before rows) counts as completed — the
 // work a dead coordinator's workers finished was never lost — the rest,
 // rows that lost their physics among them, re-enter pending and re-pack
-// across workers as they re-register. Stale shard records are retired wholesale — a restart
-// invalidates every in-flight dispatch; their specs re-resolve through
-// the store or recompute bit-identically. Returns the number of sweeps
-// resumed (still-running) plus those that closed immediately as full
-// store hits. Call once, before serving traffic.
+// across workers as they re-register. Stale shard records are retired
+// wholesale — a restart invalidates every in-flight dispatch; their specs
+// re-resolve through the store or recompute bit-identically. Only the
+// coordinator's own records ("fs:" sweeps, "sh:" shards) are read or
+// retired: a journal shared with the scheduler keeps its jobs for
+// sched.Scheduler.Recover. Returns the number of sweeps resumed
+// (still-running) plus those that closed immediately as full store hits.
+// Call once, before serving traffic.
 func (c *Coordinator) Recover() (int, error) {
 	if c.opts.Journal == nil {
 		return 0, nil
 	}
 	pending := c.opts.Journal.Pending()
-	ids := make([]string, 0, len(pending))
+	var ids []string
 	for id := range pending {
-		ids = append(ids, id)
+		if strings.HasPrefix(id, "fs:") || strings.HasPrefix(id, "sh:") {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 
@@ -550,9 +556,9 @@ func (c *Coordinator) Recover() (int, error) {
 
 	recovered := 0
 	for _, id := range ids {
-		if !strings.HasPrefix(id, "fs:") {
-			// Shard assignments (and anything unrecognised) from the dead
-			// incarnation: meaningless now, retire.
+		if strings.HasPrefix(id, "sh:") {
+			// A shard assignment of the dead incarnation: meaningless
+			// now, retire.
 			c.journalDone(id)
 			continue
 		}

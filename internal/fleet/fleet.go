@@ -23,12 +23,14 @@
 // to a single-daemon run.
 //
 // The coordinator itself is also a fault domain. With a journal
-// configured, sweep submissions are written ahead (CRC-framed, fsynced)
-// before any dispatch, so a coordinator killed mid-sweep and restarted
-// reconciles on Recover: journaled specs whose results already sit in
-// the store count as completed, the remainder re-pack across workers as
-// they re-register, and the sweep finishes bit-identical to an
-// uninterrupted run. Dispatch and blob traffic retry transient network
+// configured — the daemon's one WAL, shared with the scheduler's jobs and
+// split by ID namespace ("fs:" sweeps and "sh:" shards are the
+// coordinator's) — sweep submissions are written ahead (CRC-framed,
+// fsynced) before any dispatch, so a coordinator killed mid-sweep and
+// restarted reconciles on Recover: journaled specs whose results already
+// sit in the store count as completed, the remainder re-pack across
+// workers as they re-register, and the sweep finishes bit-identical to
+// an uninterrupted run. Dispatch and blob traffic retry transient network
 // failures under a deterministic-jitter backoff, per-worker circuit
 // breakers keep a flapping worker from absorbing dispatches, and
 // straggler shards are hedged — speculatively re-dispatched to an idle

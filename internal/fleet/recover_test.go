@@ -3,10 +3,13 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,7 +140,7 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 	defer front.Close()
 
 	dir := t.TempDir()
-	jpath := filepath.Join(t.TempDir(), "fleet.wal")
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
 	opts := func(j *resilience.Journal, st *store.Store) Options {
 		return Options{
 			HeartbeatTimeout: 2 * time.Second,
@@ -299,7 +302,7 @@ func TestRecoverRowWithoutPhysicsIsUnresolved(t *testing.T) {
 		}
 	}
 
-	j, err := resilience.OpenJournal(filepath.Join(t.TempDir(), "fleet.wal"))
+	j, err := resilience.OpenJournal(filepath.Join(t.TempDir(), "journal.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +337,152 @@ func TestRecoverRowWithoutPhysicsIsUnresolved(t *testing.T) {
 	// checkpoint for the lost one, record and checkpoint for the other.
 	if c := st.Counters(); c.Hits-before.Hits != 4+3 {
 		t.Errorf("Recover read %d artifacts, want 7: the lost physics was read again per row", c.Hits-before.Hits)
+	}
+}
+
+// journalIDs lists a journal's pending IDs in order.
+func journalIDs(j *resilience.Journal) []string {
+	var ids []string
+	for id := range j.Pending() {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// logBuffer collects a coordinator's log lines; safe to write after the
+// test returns, unlike t.Logf.
+type logBuffer struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (b *logBuffer) logf(format string, args ...any) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.lines = append(b.lines, fmt.Sprintf(format, args...))
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.Join(b.lines, "\n")
+}
+
+// TestOneJournalTwoOwners runs a scheduler and a coordinator over one
+// journal: a job and a sweep with a shard assignment are accepted, the
+// process dies, and each Recover of the next incarnation takes back
+// exactly its own records — the scheduler re-submits the job, the
+// coordinator resumes the sweep and retires its stale shard — without
+// retiring, re-submitting or complaining about the other's. Once both
+// finish, nothing is pending.
+func TestOneJournalTwoOwners(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	job := scenario.Spec{Dataset: "mini", Machine: "t3e", Nodes: 1, Hours: 2}
+	req := sweep.Request{Name: "shared", Specs: []scenario.Spec{
+		{Dataset: "mini", Machine: "t3e", Nodes: 2, Hours: 1},
+	}}
+
+	// Incarnation one. The coordinator dispatches the sweep's one shard
+	// to a worker that never finishes it.
+	j1, err := resilience.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fleetJSON(w, http.StatusAccepted, sweep.Status{ID: "stuck-1", State: "running"})
+	}))
+	defer stuck.Close()
+	coord1 := NewCoordinator(Options{Journal: j1, PollInterval: 50 * time.Millisecond,
+		HeartbeatTimeout: 5 * time.Minute, PollFailures: 1000})
+	if err := coord1.Register(RegisterRequest{Name: "stuck", URL: stuck.URL, Machine: "gohost",
+		HostWorkers: 1, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord1.StartSweep(req); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if ids := journalIDs(j1); len(ids) == 2 && strings.HasPrefix(ids[1], "sh:") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no shard record journaled: %v", journalIDs(j1))
+		}
+	}
+	sc1 := sched.New(sched.Options{Workers: 1, Journal: j1})
+	if _, err := sc1.Submit(job); err != nil {
+		t.Fatal(err)
+	}
+	// The crash: the journal takes no further record, so the job (a
+	// two-hour run, accepted microseconds ago) and the sweep stay pending.
+	j1.Close()
+	coord1.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc1.Shutdown(cancelled) //nolint:errcheck
+
+	// Incarnation two over the same journal.
+	j2, err := resilience.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if ids := journalIDs(j2); !reflect.DeepEqual(ids, []string{"fs:f0001", "j000001", "sh:f0001:0001"}) {
+		t.Fatalf("journal after the crash holds %v; want the sweep, its shard and the job", ids)
+	}
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs logBuffer
+	coord2 := NewCoordinator(Options{Journal: j2, Store: st, PollInterval: 50 * time.Millisecond,
+		HeartbeatTimeout: 5 * time.Second, Retry: fastRetry(3), Logf: logs.logf})
+	defer coord2.Close()
+	if n, err := coord2.Recover(); err != nil || n != 1 {
+		t.Fatalf("Coordinator.Recover = %d, %v; want the one sweep", n, err)
+	}
+	if ids := journalIDs(j2); !reflect.DeepEqual(ids, []string{"fs:f0001", "j000001"}) {
+		t.Fatalf("after Coordinator.Recover the journal holds %v; want the sweep and the untouched job", ids)
+	}
+	sc2 := sched.New(sched.Options{Workers: 1, Journal: j2, Store: st})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		sc2.Shutdown(ctx) //nolint:errcheck
+	}()
+	if n, err := sc2.Recover(); err != nil || n != 1 {
+		t.Fatalf("Scheduler.Recover = %d, %v; want the one job", n, err)
+	}
+	if c := sc2.Counters(); c.Submitted != 1 {
+		t.Fatalf("Scheduler.Recover submitted %d jobs; want 1", c.Submitted)
+	}
+	if pending := j2.Pending(); pending["fs:f0001"] == nil {
+		t.Fatalf("Scheduler.Recover retired the sweep record; pending %v", journalIDs(j2))
+	}
+	if l := logs.String(); strings.Contains(l, "undecodable") || strings.Contains(l, "unrecognised") {
+		t.Fatalf("coordinator complained about a record:\n%s", l)
+	}
+
+	// Both finish: a real worker joins for the sweep; the job runs here.
+	mux := http.NewServeMux()
+	coord2.RegisterRoutes(mux, store.NewBlobServer(st))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	w := startTestWorker(t, "w1", srv.URL)
+	defer w.shutdown()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if final, err := coord2.Await(ctx, "f0001"); err != nil || final.State != "done" || final.Completed != 1 {
+		t.Fatalf("recovered sweep: %+v, %v", final, err)
+	}
+	if js, err := sc2.Await(ctx, "j000002"); err != nil || js.State != sched.Done {
+		t.Fatalf("re-submitted job: %+v, %v", js, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(j2.Pending()) != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal still holds %v after both finished", journalIDs(j2))
+		}
 	}
 }
 

@@ -14,11 +14,18 @@ import (
 )
 
 // Journal is the daemon's crash-recovery write-ahead log: every accepted
-// job is appended (id + opaque payload, fsynced) before it can run, and
-// marked done when it reaches a terminal state. After a SIGKILL the
-// journal's pending set is exactly the accepted-but-unfinished work, and
-// the daemon re-submits it on restart — in-flight compute is lost,
+// unit of work is appended (id + opaque payload, fsynced) before it can
+// run, and marked done when it reaches a terminal state. After a SIGKILL
+// the journal's pending set is exactly the accepted-but-unfinished work,
+// and the daemon resumes it on restart — in-flight compute is lost,
 // accepted work is not.
+//
+// One journal serves every writer in the process: the scheduler's jobs
+// and the fleet coordinator's sweeps and shards share one file, split by
+// ID namespace, and each writer's Recover reads back only the records
+// in its own namespace and leaves the rest to their owner. The journal
+// itself knows nothing of namespaces — so it compacts on Done only once
+// every writer's records have retired.
 //
 // Format: an 8-byte magic header followed by CRC-framed records
 //
@@ -46,9 +53,6 @@ const (
 	recAccept = byte('A')
 	recDone   = byte('D')
 )
-
-// maxJournalField bounds id and payload lengths (corruption guard).
-const maxJournalField = 1 << 24
 
 // OpenJournal opens (or creates) the journal at path, replays it into
 // the pending set — dropping a torn tail — and compacts it. When the
@@ -89,20 +93,17 @@ func readJournalFile(path string) (pending map[string][]byte, warn, err error) {
 		return nil, nil, fmt.Errorf("resilience: journal: %w", err)
 	}
 	if len(raw) < len(journalMagic) || string(raw[:len(journalMagic)]) != journalMagic {
-		warn = fmt.Errorf("resilience: journal %s: unrecognisable header, ignoring %d bytes (pending jobs, if any, are lost)", path, len(raw))
+		warn = fmt.Errorf("resilience: journal %s: unrecognisable header, ignoring %d bytes (pending work, if any, is lost)", path, len(raw))
 		return pending, warn, nil
 	}
-	r := bytes.NewReader(raw[len(journalMagic):])
-	for {
-		left := r.Len()
-		id, payload, typ, rerr := readRecord(r)
-		if errors.Is(rerr, io.EOF) {
-			return pending, nil, nil // clean record boundary
-		}
+	rest := raw[len(journalMagic):]
+	for len(rest) > 0 {
+		typ, id, payload, n, rerr := readRecord(rest)
 		if rerr != nil {
-			warn = fmt.Errorf("resilience: journal %s: dropped %d trailing bytes after %d recovered entries: %w", path, left, len(pending), rerr)
+			warn = fmt.Errorf("resilience: journal %s: dropped %d trailing bytes after %d recovered entries: %w", path, len(rest), len(pending), rerr)
 			return pending, warn, nil
 		}
+		rest = rest[n:]
 		switch typ {
 		case recAccept:
 			pending[id] = payload
@@ -110,65 +111,50 @@ func readJournalFile(path string) (pending map[string][]byte, warn, err error) {
 			delete(pending, id)
 		}
 	}
+	return pending, nil, nil // clean record boundary
 }
 
-// readRecord parses one CRC-framed record. It returns io.EOF only at a
-// clean record boundary (zero bytes left); EOF inside a record — a torn
-// tail — surfaces as io.ErrUnexpectedEOF so callers can tell the two
-// apart.
-func readRecord(r io.Reader) (id string, payload []byte, typ byte, err error) {
-	var frame bytes.Buffer
-	tr := io.TeeReader(r, &frame)
-	var t [1]byte
-	if _, err := io.ReadFull(tr, t[:]); err != nil {
-		return "", nil, 0, err
-	}
-	typ = t[0]
+// readRecord parses the CRC-framed record at the front of b and returns
+// its length in bytes. A record cut short — a torn tail — is
+// io.ErrUnexpectedEOF.
+func readRecord(b []byte) (typ byte, id string, payload []byte, n int, err error) {
+	typ = b[0]
 	if typ != recAccept && typ != recDone {
-		return "", nil, 0, fmt.Errorf("resilience: journal: bad record type %d", typ)
+		return 0, "", nil, 0, fmt.Errorf("resilience: journal: bad record type %d", typ)
 	}
-	idb, err := readField(tr)
+	idb, n, err := readField(b, 1)
 	if err != nil {
-		return "", nil, 0, noCleanEOF(err)
+		return 0, "", nil, 0, err
 	}
 	if typ == recAccept {
-		if payload, err = readField(tr); err != nil {
-			return "", nil, 0, noCleanEOF(err)
+		if payload, n, err = readField(b, n); err != nil {
+			return 0, "", nil, 0, err
 		}
 	}
-	var crc uint32
-	if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
-		return "", nil, 0, noCleanEOF(err)
+	if len(b)-n < 4 {
+		return 0, "", nil, 0, io.ErrUnexpectedEOF
 	}
-	if got := crc32.ChecksumIEEE(frame.Bytes()); got != crc {
-		return "", nil, 0, fmt.Errorf("resilience: journal: record checksum mismatch")
+	if crc32.ChecksumIEEE(b[:n]) != binary.LittleEndian.Uint32(b[n:]) {
+		return 0, "", nil, 0, fmt.Errorf("resilience: journal: record checksum mismatch")
 	}
-	return string(idb), payload, typ, nil
+	return typ, string(idb), payload, n + 4, nil
 }
 
-// noCleanEOF converts io.EOF mid-record to io.ErrUnexpectedEOF; a bare
-// EOF means "clean boundary" to readRecord's callers.
-func noCleanEOF(err error) error {
-	if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return io.ErrUnexpectedEOF
+// readField reads the u32-length-prefixed field at b[off:] and returns it
+// with the offset just past it. The declared length is checked against
+// the bytes present before anything is allocated from it, so a corrupt
+// length costs an error, not memory.
+func readField(b []byte, off int) ([]byte, int, error) {
+	if len(b)-off < 4 {
+		return nil, 0, io.ErrUnexpectedEOF
 	}
-	return err
-}
-
-// readField reads a u32-length-prefixed byte field.
-func readField(r io.Reader) ([]byte, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	n := uint64(binary.LittleEndian.Uint32(b[off:]))
+	off += 4
+	if n > uint64(len(b)-off) {
+		return nil, 0, io.ErrUnexpectedEOF
 	}
-	if n > maxJournalField {
-		return nil, fmt.Errorf("resilience: journal: implausible field length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	end := off + int(n)
+	return append([]byte(nil), b[off:end]...), end, nil
 }
 
 // appendRecord frames and writes one record to w.

@@ -1,10 +1,13 @@
 package resilience
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -156,4 +159,110 @@ func TestJournalCompactsWhenDrained(t *testing.T) {
 	if info.Size() != int64(len("AIRWAL01")) {
 		t.Fatalf("drained journal is %d bytes, want compacted to the bare header", info.Size())
 	}
+}
+
+// A record whose declared field length runs past the end of the file is
+// a torn tail, and the reader must find that out before it allocates the
+// declared length: the 13 bytes below (header, 'A', a 16 MiB id length)
+// once cost a 16 MiB allocation to reject.
+func TestJournalFieldLengthBoundedByFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	raw := binary.LittleEndian.AppendUint32([]byte(journalMagic+"A"), 1<<24)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pending, warn, err := readJournalFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 0 || warn == nil {
+		t.Fatalf("lying length: pending %v, warning %v; want none recovered and a warning", pending, warn)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a %d-byte journal allocated %d bytes", len(raw), grew)
+	}
+}
+
+// journalBytes frames records the way Accept and Done write them.
+func journalBytes(t testing.TB, recs ...[3]string) []byte {
+	var b bytes.Buffer
+	b.WriteString(journalMagic)
+	for _, r := range recs {
+		if err := appendRecord(&b, r[0][0], r[1], []byte(r[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// samePending compares pending sets by content: an empty payload may be
+// nil on one side and empty on the other.
+func samePending(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id, p := range a {
+		q, ok := b[id]
+		if !ok || !bytes.Equal(p, q) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzJournal: whatever bytes sit in the journal file, OpenJournal does
+// not panic, recovers the pending set ReadJournal reads, and compacts the
+// file to one that reopens to that same set with no warning.
+func FuzzJournal(f *testing.F) {
+	clean := journalBytes(f,
+		[3]string{"A", "j000001", `{"dataset":"mini","machine":"t3e","nodes":1,"hours":1}`},
+		[3]string{"A", "j000002", `{"dataset":"mini"}`},
+		[3]string{"D", "j000001", ""})
+	mixed := journalBytes(f,
+		[3]string{"A", "j000003", `{"dataset":"mini","hours":2}`},
+		[3]string{"A", "fs:f0001", `{"name":"s","specs":[{"dataset":"mini"}]}`},
+		[3]string{"A", "sh:f0001:0001", `{"sweep":"f0001","worker":"w1","specs":1}`},
+		[3]string{"D", "sh:f0001:0001", ""},
+		[3]string{"A", "sh:f0001:0002", `{"sweep":"f0001","worker":"w2","specs":1}`},
+		[3]string{"A", "j000004", ""})
+	f.Add(clean)
+	f.Add(mixed)
+	f.Add(clean[:len(clean)-5])                     // torn tail
+	f.Add(append([]byte("AIRWAL00"), clean[8:]...)) // bad header
+	f.Add([]byte(journalMagic))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ReadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := j.Pending()
+		j.Close()
+		if !samePending(got, want) {
+			t.Fatalf("OpenJournal pending %v, ReadJournal %v", got, want)
+		}
+		j2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if w := j2.Warning(); w != nil {
+			t.Fatalf("compacted journal reopened with warning %v", w)
+		}
+		if again := j2.Pending(); !samePending(again, want) {
+			t.Fatalf("compacted journal reopened to %v, want %v", again, want)
+		}
+	})
 }

@@ -46,6 +46,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -152,8 +155,10 @@ type Options struct {
 	// Journal, when non-nil, write-ahead-logs every enqueued job
 	// (id + spec JSON, fsynced before Submit returns) and retires the
 	// entry on the job's terminal state. After a crash its pending set
-	// is exactly the accepted-but-unfinished work; cmd/airshedd
-	// re-submits it on restart.
+	// holds exactly the accepted-but-unfinished jobs; Recover re-submits
+	// them. The journal may be shared with other writers (the fleet
+	// coordinator's sweeps): the scheduler's records are the job IDs it
+	// issues, and Recover touches no other.
 	Journal *resilience.Journal
 	// PipelineDepth sets core.Config.PipelineDepth on every executed
 	// run: 0 calls the hour loop's input and output stages inline, > 0
@@ -559,19 +564,60 @@ func (s *Scheduler) finishedLocked(spec scenario.Spec, hash string, res *core.Re
 	return j.statusLocked()
 }
 
-// SeedSequence advances the job-ID sequence to at least n, so IDs issued
-// from here on are strictly greater than "j" + n. cmd/airshedd calls
-// this before replaying a crash-recovery journal: without it a fresh
-// boot restarts IDs at j000001, a re-submitted job can journal itself
-// under the same ID as a stale pending entry, and the replay's
-// subsequent Done(staleID) would silently retire the NEW entry — losing
-// the job on a second crash.
-func (s *Scheduler) SeedSequence(n uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seq < n {
-		s.seq = n
+// Recover re-submits the jobs a crashed predecessor accepted but never
+// finished: every pending journal record whose ID the scheduler issues
+// (jobSeq), in ID order. Each re-submission journals itself under a fresh
+// job ID (or resolves at once from the store, if the old process
+// finished the run before dying), after which the stale record retires;
+// an undecodable one retires unread. A submission the full queue refuses
+// stays pending for the next restart. Records of other writers sharing
+// the journal are left alone. Returns the number re-submitted; call once,
+// before serving traffic.
+//
+// The ID sequence is first advanced past every pending job ID: a fresh
+// boot otherwise restarts at j000001, a re-submission could journal
+// itself under the ID of a stale record, and that record's Done would
+// then retire the new one — a second crash would lose the job.
+func (s *Scheduler) Recover() (int, error) {
+	if s.opts.Journal == nil {
+		return 0, nil
 	}
+	pending := s.opts.Journal.Pending()
+	var ids []string
+	s.mu.Lock()
+	for id := range pending {
+		if n, ok := jobSeq(id); ok {
+			ids = append(ids, id)
+			s.seq = max(s.seq, n)
+		}
+	}
+	s.mu.Unlock()
+	sort.Strings(ids)
+	resubmitted := 0
+	for _, id := range ids {
+		var spec scenario.Spec
+		if err := json.Unmarshal(pending[id], &spec); err != nil {
+			_ = s.opts.Journal.Done(id) // unreadable: nothing to recover
+			continue
+		}
+		_, err := s.Submit(spec)
+		if errors.Is(err, ErrShuttingDown) {
+			return resubmitted, err
+		}
+		if err != nil {
+			continue // refused: stays pending for the next restart
+		}
+		resubmitted++
+		_ = s.opts.Journal.Done(id)
+	}
+	return resubmitted, nil
+}
+
+// jobSeq parses a job ID as newJobLocked issues it, "j" + sequence.
+func jobSeq(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, "j")
+	n, err := strconv.ParseUint(digits, 10, 64)
+	return n, ok && err == nil
 }
 
 // newJobLocked allocates and registers a job record; s.mu held.

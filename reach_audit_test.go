@@ -19,7 +19,6 @@ var reachAllow = map[string]string{
 	"resilience.Injector.Fired":    "chaos tests assert a fault point fired",
 	"resilience.Enabled":           "tests assert Disable uninstalled the process-wide injector",
 	"resilience.Breaker.SetClock":  "breaker tests expire the cooldown on an injected clock",
-	"resilience.ReadJournal":       "reads a live daemon's WAL without compacting it, as the airshedd crash tests must",
 	"store.Store.SetBreaker":       "store, fleet and daemon tests install a breaker with a tight threshold or an injected clock",
 	"store.MemBackend.Quarantined": "quarantine tests assert a corrupt blob was kept, not deleted",
 	"fleet.Coordinator.Await":      "fleet tests wait on a coordinator sweep the way sweep.Engine.Await waits on a local one",
