@@ -94,7 +94,6 @@ func run() error {
 		storeDir     = flag.String("store", "", "artifact store directory (empty disables persistence)")
 		storeMB      = flag.Int64("store-mb", 2048, "artifact store size cap in MiB (<= 0 unlimited)")
 		hostWorkers  = flag.Int("host-workers", 0, "host engine workers per job (0 = shared GOMAXPROCS pool, 1 = serial reference)")
-		pipeline     = flag.Int("pipeline", 0, "hour-pipeline depth per run: overlap input prefetch and async snapshot writes with compute (0 = both stages inline)")
 		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 		journalPath  = flag.String("journal", "", "crash-recovery journal file of jobs and fleet sweeps (default <store>/journal.wal when -store is set; \"off\" disables)")
 		retries      = flag.Int("retries", 3, "attempts per job for transiently-failed runs (1 = no retries)")
@@ -139,9 +138,6 @@ func run() error {
 	// every admitted (and journaled) run.
 	if *hostWorkers < 0 {
 		return fmt.Errorf("-host-workers must be >= 0, got %d", *hostWorkers)
-	}
-	if *pipeline < 0 {
-		return fmt.Errorf("-pipeline must be >= 0, got %d", *pipeline)
 	}
 
 	// Fault injection arms before any subsystem starts, so boot-time
@@ -210,7 +206,6 @@ func run() error {
 		CacheBytes:     *cacheMB << 20,
 		JobTimeout:     *jobTimeout,
 		HostWorkers:    *hostWorkers,
-		PipelineDepth:  *pipeline,
 		Store:          artifacts,
 		Retry:          resilience.RetryPolicy{MaxAttempts: *retries, Jitter: 0.5},
 		Journal:        journal,

@@ -9,14 +9,14 @@ import (
 )
 
 // TestRunRejectsBadFlagsAtStartup pins the startup validation: a negative
-// -host-workers or -pipeline would fail every admitted (and journaled)
-// job at core.Config.Validate, so run() must refuse them before it opens
-// the store or the journal.
+// -host-workers would fail every admitted (and journaled) job at
+// core.Config.Validate, so run() must refuse it before it opens the store
+// or the journal.
 func TestRunRejectsBadFlagsAtStartup(t *testing.T) {
 	args, cl := os.Args, flag.CommandLine
 	t.Cleanup(func() { os.Args, flag.CommandLine = args, cl })
 
-	for _, bad := range []string{"-host-workers", "-pipeline"} {
+	for _, bad := range []string{"-host-workers"} {
 		storeDir := filepath.Join(t.TempDir(), "store")
 		journal := filepath.Join(t.TempDir(), "journal.wal")
 		flag.CommandLine = flag.NewFlagSet("airshedd", flag.ContinueOnError)

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"airshed/internal/core"
 	"airshed/internal/fleet"
 	"airshed/internal/fx"
 	"airshed/internal/integrity"
@@ -600,15 +599,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "airshedd_engine_chunks_total %d\n", es.Chunks)
 	fmt.Fprintf(w, "airshedd_engine_runs_total %d\n", es.Runs)
 	fmt.Fprintf(w, "airshedd_engine_panics_total %d\n", es.Panics)
-	// Streaming hour-pipeline gauges (process-wide, all pipelined runs).
-	ps := core.ReadPipelineStats()
-	fmt.Fprintf(w, "airshedd_pipeline_active_runs %d\n", ps.ActiveRuns)
-	fmt.Fprintf(w, "airshedd_pipeline_depth %d\n", ps.Depth)
-	fmt.Fprintf(w, "airshedd_pipeline_prefetched_hours_total %d\n", ps.PrefetchedHours)
-	fmt.Fprintf(w, "airshedd_pipeline_prefetch_hits_total %d\n", ps.PrefetchHits)
-	fmt.Fprintf(w, "airshedd_pipeline_prefetch_stalls_total %d\n", ps.PrefetchStalls)
-	fmt.Fprintf(w, "airshedd_pipeline_written_hours_total %d\n", ps.WrittenHours)
-	fmt.Fprintf(w, "airshedd_pipeline_writer_queue_depth %d\n", ps.WriterQueue)
 }
 
 // intParam parses an integer query parameter; empty means def.

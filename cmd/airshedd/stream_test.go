@@ -49,12 +49,12 @@ func readSSE(t *testing.T, resp *http.Response) []sseEvent {
 	return events
 }
 
-// TestRunStreamSSE is the streaming acceptance path: submit a pipelined
+// TestRunStreamSSE is the streaming acceptance path: submit a
 // multi-hour run and consume GET /v1/runs/{id}/stream — one "hour"
 // event per simulated hour, in order, closed by a "status" event that
 // matches the poll endpoint's answer.
 func TestRunStreamSSE(t *testing.T) {
-	ts, _ := testServer(t, sched.Options{Workers: 1, PipelineDepth: 1})
+	ts, _ := testServer(t, sched.Options{Workers: 1})
 
 	const hours = 3
 	sub, code := postRun(t, ts, fmt.Sprintf(`{"dataset":"mini","machine":"t3e","nodes":2,"hours":%d}`, hours))
@@ -118,7 +118,7 @@ func TestRunStreamSSE(t *testing.T) {
 // TestSweepStreamSSE covers the batch face: "progress" events as the
 // sweep's jobs finish, closed by a "sweep" event with the full status.
 func TestSweepStreamSSE(t *testing.T) {
-	ts, _ := testServer(t, sched.Options{Workers: 2, PipelineDepth: 1})
+	ts, _ := testServer(t, sched.Options{Workers: 2})
 
 	body := `{"base":{"dataset":"mini","machine":"t3e","nodes":2,"hours":1},
 	          "grid":{"nox_scales":[1.0,0.8]}}`

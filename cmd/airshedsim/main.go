@@ -54,7 +54,6 @@ func run() error {
 		saveTr   = flag.String("save-trace", "", "save the work trace to this file for later replay")
 		restart  = flag.String("restart", "", "resume from this hourly snapshot file (sets the start hour and initial state)")
 		workers  = flag.Int("workers", 0, "host engine workers (0 = shared GOMAXPROCS pool, 1 = serial reference)")
-		pipeline = flag.Int("pipeline", 0, "hour-pipeline depth: overlap input prefetch and async snapshot writes with compute (0 = both stages inline)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the run to this file")
 
@@ -75,9 +74,6 @@ func run() error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if *pipeline < 0 {
-		return fmt.Errorf("-pipeline must be >= 0, got %d", *pipeline)
-	}
 
 	spec := scenario.Spec{
 		Dataset:  *dataset,
@@ -97,7 +93,6 @@ func run() error {
 	}
 	cfg.SnapshotDir = *snapDir
 	cfg.HostWorkers = *workers
-	cfg.PipelineDepth = *pipeline
 	cfg.DisableSentinels = *noSentinels
 	cfg.MassDriftBound = *massBound
 	if *snapDir != "" {

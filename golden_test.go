@@ -47,20 +47,15 @@ var goldenCases = []struct {
 }
 
 // goldenHosts are the host mappings that must each reproduce an entry:
-// the engine at one worker (the serial reference) and the shared engine,
-// with the hour loop's stages inline (depth 0) and overlapped. -update
-// records from the first one a case runs. The paper-scale case runs on
-// the shared engine at depth 0 only, as the bench's la-cold does.
+// the engine at one worker (the serial reference) and the shared engine.
+// -update records from the first one a case runs. The paper-scale case
+// runs on the shared engine only, as the bench's la-cold does.
 var goldenHosts = []struct {
-	name               string
-	hostWorkers, depth int
+	name        string
+	hostWorkers int
 }{
-	{"engine-1", 1, 0},
-	{"engine-1/pipe1", 1, 1},
-	{"engine-1/pipe2", 1, 2},
-	{"engine-shared/pipe1", 0, 1},
-	{"engine-shared/pipe2", 0, 2},
-	{"engine-shared", 0, 0},
+	{"engine-1", 1},
+	{"engine-shared", 0},
 }
 
 func fingerprint(res *Result) goldenRun {
@@ -108,7 +103,7 @@ func TestGoldenResults(t *testing.T) {
 				res, err := Run(Config{
 					Dataset: ds, Machine: CrayT3E(), Nodes: gc.nodes,
 					StartHour: gc.startHour, Hours: gc.hours,
-					HostWorkers: host.hostWorkers, PipelineDepth: host.depth,
+					HostWorkers: host.hostWorkers,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", host.name, err)

@@ -114,24 +114,17 @@ type Config struct {
 	// MaxStepsPerHour caps the runtime-determined step count (safety
 	// valve; 0 means the default cap of 6).
 	MaxStepsPerHour int
-	// PipelineDepth maps the hour loop's input and output stages onto
-	// goroutines: at 0 both run inline on the driver goroutine; at > 0 a
-	// prefetch slot decodes hour i+1's input while hour i computes, and
-	// an async writer moves hour i-1's snapshot encode and sink calls
-	// off the compute critical path. The value is the input lookahead in
-	// hours (1 reproduces the paper's Section 5 three-stage pipeline;
-	// larger values absorb burstier I/O). The depth changes only
-	// wall-clock overlap — results, ledgers, traces and virtual-time
-	// accounting are bit-identical at any depth (pinned by the pipeline
-	// determinism matrix).
+	// Ignored: the hour loop runs its stages inline. The field survives
+	// only because the frozen bench/ sources still set it, and goes away
+	// with the next benchmark PR.
 	PipelineDepth int
 	// OnHourEnd, when non-nil, is called after every simulated hour's
 	// output accounting with that hour's summary — the streaming hook
 	// the scenario service uses to emit per-hour progress while the run
 	// is still in flight. Called from the driver goroutine in hour
-	// order; at PipelineDepth 0 the hour's SnapshotFunc has already
-	// returned. Implementations must not block for long (they ride the
-	// hour loop).
+	// order, after the hour's snapshot is written and its SnapshotFunc
+	// has returned. Implementations must not block for long (they ride
+	// the hour loop).
 	OnHourEnd func(HourSummary)
 	// DisableSentinels turns off the per-hour physics sentinels (the
 	// NaN/Inf/negative scan of the replicated field and the domain-total
@@ -144,16 +137,6 @@ type Config struct {
 	// run with PhysicsMassDrift. 0 means the default (10); values in
 	// (0, 1] are invalid.
 	MassDriftBound float64
-	// IOBytesPerSec, when positive, throttles the hour I/O stages to a
-	// simulated bandwidth (seconds = bytes/rate slept on input decode
-	// and snapshot write): the slow-provider harness the pipeline
-	// benchmark uses to model the paper's I/O-bound hours on hardware
-	// whose real hour files are too small to measure. The throttle
-	// charges wall-clock only — virtual time and results are untouched.
-	// At PipelineDepth 0 the sleep lands on the critical path; at depth
-	// > 0 it lands on the prefetch and writer slots, which is exactly the
-	// overlap being measured.
-	IOBytesPerSec float64
 }
 
 // HourSummary is the per-hour progress record OnHourEnd receives: the
@@ -192,10 +175,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: ControlStartHour must be non-negative, got %d", c.ControlStartHour)
 	case c.HostWorkers < 0:
 		return fmt.Errorf("core: HostWorkers must be non-negative, got %d", c.HostWorkers)
-	case c.PipelineDepth < 0:
-		return fmt.Errorf("core: PipelineDepth must be non-negative, got %d", c.PipelineDepth)
-	case c.IOBytesPerSec < 0:
-		return fmt.Errorf("core: IOBytesPerSec must be non-negative, got %g", c.IOBytesPerSec)
 	case c.MassDriftBound < 0 || (c.MassDriftBound > 0 && c.MassDriftBound <= 1):
 		return fmt.Errorf("core: MassDriftBound must be 0 (default) or > 1, got %g", c.MassDriftBound)
 	}

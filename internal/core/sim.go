@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"airshed/internal/aerosol"
 	"airshed/internal/chemistry"
@@ -193,10 +192,6 @@ func StepsForHour(in *meteo.HourInput, minCell float64, maxSteps int) int {
 // an error wrapping ctx.Err(). The check granularity is one step — the
 // smallest unit after which the virtual machine state is consistent — so
 // a cancelled job stops within a fraction of a simulated hour.
-//
-// Config.PipelineDepth only chooses where the hour loop's input and output
-// stages run (inline, or overlapped with compute on their own goroutines,
-// see pipeline.go); results, ledgers and traces are bit-identical.
 func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 	// A positive HostWorkers asks for a dedicated engine scoped to this
 	// run; the shared engine (HostWorkers == 0) was bound at build time
@@ -241,21 +236,6 @@ func (s *Simulation) hourProvider(hour int) *meteo.Synthetic {
 		return s.cfg.ControlProvider
 	}
 	return s.cfg.Dataset.Provider
-}
-
-// throttleIO sleeps bytes/IOBytesPerSec seconds — the slow-provider
-// harness (see Config.IOBytesPerSec). No-op when the throttle is off.
-func (s *Simulation) throttleIO(ctx context.Context, bytes int64) error {
-	if s.cfg.IOBytesPerSec <= 0 || bytes <= 0 {
-		return nil
-	}
-	d := time.Duration(float64(bytes) / s.cfg.IOBytesPerSec * float64(time.Second))
-	select {
-	case <-ctx.Done():
-		return fmt.Errorf("core: run abandoned in throttled I/O: %w", ctx.Err())
-	case <-time.After(d):
-		return nil
-	}
 }
 
 // runHourSteps executes one hour's inner step loop (leading transport,
@@ -382,8 +362,9 @@ func (s *Simulation) buildTransportEnvs(in *meteo.HourInput) []transport.Env {
 // The transport solver advances every layer with this one substep, so
 // per-layer work is uniform and the transport phase load depends only on
 // the layer count per node — the behaviour the paper's Figure 4 shows.
-// The input stage calls it on its own operator (Prepare mutates operator
-// state, so it cannot borrow a compute worker's while compute runs).
+// Prepare overwrites all of op's per-environment state, so the input stage
+// may borrow a compute worker's operator: transportPhase prepares every
+// layer again before stepping it.
 func maxSubsteps(op *transport.Operator2D, envs []transport.Env, dtHalf float64) (int, error) {
 	nsub := 1
 	for l := range envs {

@@ -125,6 +125,48 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// checkDims rejects header dimensions no Airshed data set has. The
+// bounds also keep ns*nl*ncells below 2^50, so the product cannot
+// overflow.
+func checkDims(ns, nl, ncells uint64) error {
+	if ns == 0 || ns > 1<<16 || nl == 0 || nl > 1<<10 || ncells == 0 || ncells > 1<<24 {
+		return fmt.Errorf("hourio: implausible dimensions ns=%d nl=%d cells=%d", ns, nl, ncells)
+	}
+	return nil
+}
+
+// chunkF64s is how many float64s readF64s decodes per read (64 KiB).
+const chunkF64s = 8 << 10
+
+// readF64s reads n little-endian float64s in chunks of chunkF64s. The
+// count comes from a header that may lie, so nothing is allocated ahead
+// of the bytes that back it: a stream shorter than its header claims
+// fails having allocated at most what it held plus one chunk.
+func readF64s(r io.Reader, n int) ([]float64, error) {
+	buf := make([]byte, 8*min(n, chunkF64s))
+	var chunks [][]float64
+	for left := n; left > 0; {
+		m := min(left, chunkF64s)
+		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
+			return nil, err
+		}
+		c := make([]float64, m)
+		for i := range c {
+			c[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		chunks = append(chunks, c)
+		left -= m
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
+	}
+	out := make([]float64, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, nil
+}
+
 // ReadHourInput deserialises an hour input, verifying the magic and the
 // checksum. It returns the input and the number of bytes read.
 func ReadHourInput(r io.Reader) (*meteo.HourInput, int64, error) {
@@ -145,11 +187,11 @@ func ReadHourInput(r io.Reader) (*meteo.HourInput, int64, error) {
 			return nil, cr.n, fmt.Errorf("hourio: reading header: %w", err)
 		}
 	}
-	hour, ns, nl, ncells := int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
-	if ns <= 0 || ns > 1<<16 || nl <= 0 || nl > 1<<10 || ncells <= 0 || ncells > 1<<24 {
-		return nil, cr.n, fmt.Errorf("hourio: implausible dimensions ns=%d nl=%d cells=%d", ns, nl, ncells)
+	if err := checkDims(hdr[1], hdr[2], hdr[3]); err != nil {
+		return nil, cr.n, err
 	}
-	readF64s := func(wantTag uint32, wantLen int) ([]float64, error) {
+	hour, ns, nl, ncells := int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
+	readSection := func(wantTag uint32, wantLen int) ([]float64, error) {
 		var tag uint32
 		if err := binary.Read(cr, binary.LittleEndian, &tag); err != nil {
 			return nil, err
@@ -161,11 +203,11 @@ func ReadHourInput(r io.Reader) (*meteo.HourInput, int64, error) {
 		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		if int(n) != wantLen {
+		if n != uint64(wantLen) {
 			return nil, fmt.Errorf("hourio: section length %d, want %d", n, wantLen)
 		}
-		data := make([]float64, n)
-		if err := binary.Read(cr, binary.LittleEndian, data); err != nil {
+		data, err := readF64s(cr, wantLen)
+		if err != nil {
 			return nil, err
 		}
 		for _, v := range data {
@@ -176,7 +218,7 @@ func ReadHourInput(r io.Reader) (*meteo.HourInput, int64, error) {
 		return data, nil
 	}
 	nScalars := 2 + nl + (nl - 1) + 3*ns
-	scalars, err := readF64s(secScalars, nScalars)
+	scalars, err := readSection(secScalars, nScalars)
 	if err != nil {
 		return nil, cr.n, err
 	}
@@ -195,15 +237,15 @@ func ReadHourInput(r io.Reader) (*meteo.HourInput, int64, error) {
 		Emis:    make([][]float64, ns),
 	}
 	for l := 0; l < nl; l++ {
-		if in.WindU[l], err = readF64s(secWind, ncells); err != nil {
+		if in.WindU[l], err = readSection(secWind, ncells); err != nil {
 			return nil, cr.n, err
 		}
-		if in.WindV[l], err = readF64s(secWind, ncells); err != nil {
+		if in.WindV[l], err = readSection(secWind, ncells); err != nil {
 			return nil, cr.n, err
 		}
 	}
 	for s := 0; s < ns; s++ {
-		if in.Emis[s], err = readF64s(secEmis, ncells); err != nil {
+		if in.Emis[s], err = readSection(secEmis, ncells); err != nil {
 			return nil, cr.n, err
 		}
 	}
@@ -220,10 +262,11 @@ func ReadHourInput(r io.Reader) (*meteo.HourInput, int64, error) {
 
 // SnapshotSize returns the exact number of bytes WriteSnapshot produces
 // for the given dimensions. The snapshot format has no variable-length
-// parts, so the volume an output phase must be charged for is known
-// before any byte is encoded — the streaming hour pipeline charges this
-// analytic size on the compute path while the actual encode runs on the
-// async writer (which verifies its written count against it).
+// parts, so the output volume is a function of the grid alone: the hour
+// loop charges it from the dimensions before the snapshot is encoded, and
+// the ledger and trace do not depend on which sink (a file or a byte
+// counter) the snapshot goes to. The output stage verifies the bytes it
+// actually wrote against this size.
 func SnapshotSize(ns, nl, ncells int) int64 {
 	// magic + 4 uint64 header + section tag + section length + payload + CRC.
 	return int64(len(Magic)) + 4*8 + 4 + 8 + 8*int64(ns)*int64(nl)*int64(ncells) + 4
@@ -285,6 +328,9 @@ func ReadSnapshot(r io.Reader) (hour, ns, nl, ncells int, conc []float64, bytes 
 			return 0, 0, 0, 0, nil, cr.n, err
 		}
 	}
+	if err = checkDims(hdr[1], hdr[2], hdr[3]); err != nil {
+		return 0, 0, 0, 0, nil, cr.n, err
+	}
 	hour, ns, nl, ncells = int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
 	var tag uint32
 	if err = binary.Read(cr, binary.LittleEndian, &tag); err != nil {
@@ -297,11 +343,10 @@ func ReadSnapshot(r io.Reader) (hour, ns, nl, ncells int, conc []float64, bytes 
 	if err = binary.Read(cr, binary.LittleEndian, &n); err != nil {
 		return 0, 0, 0, 0, nil, cr.n, err
 	}
-	if int(n) != ns*nl*ncells {
+	if n != uint64(ns*nl*ncells) {
 		return 0, 0, 0, 0, nil, cr.n, fmt.Errorf("hourio: snapshot length %d, want %d", n, ns*nl*ncells)
 	}
-	conc = make([]float64, n)
-	if err = binary.Read(cr, binary.LittleEndian, conc); err != nil {
+	if conc, err = readF64s(cr, ns*nl*ncells); err != nil {
 		return 0, 0, 0, 0, nil, cr.n, err
 	}
 	wantCRC := cr.crc

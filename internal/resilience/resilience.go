@@ -54,13 +54,13 @@ const (
 	// PointFxChunk fires per host-engine chunk (the sub-job failure
 	// domain: one core's span of a phase).
 	PointFxChunk = "fx.chunk"
-	// PointPipePrefetch fires at the head of the streaming hour
-	// pipeline's prefetch stage (once per prefetched hour): a fault is
-	// the input decode slot losing an hour file mid-read.
+	// PointPipePrefetch fires at the head of the hour loop's input
+	// stage (once per hour): a fault is the input decode losing an hour
+	// file mid-read.
 	PointPipePrefetch = "pipe.prefetch"
-	// PointPipeWrite fires at the head of the streaming hour pipeline's
-	// async output stage (once per written hour): a fault is the output
-	// slot losing a snapshot write.
+	// PointPipeWrite fires at the head of the hour loop's output stage
+	// (once per written hour): a fault is the output stage losing a
+	// snapshot write.
 	PointPipeWrite = "pipe.write"
 	// PointFleetDispatch fires per coordinator->worker shard dispatch
 	// attempt: a fault is the dispatch POST lost on the wire.

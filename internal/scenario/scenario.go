@@ -304,7 +304,7 @@ func (s Spec) CoreMode() core.Mode {
 // the dataset is constructed (with emission scales applied to its
 // inventory when not 1.0), the machine profile resolved, and the physics
 // toggles translated. Per-invocation options that do not affect results
-// (HostWorkers, PipelineDepth, SnapshotDir) are left zero for the caller to set.
+// (HostWorkers, SnapshotDir) are left zero for the caller to set.
 func (s Spec) Config() (core.Config, error) {
 	if err := s.Validate(); err != nil {
 		return core.Config{}, err

@@ -160,13 +160,6 @@ type Options struct {
 	// coordinator's sweeps): the scheduler's records are the job IDs it
 	// issues, and Recover touches no other.
 	Journal *resilience.Journal
-	// PipelineDepth sets core.Config.PipelineDepth on every executed
-	// run: 0 calls the hour loop's input and output stages inline, > 0
-	// overlaps them with compute on their own goroutines. Results are
-	// bit-identical at any depth (the core determinism matrix); this only
-	// moves hour I/O off the compute critical path. Negative values fail
-	// every job at core.Config.Validate.
-	PipelineDepth int
 	// WatchdogFactor arms the stuck-hour watchdog: a running job that
 	// completes no hour within factor × its per-hour estimate (floored
 	// at WatchdogFloor) is cancelled with a stack-dump diagnostic

@@ -38,7 +38,7 @@ func watchAll(t *testing.T, s *Scheduler, id string) ([]HourEvent, JobStatus) {
 // consumes its event stream while it executes: one event per simulated
 // hour, in hour order, all before the terminal status is observed.
 func TestWatchStreamsHoursLive(t *testing.T) {
-	s := New(Options{Workers: 1, PipelineDepth: 1})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 
 	spec := miniSpec()

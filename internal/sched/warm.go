@@ -157,7 +157,6 @@ func (s *Scheduler) executeJob(ctx context.Context, j *job) (res *core.Result, w
 		return nil, 0, err
 	}
 	cfg.HostWorkers = s.opts.HostWorkers
-	cfg.PipelineDepth = s.opts.PipelineDepth
 	// Stream every simulated hour to the job's watchers (SSE consumers);
 	// the hook runs on the run's driver goroutine and only appends under
 	// the scheduler lock, so it cannot stall the hour loop on I/O.

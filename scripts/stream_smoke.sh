@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Streaming smoke test: boot airshedd with the hour pipeline enabled,
-# submit a multi-hour run, and consume GET /v1/runs/{id}/stream with
-# curl -N. Asserts the SSE feed is genuinely incremental — the first
-# "hour" event must arrive while the run is still executing — and that
-# the stream carries one event per hour before closing with a terminal
-# "status" event. Finishes by checking the pipeline gauges moved in
-# /metrics. Dependency-light on purpose: bash, curl, awk, sed, grep.
+# Streaming smoke test: boot airshedd, submit a multi-hour run, and
+# consume GET /v1/runs/{id}/stream with curl -N. Asserts the SSE feed is
+# genuinely incremental — the first "hour" event must arrive while the
+# run is still executing — and that the stream carries one event per
+# hour before closing with a terminal "status" event.
+# Dependency-light on purpose: bash, curl, sed, grep.
 set -euo pipefail
 
 PORT="${PORT:-18081}"
@@ -14,13 +13,13 @@ source "$(dirname "$0")/lib.sh"
 HOURS="${HOURS:-6}"
 
 build_daemon
-start_daemon daemon -addr ":$PORT" -workers 1 -pipeline 2
+start_daemon daemon -addr ":$PORT" -workers 1
 wait_ready "$BASE" daemon
 
 resp=$(curl -sf "$BASE/v1/runs" -d "{\"dataset\":\"mini\",\"machine\":\"t3e\",\"nodes\":2,\"hours\":$HOURS}")
 id=$(echo "$resp" | sed -n 's/.*"id": *"\(j[0-9]*\)".*/\1/p' | head -n1)
 [ -n "$id" ] || { echo "no job id in response: $resp" >&2; exit 1; }
-echo "run $id submitted ($HOURS hours, pipeline depth 2)"
+echo "run $id submitted ($HOURS hours)"
 
 # Stream in the background; curl -N disables buffering so events land
 # in the file the moment the server flushes them.
@@ -58,12 +57,4 @@ grep -A1 '^event: status' "$WORKDIR/stream.txt" | grep -q '"state": *"done"' || 
   grep -A1 '^event: status' "$WORKDIR/stream.txt" >&2; exit 1
 }
 
-prefetched=$(curl -sf "$BASE/metrics" | awk '$1 == "airshedd_pipeline_prefetched_hours_total" {print $2}')
-written=$(curl -sf "$BASE/metrics" | awk '$1 == "airshedd_pipeline_written_hours_total" {print $2}')
-echo "pipeline gauges: prefetched=${prefetched:-0} written=${written:-0}"
-if [ "${prefetched:-0}" -lt "$HOURS" ] || [ "${written:-0}" -lt "$HOURS" ]; then
-  echo "pipeline stages did not engage" >&2
-  curl -s "$BASE/metrics" >&2
-  exit 1
-fi
 echo "stream smoke OK"
