@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,30 +34,20 @@ func runOne(t *testing.T, st *store.Store, spec scenario.Spec) JobStatus {
 	return awaitDone(t, s, job.ID)
 }
 
-// relClose compares to the replay tolerance: the stitched trace is
-// repriced through the same arithmetic as the live ledger, so values
-// agree to floating-point noise, not necessarily bit-exactly.
-func relClose(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
-func ledgersClose(t *testing.T, name string, a, b vm.Ledger) {
+func ledgersEqual(t *testing.T, name string, a, b vm.Ledger) {
 	t.Helper()
-	if !relClose(a.Total, b.Total) {
+	if a.Total != b.Total {
 		t.Errorf("%s: ledger total %v vs %v", name, a.Total, b.Total)
 	}
 	for cat, v := range a.ByCat {
-		if !relClose(v, b.ByCat[cat]) {
+		if v != b.ByCat[cat] {
 			t.Errorf("%s: ledger %v: %v vs %v", name, cat, v, b.ByCat[cat])
 		}
 	}
 }
 
 // assertEquivalent deep-compares a warm/stored result against the cold
-// ground truth: physics bit-identical, priced times to replay tolerance.
+// ground truth: physics and priced times bit-identical.
 func assertEquivalent(t *testing.T, name string, warm, cold JobStatus) {
 	t.Helper()
 	w, c := warm.Result, cold.Result
@@ -81,8 +70,8 @@ func assertEquivalent(t *testing.T, name string, warm, cold JobStatus) {
 	if len(w.Trace.Hours) != len(c.Trace.Hours) {
 		t.Fatalf("%s: trace hours %d vs %d", name, len(w.Trace.Hours), len(c.Trace.Hours))
 	}
-	ledgersClose(t, name, w.Ledger, c.Ledger)
-	if !relClose(w.Efficiency, c.Efficiency) {
+	ledgersEqual(t, name, w.Ledger, c.Ledger)
+	if w.Efficiency != c.Efficiency {
 		t.Errorf("%s: efficiency %v vs %v", name, w.Efficiency, c.Efficiency)
 	}
 }
