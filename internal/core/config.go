@@ -12,13 +12,13 @@
 //	  CALL outputhour(A)
 //	ENDDO
 //
-// executed over the fx runtime's distributed concentration array with the
-// paper's distribution cycle D_Repl -> D_Trans -> D_Chem -> D_Repl. The
-// driver runs the real numerics once and records a work trace; package
-// function Replay then reprices that trace for any machine profile, node
-// count and execution mode (data-parallel, or task-parallel with the
-// 3-stage pipelined I/O of Section 5), which is how the benchmark harness
-// sweeps Figures 2-9 without recomputing chemistry.
+// computed on one canonical concentration array. The driver runs the real
+// numerics once and records a machine-independent work trace; Replay
+// prices a trace for any machine profile, node count and execution mode
+// (data-parallel with the paper's distribution cycle D_Repl -> D_Trans ->
+// D_Chem -> D_Repl, or task-parallel with the 3-stage pipelined I/O of
+// Section 5). Price applies it to a finished run, which is how the
+// benchmark harness sweeps Figures 2-9 without recomputing chemistry.
 package core
 
 import (
@@ -60,7 +60,7 @@ func (m Mode) String() string {
 type Config struct {
 	// Dataset is the input configuration (datasets.LA(), datasets.NE()).
 	Dataset *datasets.Dataset
-	// Machine is the virtual machine profile to charge.
+	// Machine is the virtual machine profile the run is priced on.
 	Machine *machine.Profile
 	// Nodes is the virtual machine size P.
 	Nodes int
@@ -72,15 +72,15 @@ type Config struct {
 	// chemistry.DefaultConfig().
 	Chemistry *chemistry.Config
 	// SnapshotDir, when non-empty, makes outputhour write real snapshot
-	// files there (hour_NNN.snap); otherwise output volume is charged
+	// files there (hour_NNN.snap); otherwise output volume is counted
 	// without touching the filesystem.
 	SnapshotDir string
 	// SnapshotFunc, when non-nil, receives every hourly snapshot after
-	// outputhour: the absolute hour and the replicated concentration
-	// array. The slice is reused by the next hour, so implementations
-	// must copy (or serialise) before returning. Errors abort the run.
-	// The scheduler uses this to feed the persistent checkpoint store
-	// without touching the virtual-time accounting.
+	// outputhour: the absolute hour and the run's concentration array
+	// (canonical layout). The slice is updated by the next hour, so
+	// implementations must copy (or serialise) before returning. Errors
+	// abort the run. The scheduler uses this to feed the persistent
+	// checkpoint store.
 	SnapshotFunc func(hour int, conc []float64) error
 	// ControlProvider, when non-nil, replaces Dataset.Provider for hours
 	// >= ControlStartHour: the mechanism behind delayed emission
@@ -127,7 +127,7 @@ type Config struct {
 	// the hour loop).
 	OnHourEnd func(HourSummary)
 	// DisableSentinels turns off the per-hour physics sentinels (the
-	// NaN/Inf/negative scan of the replicated field and the domain-total
+	// NaN/Inf/negative scan of the concentration array and the domain-total
 	// mass ledger). Sentinels are on by default: a kernel that goes
 	// non-physical fails the run with a typed *PhysicsError before the
 	// bad hour is persisted anywhere, instead of serving garbage.
@@ -150,7 +150,7 @@ type HourSummary struct {
 	PeakCell int
 	// Steps is the hour's runtime-determined inner step count.
 	Steps int
-	// InBytes and OutBytes are the hour's charged I/O volumes.
+	// InBytes and OutBytes are the hour's recorded I/O volumes.
 	InBytes, OutBytes int64
 }
 

@@ -9,7 +9,6 @@ import (
 	"airshed/internal/meteo"
 	"airshed/internal/resilience"
 	"airshed/internal/transport"
-	"airshed/internal/vm"
 )
 
 // This file is the hour loop — the paper's Figure 1 program. Each hour
@@ -24,12 +23,14 @@ import (
 // The paper's Section 5 overlaps these stages as a three-stage task
 // pipeline; replay.go reproduces that schedule in virtual time. On the
 // host an hour's I/O is milliseconds against seconds of compute, so the
-// stages run inline.
+// stages run inline. The loop computes physics only: it records each
+// hour's work in the trace, and RunContext prices the trace once at the
+// end.
 //
-// Input volume is charged from the input stage's single encode, whose
-// bytes feed the real decode; output volume is charged analytically via
-// hourio.SnapshotSize, which the output stage verifies against the bytes
-// it actually produces.
+// The trace's input volume comes from the input stage's single encode,
+// whose bytes feed the real decode; its output volume comes analytically
+// from hourio.SnapshotSize, which the output stage verifies against the
+// bytes it actually produces.
 
 // hourItem is one decoded hour handed from the input stage to compute:
 // everything derived between the provider call and the first inner step.
@@ -42,7 +43,7 @@ type hourItem struct {
 }
 
 // prefetchHour performs the input stage for one hour: provider call,
-// one envelope encode (counting the charged I/O volume), the real
+// one envelope encode (counting the recorded I/O volume), the real
 // decode from those same bytes, transport envs and the substep count.
 func (s *Simulation) prefetchHour(ctx context.Context, hour int) (*hourItem, error) {
 	if err := ctx.Err(); err != nil {
@@ -55,7 +56,7 @@ func (s *Simulation) prefetchHour(ctx context.Context, hour int) (*hourItem, err
 	if err != nil {
 		return nil, err
 	}
-	// One encode yields both the charged I/O volume and the byte stream
+	// One encode yields both the recorded I/O volume and the byte stream
 	// the real decode consumes — the envelope round trip is bit-exact
 	// (little-endian float64), so the decoded input is physics-identical
 	// to the provider's.
@@ -82,8 +83,8 @@ func (s *Simulation) prefetchHour(ctx context.Context, hour int) (*hourItem, err
 }
 
 // writeOne performs the output stage for one hour: encode the snapshot
-// (to SnapshotDir, or a byte counter), verify the analytic size compute
-// charged, and feed the SnapshotFunc sink.
+// (to SnapshotDir, or a byte counter), verify the analytic size the trace
+// records, and feed the SnapshotFunc sink.
 func (s *Simulation) writeOne(hour int, conc []float64, size int64) error {
 	if err := resilience.Fire(resilience.PointPipeWrite); err != nil {
 		return fmt.Errorf("core: outputhour %d: %w", hour, err)
@@ -93,7 +94,7 @@ func (s *Simulation) writeOne(hour int, conc []float64, size int64) error {
 		return resilience.MarkTransient(fmt.Errorf("core: outputhour %d: %w", hour, err))
 	}
 	if n != size {
-		return fmt.Errorf("core: outputhour %d wrote %d bytes, charged %d", hour, n, size)
+		return fmt.Errorf("core: outputhour %d wrote %d bytes, recorded %d", hour, n, size)
 	}
 	if s.cfg.SnapshotFunc != nil {
 		if err := s.cfg.SnapshotFunc(hour, conc); err != nil {
@@ -116,48 +117,38 @@ func (s *Simulation) runHours(ctx context.Context) error {
 			return err
 		}
 
-		// --- inputhour accounting + pretrans: sequential on node 0 ---
-		s.vm.ChargeIO(0, it.inBytes)
-		pretransFlops := float64(12*sh.Layers*sh.Cells + 4*sh.Species*sh.Cells)
-		s.vm.ChargeCompute(0, vm.CatIO, pretransFlops)
-		s.vm.Barrier()
-
-		ht := HourTrace{InBytes: it.inBytes, PretransFlops: pretransFlops}
+		// inputhour + pretrans: sequential work, recorded for pricing.
+		ht := HourTrace{
+			InBytes:       it.inBytes,
+			PretransFlops: float64(12*sh.Layers*sh.Cells + 4*sh.Species*sh.Cells),
+		}
 		if err := s.runHourSteps(ctx, hour, it.in, it.envs, it.nsteps, it.nsub, &ht); err != nil {
 			return err
 		}
 
-		// --- outputhour: sequential on node 0 ---
-		repl, err := s.gatherReplica()
-		if err != nil {
-			return err
-		}
-		// Sentinels run before the hour is charged, recorded or handed to
-		// the output stage: a NaN/negative/mass-drift hour never reaches a
+		// Sentinels run before the hour is recorded or handed to the
+		// output stage: a NaN/negative/mass-drift hour never reaches a
 		// snapshot, checkpoint or result.
-		if err := s.sentinelCheck(hour, repl); err != nil {
+		if err := s.sentinelCheck(hour, s.conc); err != nil {
 			return err
 		}
-		outBytes := hourio.SnapshotSize(sh.Species, sh.Layers, sh.Cells)
-		s.vm.ChargeIO(0, outBytes)
-		s.vm.Barrier()
-		ht.OutBytes = outBytes
+		ht.OutBytes = hourio.SnapshotSize(sh.Species, sh.Layers, sh.Cells)
 		s.trace.Hours = append(s.trace.Hours, ht)
 
-		hourPeak, hourPeakCell := s.recordHourPeak(repl)
-		if err := s.writeOne(hour, repl, outBytes); err != nil {
+		hourPeak, hourPeakCell := s.recordHourPeak()
+		if err := s.writeOne(hour, s.conc, ht.OutBytes); err != nil {
 			return err
 		}
 		if s.cfg.OnHourEnd != nil {
-			// The hour's physics and accounting are final and its sinks
-			// have returned.
+			// The hour's physics and trace are final and its sinks have
+			// returned.
 			s.cfg.OnHourEnd(HourSummary{
 				Hour:     hour,
 				PeakO3:   hourPeak,
 				PeakCell: hourPeakCell,
 				Steps:    it.nsteps,
 				InBytes:  it.inBytes,
-				OutBytes: outBytes,
+				OutBytes: ht.OutBytes,
 			})
 		}
 	}

@@ -14,9 +14,8 @@ type ReplayResult struct {
 	CommSeconds  map[string]float64
 	RedistCounts map[string]int
 	// NodeUtilization and Efficiency mirror Result's fields: each node's
-	// busy fraction under the replayed schedule and their average. For
-	// data-parallel replays they equal what a live run reports, which is
-	// how the scheduler materialises full results from stored traces.
+	// busy fraction under the replayed schedule and their average. Price
+	// takes a run's from its data-parallel replay.
 	NodeUtilization []float64
 	Efficiency      float64
 	// StageBound reports, for task-parallel replays, the per-stage busy
@@ -40,10 +39,9 @@ type StageInterval struct {
 }
 
 // Replay prices a recorded trace on a machine profile with p nodes in the
-// given mode, without recomputing any numerics. For DataParallel mode the
-// resulting ledger is identical to what the physical driver would have
-// produced (asserted by tests); the benchmark harness uses this to sweep
-// node counts and machines (Figures 2-7, 9).
+// given mode, without recomputing any numerics. Price sets a run's ledger
+// from the replay of its own trace, and the benchmark harness uses it to
+// sweep node counts and machines (Figures 2-7, 9).
 func Replay(tr *Trace, prof *machine.Profile, p int, mode Mode) (*ReplayResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -69,7 +67,7 @@ func Replay(tr *Trace, prof *machine.Profile, p int, mode Mode) (*ReplayResult, 
 
 // RedistPlans holds the three redistribution plans of the Airshed cycle
 // for a shape and node count. The hourly D_Trans->D_Repl gather is priced
-// as transToChem then chemToRepl, the route the physical driver takes.
+// as transToChem then chemToRepl (see ChargeHourlyGather).
 type RedistPlans struct {
 	replToTrans *dist.Plan
 	transToChem *dist.Plan
@@ -165,15 +163,20 @@ func ChargeHourSteps(m *vm.Machine, nodes []int, rp *RedistPlans, ht *HourTrace,
 }
 
 // ChargeHourlyGather prices the hour-boundary gather to the replicated
-// I/O distribution, routed in two phases through D_Chem exactly as the
-// physical driver does (see the driver's two-phase redistribution note).
+// I/O distribution, routed in two phases through D_Chem: a direct
+// D_Trans -> D_Repl plan would make each of the few layer owners send its
+// whole slab to every node (O(P) slab copies), while the two-phase route
+// costs a cheap slab scatter plus the all-gather the step loop already
+// performs. This is the classic two-phase redistribution optimisation;
+// see DESIGN.md.
 func ChargeHourlyGather(m *vm.Machine, nodes []int, rp *RedistPlans, res *ReplayResult) {
 	chargeRedist(m, nodes, rp.transToChem, KindTransToRepl, res)
 	chargeRedist(m, nodes, rp.chemToRepl, KindTransToRepl, res)
 }
 
-// replayData prices the pure data-parallel schedule: it mirrors the
-// physical driver's charge sequence exactly.
+// replayData prices the pure data-parallel schedule of Sections 2-4:
+// sequential I/O on node 0, then the step loop and the hourly gather on
+// every node.
 func replayData(tr *Trace, prof *machine.Profile, p int) (*ReplayResult, error) {
 	m, err := vm.New(prof, p)
 	if err != nil {

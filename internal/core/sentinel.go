@@ -24,7 +24,7 @@ const (
 
 // PhysicsError is a physical-plausibility violation caught by the
 // in-run sentinels: after every simulated hour the driver scans the
-// replicated concentration field for non-finite and negative values and
+// concentration array for non-finite and negative values and
 // checks the domain-total mass ledger against the previous hour. It is
 // permanent by classification (Transient() == false): the numerics are
 // deterministic, so re-running the same spec reproduces the same
@@ -65,27 +65,27 @@ func (e *PhysicsError) Transient() bool { return false }
 // (either direction) is numerically impossible for the real kernels.
 const defaultMassDriftBound = 10.0
 
-// sentinelCheck runs the post-hour physics sentinels on the replicated
-// concentration field, before the hour's state is persisted anywhere:
-// a tripped sentinel means no snapshot, checkpoint or result carries
-// the garbage. The core.sentinel fault point fires first and, when it
-// does, deterministically poisons the replica (the only injection point
+// sentinelCheck runs the post-hour physics sentinels on the concentration
+// array conc, before the hour's state is persisted anywhere: a tripped
+// sentinel means no snapshot, checkpoint or result carries the garbage.
+// The core.sentinel fault point fires first and, when it does,
+// deterministically poisons conc (the only injection point
 // allowed to corrupt state — its poison is guaranteed to trip the scan
 // below, so a fired fault always fails the run rather than silently
 // polluting it).
-func (s *Simulation) sentinelCheck(hour int, repl []float64) error {
+func (s *Simulation) sentinelCheck(hour int, conc []float64) error {
 	if s.cfg.DisableSentinels {
 		return nil
 	}
 	if err := resilience.Fire(resilience.PointCoreSentinel); err != nil {
 		var inj *resilience.InjectedError
 		if errors.As(err, &inj) {
-			s.poisonReplica(repl, inj.Call)
+			s.poison(conc, inj.Call)
 		}
 	}
 	sh := s.cfg.Dataset.Shape
 	total := 0.0
-	for i, v := range repl {
+	for i, v := range conc {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			kind := PhysicsNonFinite
 			if v < 0 && !math.IsInf(v, -1) {
@@ -113,21 +113,21 @@ func (s *Simulation) sentinelCheck(hour int, repl []float64) error {
 	return nil
 }
 
-// poisonReplica corrupts the replica for one fired core.sentinel fault,
-// cycling through the three sentinel kinds by call index so a chaos
-// schedule exercises every trip path. A mass-drift poison needs a
+// poison corrupts conc for one fired core.sentinel fault, cycling
+// through the three sentinel kinds by call index so a chaos schedule
+// exercises every trip path. A mass-drift poison needs a
 // previous-hour ledger entry to trip against; on the first scanned hour
 // it falls back to NaN so a fired fault can never pass undetected.
-func (s *Simulation) poisonReplica(repl []float64, call uint64) {
+func (s *Simulation) poison(conc []float64, call uint64) {
 	switch {
 	case call%3 == 1 && s.prevMass > 0:
-		for i := range repl {
-			repl[i] *= 1e6
+		for i := range conc {
+			conc[i] *= 1e6
 		}
 	case call%3 == 2:
-		repl[0] = -1
+		conc[0] = -1
 	default:
-		repl[0] = math.NaN()
+		conc[0] = math.NaN()
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 	"airshed/internal/aerosol"
 	"airshed/internal/chemistry"
-	"airshed/internal/dist"
 	"airshed/internal/fx"
 	"airshed/internal/hourio"
+	"airshed/internal/machine"
 	"airshed/internal/meteo"
 	"airshed/internal/resilience"
 	"airshed/internal/transport"
@@ -65,9 +65,11 @@ type Result struct {
 
 // Simulation is the physical Airshed driver.
 type Simulation struct {
-	cfg  Config
-	vm   *vm.Machine
-	arr  *fx.Array
+	cfg Config
+	// conc is the run's concentration array in canonical layout
+	// (species fastest): a private copy of the initial field that every
+	// phase updates in place.
+	conc []float64
 	aero *aerosol.Model
 
 	// Operators and scratch are pooled per host-engine worker (the
@@ -97,19 +99,12 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	ds := cfg.Dataset
-	vmm, err := vm.New(cfg.Machine, cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	rt := fx.NewRuntime(vmm)
-
 	init := cfg.InitialConc
 	if init == nil {
 		init = ds.Provider.InitialConcentrations()
 	}
-	arr, err := fx.NewArrayFrom(rt, ds.Shape, dist.DRepl, init)
-	if err != nil {
-		return nil, err
+	if len(init) != ds.Shape.Len() {
+		return nil, fmt.Errorf("core: initial field has %d values, want %d", len(init), ds.Shape.Len())
 	}
 	aero, err := aerosol.New(ds.Mechanism())
 	if err != nil {
@@ -117,8 +112,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 	s := &Simulation{
 		cfg:  cfg,
-		vm:   vmm,
-		arr:  arr,
+		conc: append([]float64(nil), init...),
 		aero: aero,
 		iO3:  ds.Mechanism().MustIndex("O3"),
 	}
@@ -157,10 +151,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		}
 	}
 	s.trace = &Trace{Dataset: ds.Name, Shape: ds.Shape}
-	s.result = &Result{
-		CommSeconds:  make(map[string]float64),
-		RedistCounts: make(map[string]int),
-	}
+	s.result = &Result{}
 	return s, nil
 }
 
@@ -189,9 +180,9 @@ func StepsForHour(in *meteo.HourInput, minCell float64, maxSteps int) int {
 
 // RunContext executes the simulation, checking ctx at every hour and
 // every inner time step; on cancellation it abandons the run and returns
-// an error wrapping ctx.Err(). The check granularity is one step — the
-// smallest unit after which the virtual machine state is consistent — so
-// a cancelled job stops within a fraction of a simulated hour.
+// an error wrapping ctx.Err(). The check granularity is one step, so a
+// cancelled job stops within a fraction of a simulated hour. The finished
+// run is priced by Price from its trace.
 func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 	// A positive HostWorkers asks for a dedicated engine scoped to this
 	// run; the shared engine (HostWorkers == 0) was bound at build time
@@ -209,24 +200,32 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	s.result.Ledger = s.vm.Ledger()
 	s.result.Trace = s.trace
-	s.result.Final = s.arr.Gather()
-	s.result.NodeUtilization, s.result.Efficiency = s.vm.Utilization()
-
-	// In task-parallel mode the numerics are identical but the schedule
-	// (and therefore the virtual time) follows the Section 5 pipeline;
-	// reprice the recorded trace under that schedule.
-	if s.cfg.Mode == TaskParallel {
-		rr, err := Replay(s.trace, s.cfg.Machine, s.cfg.Nodes, TaskParallel)
-		if err != nil {
-			return nil, err
-		}
-		s.result.Ledger = rr.Ledger
-		s.result.CommSeconds = rr.CommSeconds
-		s.result.RedistCounts = rr.RedistCounts
+	s.result.Final = s.conc
+	if err := Price(s.result, s.cfg.Machine, s.cfg.Nodes, s.cfg.Mode); err != nil {
+		return nil, err
 	}
 	return s.result, nil
+}
+
+// Price sets every priced field of res from replays of res.Trace on prof
+// with p nodes: Ledger, CommSeconds and RedistCounts from the replay in
+// mode, NodeUtilization and Efficiency from the data-parallel replay (a
+// run reports the data-schedule utilization in task mode too). A live
+// run and a result assembled from stored physics are priced alike.
+func Price(res *Result, prof *machine.Profile, p int, mode Mode) error {
+	rr, err := Replay(res.Trace, prof, p, DataParallel)
+	if err != nil {
+		return err
+	}
+	res.NodeUtilization, res.Efficiency = rr.NodeUtilization, rr.Efficiency
+	if mode != DataParallel {
+		if rr, err = Replay(res.Trace, prof, p, mode); err != nil {
+			return err
+		}
+	}
+	res.Ledger, res.CommSeconds, res.RedistCounts = rr.Ledger, rr.CommSeconds, rr.RedistCounts
+	return nil
 }
 
 // hourProvider resolves the meteo provider for an hour: the control
@@ -239,9 +238,7 @@ func (s *Simulation) hourProvider(hour int) *meteo.Synthetic {
 }
 
 // runHourSteps executes one hour's inner step loop (leading transport,
-// chemistry, aerosol, trailing transport with the distribution cycle in
-// between), appending step traces to ht. All virtual-time charging
-// happens here on the caller goroutine.
+// chemistry, aerosol, trailing transport), appending step traces to ht.
 func (s *Simulation) runHourSteps(ctx context.Context, hour int, in *meteo.HourInput, envs []transport.Env, nsteps, nsub int, ht *HourTrace) error {
 	sh := s.cfg.Dataset.Shape
 	dtStep := 3600.0 / float64(nsteps)
@@ -254,34 +251,21 @@ func (s *Simulation) runHourSteps(ctx context.Context, hour int, in *meteo.HourI
 			CellFlops:  make([]float64, sh.Cells),
 		}
 		// Leading transport (half step).
-		if s.arr.Dist() != dist.DTrans {
-			if err := s.redistribute(dist.DTrans, KindReplToTrans); err != nil {
-				return err
-			}
-		}
 		if err := s.transportPhase(envs, in, dtStep/2, nsub, st.LayerFlops); err != nil {
 			return err
 		}
 		// Chemistry + vertical transport (full step).
-		if err := s.redistribute(dist.DChem, KindTransToChem); err != nil {
-			return err
-		}
 		if err := s.chemistryPhase(in, dtStep, st.CellFlops); err != nil {
 			return err
 		}
-		// Aerosol: replicated.
-		if err := s.redistribute(dist.DRepl, KindChemToRepl); err != nil {
-			return err
-		}
-		aeroFlops, err := s.aerosolPhase(in)
+		// Aerosol: one step on the whole array (replicated on every node
+		// in the priced schedule).
+		aeroFlops, err := s.aero.Step(s.conc, sh.Species, sh.Layers, sh.Cells, in.TempK[0])
 		if err != nil {
 			return err
 		}
 		st.AeroFlops = aeroFlops
 		// Trailing transport (half step).
-		if err := s.redistribute(dist.DTrans, KindReplToTrans); err != nil {
-			return err
-		}
 		trail := s.trailBuf
 		if err := s.transportPhase(envs, in, dtStep/2, nsub, trail); err != nil {
 			return err
@@ -298,30 +282,13 @@ func (s *Simulation) runHourSteps(ctx context.Context, hour int, in *meteo.HourI
 	return nil
 }
 
-// gatherReplica performs the hourly gather to the replicated I/O
-// distribution. It goes in two phases through D_Chem: a direct
-// D_Trans -> D_Repl plan would make each of the few layer owners send
-// its whole slab to every node (O(P) slab copies), while the two-phase
-// route costs a cheap slab scatter plus the same all-gather the main
-// loop already performs. This is the classic two-phase redistribution
-// optimisation; see DESIGN.md.
-func (s *Simulation) gatherReplica() ([]float64, error) {
-	if err := s.redistribute(dist.DChem, KindTransToRepl); err != nil {
-		return nil, err
-	}
-	if err := s.redistribute(dist.DRepl, KindTransToRepl); err != nil {
-		return nil, err
-	}
-	return s.arr.Replica()
-}
-
 // recordHourPeak scans the ground-layer ozone field for the hourly and
 // running peaks and appends the hourly diagnostics to the result.
-func (s *Simulation) recordHourPeak(repl []float64) (float64, int) {
+func (s *Simulation) recordHourPeak() (float64, int) {
 	sh := s.cfg.Dataset.Shape
 	hourPeak, hourPeakCell := 0.0, 0
 	for c := 0; c < sh.Cells; c++ {
-		v := repl[s.iO3+sh.Species*(0+sh.Layers*c)]
+		v := s.conc[s.iO3+sh.Species*(0+sh.Layers*c)]
 		if v > hourPeak {
 			hourPeak = v
 			hourPeakCell = c
@@ -334,17 +301,6 @@ func (s *Simulation) recordHourPeak(repl []float64) (float64, int) {
 	s.result.HourlyPeakO3 = append(s.result.HourlyPeakO3, hourPeak)
 	s.result.HourlyPeakCell = append(s.result.HourlyPeakCell, hourPeakCell)
 	return hourPeak, hourPeakCell
-}
-
-// redistribute moves the array and books the phase under its kind.
-func (s *Simulation) redistribute(to dist.Dist, kind string) error {
-	before := s.vm.Elapsed()
-	if _, err := s.arr.Redistribute(to); err != nil {
-		return err
-	}
-	s.result.CommSeconds[kind] += s.vm.Elapsed() - before
-	s.result.RedistCounts[kind]++
-	return nil
 }
 
 // buildTransportEnvs creates the per-layer transport environments.
@@ -380,26 +336,27 @@ func maxSubsteps(op *transport.Operator2D, envs []transport.Env, dtHalf float64)
 
 // transportPhase runs the horizontal operator on every layer with the
 // shared substep count: all layers form one item space chunked across the
-// engine's workers regardless of which virtual node owns them. Each
-// layer's charged work lands in its fixed record slot; chargeOwned then
-// reduces the slots per owning node in index order.
+// engine's workers. Each (species, layer) field is gathered from the
+// canonical array (stride species x layers), stepped and scattered back in
+// place. Each layer's work lands in its fixed record slot, so the trace is
+// bit-identical at any worker count.
 func (s *Simulation) transportPhase(envs []transport.Env, in *meteo.HourInput, dt float64, nsub int, record []float64) error {
 	ds := s.cfg.Dataset
 	sh := ds.Shape
-	p := s.cfg.Nodes
-	err := s.engine.Run(sh.Layers, func(worker, lo, hi int) error {
+	stride := sh.Species * sh.Layers
+	return s.engine.Run(sh.Layers, func(worker, lo, hi int) error {
 		op := s.workerTrans[worker]
 		buf := s.workerField[worker]
 		for l := lo; l < hi; l++ {
-			node := dist.BlockOwnerOf(sh.Layers, p, l)
 			env := &envs[l]
 			if _, err := op.Prepare(env); err != nil {
 				return err
 			}
 			var layerWork float64
 			for sp := 0; sp < sh.Species; sp++ {
-				if err := s.arr.GatherLayerField(node, sp, l, buf); err != nil {
-					return err
+				field := s.conc[sp+sh.Species*l:]
+				for c := range buf {
+					buf[c] = field[stride*c]
 				}
 				env.Inflow = in.Inflow[sp]
 				w, err := op.StepFieldN(buf, env, dt, nsub)
@@ -407,30 +364,27 @@ func (s *Simulation) transportPhase(envs []transport.Env, in *meteo.HourInput, d
 					return err
 				}
 				layerWork += w
-				if err := s.arr.ScatterLayerField(node, sp, l, buf); err != nil {
-					return err
+				for c, v := range buf {
+					field[stride*c] = v
 				}
 			}
 			record[l] = layerWork * ds.TransportFlopsScale
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	s.chargeOwned(vm.CatTransport, sh.Layers, record)
-	return nil
 }
 
-// chemistryPhase runs the Lcz operator on every cell column: all columns
+// chemistryPhase runs the Lcz operator on every cell column, the
+// contiguous species x layers block of the canonical array: all columns
 // form one item space chunked across the engine's workers. Each worker
 // applies its own pooled Operator (single-owner scratch) and the per-cell
-// flops land in fixed record slots for the deterministic reduction.
+// flops land in fixed record slots, so the trace is bit-identical at any
+// worker count.
 func (s *Simulation) chemistryPhase(in *meteo.HourInput, dt float64, record []float64) error {
 	ds := s.cfg.Dataset
 	sh := ds.Shape
 	mech := ds.Mechanism()
-	p := s.cfg.Nodes
+	col := sh.Species * sh.Layers
 	for _, env := range s.workerEnv {
 		env.TempK = in.TempK
 		env.Sun = in.Sun
@@ -438,20 +392,15 @@ func (s *Simulation) chemistryPhase(in *meteo.HourInput, dt float64, record []fl
 		env.Vert.VDep = in.VDep
 		env.Vert.VSettle = in.VSettle
 	}
-	err := s.engine.Run(sh.Cells, func(worker, lo, hi int) error {
+	return s.engine.Run(sh.Cells, func(worker, lo, hi int) error {
 		op := s.workerChem[worker]
 		env := s.workerEnv[worker]
 		emis := env.Vert.Emis
 		for c := lo; c < hi; c++ {
-			node := dist.BlockOwnerOf(sh.Cells, p, c)
-			block, err := s.arr.CellBlock(node, c)
-			if err != nil {
-				return err
-			}
 			for sp := range emis {
 				emis[sp] = in.Emis[sp][c]
 			}
-			cw, err := op.Apply(block, env, dt)
+			cw, err := op.Apply(s.conc[col*c:col*(c+1)], env, dt)
 			if err != nil {
 				return err
 			}
@@ -459,50 +408,6 @@ func (s *Simulation) chemistryPhase(in *meteo.HourInput, dt float64, record []fl
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	s.chargeOwned(vm.CatChemistry, sh.Cells, record)
-	return nil
-}
-
-// chargeOwned performs the deterministic reduction of the engine phases:
-// record holds one charged-flops slot per item (layer or cell), and each
-// virtual node is charged the sum over its owned block interval
-// accumulated in index order — whichever worker computed a slot, so
-// ledgers and traces are bit-identical at any worker count — followed by
-// the phase barrier.
-func (s *Simulation) chargeOwned(cat vm.Category, n int, record []float64) {
-	p := s.cfg.Nodes
-	for node := 0; node < p; node++ {
-		iv := dist.BlockOwner(n, p, node)
-		var flops float64
-		for i := iv.Lo; i < iv.Hi; i++ {
-			flops += record[i]
-		}
-		s.vm.ChargeCompute(node, cat, flops)
-	}
-	s.vm.Barrier()
-}
-
-// aerosolPhase runs the replicated aerosol step: executed once on the
-// shared replica, charged to every node (they all perform it in the
-// paper's implementation).
-func (s *Simulation) aerosolPhase(in *meteo.HourInput) (float64, error) {
-	sh := s.cfg.Dataset.Shape
-	repl, err := s.arr.Replica()
-	if err != nil {
-		return 0, err
-	}
-	flops, err := s.aero.Step(repl, sh.Species, sh.Layers, sh.Cells, in.TempK[0])
-	if err != nil {
-		return 0, err
-	}
-	for n := 0; n < s.cfg.Nodes; n++ {
-		s.vm.ChargeCompute(n, vm.CatAerosol, flops)
-	}
-	s.vm.Barrier()
-	return flops, nil
 }
 
 // writeSnapshot serialises the hourly output, really (SnapshotDir set) or

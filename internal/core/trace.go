@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"airshed/internal/dist"
 )
@@ -33,9 +34,9 @@ type HourTrace struct {
 	Steps []StepTrace
 }
 
-// Trace is the machine-independent work record of a full run. Replaying a
-// trace against a machine profile and node count reproduces the ledger of
-// a physical run exactly (see TestReplayMatchesDriver).
+// Trace is the machine-independent work record of a full run: with a
+// machine profile, a node count and a mode it determines every priced
+// field of the run's Result, which Price sets from Replay.
 type Trace struct {
 	// Dataset names the input configuration.
 	Dataset string
@@ -55,31 +56,61 @@ func (t *Trace) TotalSteps() int {
 	return total
 }
 
-// Validate checks internal consistency.
+// maxTraceElements bounds a trace's array size (2^40 values, 8 TiB of
+// float64) so that every byte count its replay derives fits an int64.
+const maxTraceElements = 1 << 40
+
+// Validate checks internal consistency: a positive shape of bounded size,
+// at least one hour, every hour at least one step sized to the shape, and
+// every recorded amount of work non-negative and at most
+// math.MaxFloat64 / 2n for the trace's n work records, so that no sum a
+// replay forms can overflow. NaN and ±Inf fail the same range check. A
+// valid trace therefore replays to a finite, non-negative ledger.
 func (t *Trace) Validate() error {
-	if !t.Shape.Valid() {
-		return fmt.Errorf("core: trace has invalid shape %v", t.Shape)
+	sh := t.Shape
+	if !sh.Valid() || sh.Species > maxTraceElements/sh.Layers/sh.Cells {
+		return fmt.Errorf("core: trace has invalid shape %v", sh)
 	}
 	if len(t.Hours) == 0 {
 		return fmt.Errorf("core: trace has no hours")
 	}
+	records := 0
+	for hi := range t.Hours {
+		records += 1 + len(t.Hours[hi].Steps)*(sh.Layers+sh.Cells+1)
+	}
+	// Transport work counts twice (leading and trailing call).
+	maxWork := math.MaxFloat64 / float64(2*records)
+	inRange := func(x float64) bool { return x >= 0 && x <= maxWork }
 	for hi := range t.Hours {
 		h := &t.Hours[hi]
-		if h.InBytes < 0 || h.OutBytes < 0 || h.PretransFlops < 0 {
-			return fmt.Errorf("core: hour %d has negative charges", hi)
+		if h.InBytes < 0 || h.OutBytes < 0 || !inRange(h.PretransFlops) {
+			return fmt.Errorf("core: hour %d has a charge out of range", hi)
 		}
 		if len(h.Steps) == 0 {
 			return fmt.Errorf("core: hour %d has no steps", hi)
 		}
 		for si := range h.Steps {
 			st := &h.Steps[si]
-			if len(st.LayerFlops) != t.Shape.Layers {
+			if len(st.LayerFlops) != sh.Layers {
 				return fmt.Errorf("core: hour %d step %d has %d layer records, want %d",
-					hi, si, len(st.LayerFlops), t.Shape.Layers)
+					hi, si, len(st.LayerFlops), sh.Layers)
 			}
-			if len(st.CellFlops) != t.Shape.Cells {
+			if len(st.CellFlops) != sh.Cells {
 				return fmt.Errorf("core: hour %d step %d has %d cell records, want %d",
-					hi, si, len(st.CellFlops), t.Shape.Cells)
+					hi, si, len(st.CellFlops), sh.Cells)
+			}
+			for l, f := range st.LayerFlops {
+				if !inRange(f) {
+					return fmt.Errorf("core: hour %d step %d layer %d has work %g", hi, si, l, f)
+				}
+			}
+			for c, f := range st.CellFlops {
+				if !inRange(f) {
+					return fmt.Errorf("core: hour %d step %d cell %d has work %g", hi, si, c, f)
+				}
+			}
+			if !inRange(st.AeroFlops) {
+				return fmt.Errorf("core: hour %d step %d has aerosol work %g", hi, si, st.AeroFlops)
 			}
 		}
 	}

@@ -62,15 +62,32 @@ func sumIOBytes(t *Trace) int64 {
 	return total
 }
 
+// Validate rejects malformed traces, among them any recorded amount of
+// work that is NaN, infinite or negative, or whose total overflows:
+// otherwise a loaded or stored trace prices to a NaN, infinite or
+// negative ledger.
 func TestTraceValidateRejects(t *testing.T) {
 	base := syntheticTrace
 	cases := []func(*Trace){
 		func(tr *Trace) { tr.Shape.Cells = 0 },
+		func(tr *Trace) { tr.Shape.Species = 1 << 60 }, // byte counts overflow int64
 		func(tr *Trace) { tr.Hours = nil },
 		func(tr *Trace) { tr.Hours[0].InBytes = -1 },
 		func(tr *Trace) { tr.Hours[0].Steps = nil },
 		func(tr *Trace) { tr.Hours[0].Steps[0].LayerFlops = tr.Hours[0].Steps[0].LayerFlops[:1] },
 		func(tr *Trace) { tr.Hours[1].Steps[0].CellFlops = nil },
+		func(tr *Trace) {
+			tr.Hours[0].Steps[0].CellFlops[0] = math.MaxFloat64
+			tr.Hours[0].Steps[0].CellFlops[1] = math.MaxFloat64
+		},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		cases = append(cases,
+			func(tr *Trace) { tr.Hours[1].PretransFlops = v },
+			func(tr *Trace) { tr.Hours[0].Steps[1].LayerFlops[2] = v },
+			func(tr *Trace) { tr.Hours[1].Steps[0].CellFlops[3] = v },
+			func(tr *Trace) { tr.Hours[0].Steps[0].AeroFlops = v },
+		)
 	}
 	for i, mod := range cases {
 		tr := base()

@@ -1,7 +1,8 @@
 // Package fx is an explicit Go reconstruction of the programming model the
 // paper's Fx compiler provides: HPF-style distributed arrays with
-// compiler-generated redistribution communication, data-parallel loops
-// over owned elements, and task parallelism on node subgroups.
+// compiler-generated redistribution communication, task parallelism on
+// node subgroups, optimal pipeline mapping, and the host execution engine
+// the simulation's data-parallel phases run on.
 //
 // The runtime executes real data movement and real numerics in ordinary Go
 // while charging a virtual bulk-synchronous machine (package vm) for what
@@ -46,8 +47,8 @@ type Array struct {
 	repl   []float64   // backing when d.Kind == Replicated
 	shards [][]float64 // per-node shards otherwise
 
-	// Redistribution scratch: the driver cycles the array through the
-	// same distributions four times per time step, so retiring buffers
+	// Redistribution scratch: the Airshed cycle revisits the same
+	// distributions four times per time step, so retiring buffers
 	// are parked per distribution and revived on the next visit, the
 	// staging buffer is kept, and plans are memoised — the steady-state
 	// step path allocates nothing. Every reused element is overwritten
@@ -66,7 +67,6 @@ type arrayBuffers struct {
 // planKey identifies a memoised redistribution plan.
 type planKey struct {
 	from, to dist.Dist
-	nodes    int
 }
 
 // NewArray allocates a distributed array with the given distribution,
@@ -130,9 +130,6 @@ func (a *Array) swapTo(to dist.Dist) error {
 	}
 	return a.alloc(to)
 }
-
-// Dist returns the current distribution.
-func (a *Array) Dist() dist.Dist { return a.d }
 
 // localOffset maps a global element (s, l, c) to the offset inside the
 // owning node's shard. The caller must pass the owning node.
@@ -274,37 +271,17 @@ func (a *Array) gatherInto(out []float64) {
 	}
 }
 
-// Gather assembles the full canonical array (an inspection helper; it does
-// not charge communication).
-func (a *Array) Gather() []float64 {
-	out := make([]float64, a.Shape.Len())
-	a.gatherInto(out)
-	return out
-}
-
 // Redistribute changes the distribution, physically moving the data and
 // charging every node its share of the communication plan (the paper's
 // Ct = L*m + G*b + H*c), followed by a barrier. It returns the plan for
 // inspection.
 func (a *Array) Redistribute(to dist.Dist) (*dist.Plan, error) {
-	return a.RedistributeOn(a.rt.VM.AllNodes(), to)
-}
-
-// RedistributeOn is Redistribute restricted to a node subgroup (task
-// parallelism): costs are charged to the subgroup's nodes and the barrier
-// covers only the subgroup. The distribution geometry is computed over the
-// subgroup size, mirroring Fx's distribution onto node subsets.
-//
-// Note: the array must be distributed over exactly this subgroup; the
-// top-level Airshed driver uses full-machine arrays, while the pipelined
-// driver keeps its stage arrays on stage subgroups throughout.
-func (a *Array) RedistributeOn(nodes []int, to dist.Dist) (*dist.Plan, error) {
 	prof := a.rt.VM.Profile()
-	key := planKey{from: a.d, to: to, nodes: len(nodes)}
+	key := planKey{from: a.d, to: to}
 	plan, ok := a.plans[key]
 	if !ok {
 		var err error
-		plan, err = dist.NewPlan(a.Shape, a.d, to, len(nodes), prof.WordSize)
+		plan, err = dist.NewPlan(a.Shape, a.d, to, a.rt.P(), prof.WordSize)
 		if err != nil {
 			return nil, err
 		}
@@ -327,103 +304,11 @@ func (a *Array) RedistributeOn(nodes []int, to dist.Dist) (*dist.Plan, error) {
 		}
 		a.scatterGlobal(a.globalBuf)
 	}
-	for i, n := range nodes {
-		cost := plan.Traffic[i].Cost(prof)
-		a.rt.VM.ChargeSeconds(n, vm.CatComm, cost)
+	for n := range plan.Traffic {
+		a.rt.VM.ChargeSeconds(n, vm.CatComm, plan.Traffic[n].Cost(prof))
 	}
-	a.rt.VM.BarrierGroup(nodes)
+	a.rt.VM.Barrier()
 	return plan, nil
-}
-
-// OwnedCells returns the cell interval node owns (the array must be
-// DChem-style: Block over cells).
-func (a *Array) OwnedCells(node int) (dist.Interval, error) {
-	if a.d.Kind != dist.Block || a.d.Dim != dist.AxisCells {
-		return dist.Interval{}, fmt.Errorf("fx: OwnedCells on %v", a.d)
-	}
-	return dist.BlockOwner(a.Shape.Cells, a.rt.P(), node), nil
-}
-
-// OwnedLayers returns the layer interval node owns (the array must be
-// DTrans-style: Block over layers).
-func (a *Array) OwnedLayers(node int) (dist.Interval, error) {
-	if a.d.Kind != dist.Block || a.d.Dim != dist.AxisLayers {
-		return dist.Interval{}, fmt.Errorf("fx: OwnedLayers on %v", a.d)
-	}
-	return dist.BlockOwner(a.Shape.Layers, a.rt.P(), node), nil
-}
-
-// CellBlock returns the contiguous (species x layers) block of one owned
-// cell in a DChem-distributed array: exactly the column the chemistry
-// operator consumes. Mutations write through to the shard.
-func (a *Array) CellBlock(node, c int) ([]float64, error) {
-	iv, err := a.OwnedCells(node)
-	if err != nil {
-		return nil, err
-	}
-	if !iv.Contains(c) {
-		return nil, fmt.Errorf("fx: node %d does not own cell %d", node, c)
-	}
-	sz := a.Shape.Species * a.Shape.Layers
-	off := a.localOffset(node, 0, 0, c)
-	return a.shards[node][off : off+sz], nil
-}
-
-// GatherLayerField copies the (species s, layer l) horizontal field into
-// buf (length cells) from a DTrans-distributed array owned by node.
-func (a *Array) GatherLayerField(node, s, l int, buf []float64) error {
-	iv, err := a.OwnedLayers(node)
-	if err != nil {
-		return err
-	}
-	if !iv.Contains(l) {
-		return fmt.Errorf("fx: node %d does not own layer %d", node, l)
-	}
-	if len(buf) != a.Shape.Cells {
-		return fmt.Errorf("fx: buffer has %d cells, want %d", len(buf), a.Shape.Cells)
-	}
-	sh := a.Shape
-	nloc := iv.Len()
-	shard := a.shards[node]
-	base := s + sh.Species*(l-iv.Lo)
-	stride := sh.Species * nloc
-	for c := 0; c < sh.Cells; c++ {
-		buf[c] = shard[base+stride*c]
-	}
-	return nil
-}
-
-// ScatterLayerField writes buf back into the (s, l) field of a
-// DTrans-distributed array owned by node.
-func (a *Array) ScatterLayerField(node, s, l int, buf []float64) error {
-	iv, err := a.OwnedLayers(node)
-	if err != nil {
-		return err
-	}
-	if !iv.Contains(l) {
-		return fmt.Errorf("fx: node %d does not own layer %d", node, l)
-	}
-	if len(buf) != a.Shape.Cells {
-		return fmt.Errorf("fx: buffer has %d cells, want %d", len(buf), a.Shape.Cells)
-	}
-	sh := a.Shape
-	nloc := iv.Len()
-	shard := a.shards[node]
-	base := s + sh.Species*(l-iv.Lo)
-	stride := sh.Species * nloc
-	for c := 0; c < sh.Cells; c++ {
-		shard[base+stride*c] = buf[c]
-	}
-	return nil
-}
-
-// Replica returns the shared backing buffer of a replicated array (the
-// canonical layout). It errors for partitioned arrays.
-func (a *Array) Replica() ([]float64, error) {
-	if a.d.Kind != dist.Replicated {
-		return nil, fmt.Errorf("fx: Replica on %v", a.d)
-	}
-	return a.repl, nil
 }
 
 // ParallelGroup runs body once per node of the subgroup, concurrently,

@@ -70,7 +70,8 @@ func TestArrayRoundTripAllDists(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", d, p, err)
 			}
-			got := a.Gather()
+			got := make([]float64, sh.Len())
+			a.gatherInto(got)
 			for i := range global {
 				if got[i] != global[i] {
 					t.Fatalf("%v p=%d: element %d = %g, want %g", d, p, i, got[i], global[i])
@@ -100,7 +101,8 @@ func TestRedistributePreservesData(t *testing.T) {
 			if _, err := a.Redistribute(d); err != nil {
 				t.Fatalf("p=%d -> %v: %v", p, d, err)
 			}
-			got := a.Gather()
+			got := make([]float64, sh.Len())
+			a.gatherInto(got)
 			for i := range global {
 				if got[i] != global[i] {
 					t.Fatalf("p=%d after -> %v: element %d corrupted", p, d, i)
@@ -133,122 +135,6 @@ func TestRedistributeChargesPlanCost(t *testing.T) {
 		if got := rt.VM.CategorySeconds(vm.CatComm); math.Abs(got-want) > 1e-12 {
 			t.Errorf("p=%d: comm category %g, want %g", p, got, want)
 		}
-	}
-}
-
-func TestOwnedViews(t *testing.T) {
-	sh := seqShape()
-	rt := newRT(t, 4)
-	a, err := NewArrayFrom(rt, sh, dist.DChem, pattern(sh))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// OwnedCells partitions the cells.
-	covered := 0
-	for n := 0; n < 4; n++ {
-		iv, err := a.OwnedCells(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		covered += iv.Len()
-	}
-	if covered != sh.Cells {
-		t.Errorf("owned cells cover %d of %d", covered, sh.Cells)
-	}
-	if _, err := a.OwnedLayers(0); err == nil {
-		t.Error("OwnedLayers on DChem accepted")
-	}
-
-	// CellBlock exposes the (species, layers) column.
-	iv, _ := a.OwnedCells(1)
-	c := iv.Lo
-	block, err := a.CellBlock(1, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(block) != sh.Species*sh.Layers {
-		t.Fatalf("block length %d", len(block))
-	}
-	for l := 0; l < sh.Layers; l++ {
-		for s := 0; s < sh.Species; s++ {
-			want := at(a, s, l, c)
-			if block[s+sh.Species*l] != want {
-				t.Fatalf("block[%d,%d] = %g, want %g", s, l, block[s+sh.Species*l], want)
-			}
-		}
-	}
-	// Mutation writes through.
-	block[0] = -42
-	if at(a, 0, 0, c) != -42 {
-		t.Error("CellBlock is not a view")
-	}
-	if _, err := a.CellBlock(1, sh.Cells+5); err == nil {
-		t.Error("unowned cell accepted")
-	}
-}
-
-func TestLayerFieldGatherScatter(t *testing.T) {
-	sh := seqShape()
-	rt := newRT(t, 3)
-	a, err := NewArrayFrom(rt, sh, dist.DTrans, pattern(sh))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, sh.Cells)
-	for n := 0; n < 3; n++ {
-		iv, err := a.OwnedLayers(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l := iv.Lo; l < iv.Hi; l++ {
-			for s := 0; s < sh.Species; s++ {
-				if err := a.GatherLayerField(n, s, l, buf); err != nil {
-					t.Fatal(err)
-				}
-				for c := 0; c < sh.Cells; c++ {
-					if buf[c] != at(a, s, l, c) {
-						t.Fatalf("gather mismatch at s=%d l=%d c=%d", s, l, c)
-					}
-				}
-				// Scatter a transformed field and verify.
-				for c := range buf {
-					buf[c] += 0.5
-				}
-				if err := a.ScatterLayerField(n, s, l, buf); err != nil {
-					t.Fatal(err)
-				}
-				if at(a, s, 1*0+l, 0) != buf[0] {
-					t.Fatal("scatter did not write through")
-				}
-			}
-		}
-	}
-	// Errors.
-	if err := a.GatherLayerField(0, 0, sh.Layers+1, buf); err == nil {
-		t.Error("unowned layer accepted")
-	}
-	if err := a.GatherLayerField(0, 0, 0, buf[:3]); err == nil {
-		t.Error("short buffer accepted")
-	}
-}
-
-func TestReplica(t *testing.T) {
-	sh := seqShape()
-	rt := newRT(t, 2)
-	a, err := NewArrayFrom(rt, sh, dist.DRepl, pattern(sh))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := a.Replica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != sh.Len() {
-		t.Fatalf("replica length %d", len(r))
-	}
-	b, _ := NewArray(rt, sh, dist.DChem)
-	if _, err := b.Replica(); err == nil {
-		t.Error("Replica on partitioned array accepted")
 	}
 }
 
@@ -328,7 +214,8 @@ func TestRedistributeQuick(t *testing.T) {
 				return false
 			}
 		}
-		got := a.Gather()
+		got := make([]float64, sh.Len())
+		a.gatherInto(got)
 		for i := range global {
 			if got[i] != global[i] {
 				return false

@@ -235,27 +235,14 @@ func (s *Scheduler) carryOut(ctx context.Context, j *job, cfg core.Config, h hel
 
 // assembleResult builds a complete core.Result from the run's hour
 // records — held ones, then any simulated just now — and its final
-// concentrations, repricing the stitched trace exactly as a live run would
-// have: the data-parallel replay provides the node utilization (the live
-// driver keeps the data-schedule utilization even in task mode), the
-// mode's own replay the ledger.
+// concentrations, priced by core.Price exactly as a live run is.
 func assembleResult(cfg core.Config, hours []*store.PhysicsRecord, final []float64) (*core.Result, error) {
 	res, err := store.Assemble(hours, final)
 	if err != nil {
 		return nil, err
 	}
-	dr, err := core.Replay(res.Trace, cfg.Machine, cfg.Nodes, core.DataParallel)
-	if err != nil {
+	if err := core.Price(res, cfg.Machine, cfg.Nodes, cfg.Mode); err != nil {
 		return nil, err
-	}
-	res.NodeUtilization, res.Efficiency = dr.NodeUtilization, dr.Efficiency
-	res.Ledger, res.CommSeconds, res.RedistCounts = dr.Ledger, dr.CommSeconds, dr.RedistCounts
-	if cfg.Mode == core.TaskParallel {
-		trr, err := core.Replay(res.Trace, cfg.Machine, cfg.Nodes, core.TaskParallel)
-		if err != nil {
-			return nil, err
-		}
-		res.Ledger, res.CommSeconds, res.RedistCounts = trr.Ledger, trr.CommSeconds, trr.RedistCounts
 	}
 	return res, nil
 }

@@ -128,7 +128,7 @@ const (
 // PhysicsRecord is the machine-independent physics of a run prefix: the
 // work trace of its hours and the per-hour ground-level ozone peaks. A
 // record plus the matching checkpoint reconstructs a full result for any
-// machine, node count and mode via core.Replay — the "reuse the physics
+// machine, node count and mode via core.Price — the "reuse the physics
 // wholesale" path — and a record alone merges a warm-started suffix run
 // back into full-run diagnostics.
 type PhysicsRecord struct {
@@ -819,7 +819,8 @@ func (s *Store) Restore(specHash string, physics func(row *SpecManifest) (hours 
 
 // Assemble stitches a run's physics — one record per hour from the run
 // start, and the concentrations at their end — into a core.Result with no
-// pricing yet, sharing the records' and final's slices.
+// pricing yet (core.Price sets it), sharing the records' and final's
+// slices.
 func Assemble(hours []*PhysicsRecord, final []float64) (*core.Result, error) {
 	if len(hours) == 0 {
 		return nil, fmt.Errorf("store: no hour records to assemble")
