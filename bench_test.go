@@ -178,15 +178,23 @@ func BenchmarkStudy_DiurnalWork(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
-// BenchmarkReplayLA24 prices one full 24-hour LA replay at 64 T3E nodes:
-// the unit of work behind every figure sweep.
+// BenchmarkReplayLA24 prices one full 24-hour LA replay at 64 T3E nodes
+// through a Pricer whose group work is already split: the unit of work
+// behind every figure sweep.
 func BenchmarkReplayLA24(b *testing.B) {
 	ctx := benchContext(b, false)
 	prof := machine.CrayT3E()
+	pr, err := core.NewPricer(ctx.LA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pr.Replay(prof, 64, core.DataParallel); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Replay(ctx.LA, prof, 64, core.DataParallel); err != nil {
+		if _, err := pr.Replay(prof, 64, core.DataParallel); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,10 +397,14 @@ func BenchmarkCoupledReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	prof := machine.IntelParagon()
+	pr, err := core.NewPricer(ctx.LA)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := frn.ReplayCoupled(ctx.LA, model, prof, 32, true, frn.ScenarioA); err != nil {
+		if _, err := frn.ReplayCoupled(pr, model, prof, 32, true, frn.ScenarioA); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"airshed/internal/core"
 	"airshed/internal/figures"
 	foreign "airshed/internal/foreign"
 	"airshed/internal/popexp"
@@ -90,12 +91,16 @@ func TestAutoGroupsWinOnRealTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := IntelParagon()
+	pr, err := core.NewPricer(ctx.LA)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []int{8, 16, 32, 64} {
-		og, err := foreign.AutoGroups(ctx.LA, model, prof, p)
+		og, err := foreign.AutoGroups(pr, model, prof, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ores, err := foreign.ReplayCoupledGroups(ctx.LA, model, prof, og, true, foreign.ScenarioA)
+		ores, err := foreign.ReplayCoupledGroups(pr, model, prof, og, true, foreign.ScenarioA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +108,7 @@ func TestAutoGroupsWinOnRealTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hres, err := foreign.ReplayCoupledGroups(ctx.LA, model, prof, hg, true, foreign.ScenarioA)
+		hres, err := foreign.ReplayCoupledGroups(pr, model, prof, hg, true, foreign.ScenarioA)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"airshed/internal/core"
 	frn "airshed/internal/foreign"
 	"airshed/internal/hourio"
 	"airshed/internal/popexp"
@@ -158,7 +159,11 @@ func TestCoupledPipelineEndToEnd(t *testing.T) {
 		t.Error("no exposure computed")
 	}
 	// The coupled cost model prices the same configuration.
-	cr, err := frn.ReplayCoupled(res.Trace, model, IntelParagon(), 8, true, frn.ScenarioA)
+	pr, err := core.NewPricer(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := frn.ReplayCoupled(pr, model, IntelParagon(), 8, true, frn.ScenarioA)
 	if err != nil {
 		t.Fatal(err)
 	}

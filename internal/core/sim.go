@@ -212,15 +212,20 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 // with p nodes: Ledger, CommSeconds and RedistCounts from the replay in
 // mode, NodeUtilization and Efficiency from the data-parallel replay (a
 // run reports the data-schedule utilization in task mode too). A live
-// run and a result assembled from stored physics are priced alike.
+// run and a result assembled from stored physics are priced alike. Both
+// replays share one Pricer, so the trace is validated once.
 func Price(res *Result, prof *machine.Profile, p int, mode Mode) error {
-	rr, err := Replay(res.Trace, prof, p, DataParallel)
+	pr, err := NewPricer(res.Trace)
+	if err != nil {
+		return err
+	}
+	rr, err := pr.Replay(prof, p, DataParallel)
 	if err != nil {
 		return err
 	}
 	res.NodeUtilization, res.Efficiency = rr.NodeUtilization, rr.Efficiency
 	if mode != DataParallel {
-		if rr, err = Replay(res.Trace, prof, p, mode); err != nil {
+		if rr, err = pr.Replay(prof, p, mode); err != nil {
 			return err
 		}
 	}

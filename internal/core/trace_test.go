@@ -184,18 +184,22 @@ func TestReplayTaskCombined(t *testing.T) {
 		tr.Hours[i].OutBytes = 50_000_000
 	}
 	prof := machine.IntelParagon()
-	if _, err := ReplayTaskCombined(tr, prof, 1); err == nil {
+	pr, err := NewPricer(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.ReplayTaskCombined(prof, 1); err == nil {
 		t.Error("1 node accepted")
 	}
-	dp, err := Replay(tr, prof, 16, DataParallel)
+	dp, err := pr.Replay(prof, 16, DataParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := ReplayTaskCombined(tr, prof, 16)
+	two, err := pr.ReplayTaskCombined(prof, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := Replay(tr, prof, 16, TaskParallel)
+	three, err := pr.Replay(prof, 16, TaskParallel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,6 +148,10 @@ func (ctx *Context) AblationAerosolRedist() (*Figure, error) {
 // AblationPipeline compares pipeline depths: no task parallelism, a
 // 2-stage pipeline (single I/O task) and the paper's 3-stage pipeline.
 func (ctx *Context) AblationPipeline() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "ablation-pipeline",
 		Caption: "Ablation: pipeline depth on the Intel Paragon, LA data set " +
@@ -157,15 +161,15 @@ func (ctx *Context) AblationPipeline() (*Figure, error) {
 	tb := report.NewTable("Execution time (s)",
 		"Nodes", "No pipeline (data parallel)", "2-stage (combined I/O)", "3-stage (paper)")
 	for _, p := range ParagonCounts {
-		dp, err := core.Replay(ctx.LA, par, p, core.DataParallel)
+		dp, err := la.Replay(par, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
-		two, err := core.ReplayTaskCombined(ctx.LA, par, p)
+		two, err := la.ReplayTaskCombined(par, p)
 		if err != nil {
 			return nil, err
 		}
-		three, err := core.Replay(ctx.LA, par, p, core.TaskParallel)
+		three, err := la.Replay(par, p, core.TaskParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -177,6 +181,10 @@ func (ctx *Context) AblationPipeline() (*Figure, error) {
 
 // AblationForeignScenario compares the Figure 11 coupling scenarios.
 func (ctx *Context) AblationForeignScenario() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "ablation-foreign",
 		Caption: "Ablation: foreign-module coupling scenarios (Figure 11): A (interface node) vs " +
@@ -192,7 +200,7 @@ func (ctx *Context) AblationForeignScenario() (*Figure, error) {
 	for _, p := range []int{16, 32, 64} {
 		row := []interface{}{p}
 		for _, scn := range []frn.Scenario{frn.ScenarioA, frn.ScenarioB, frn.ScenarioC} {
-			r, err := frn.ReplayCoupled(ctx.LA, model, par, p, true, scn)
+			r, err := frn.ReplayCoupled(la, model, par, p, true, scn)
 			if err != nil {
 				return nil, err
 			}
@@ -208,6 +216,10 @@ func (ctx *Context) AblationForeignScenario() (*Figure, error) {
 // coupled pipeline against the Fx optimal processor-allocation machinery
 // (Subhlok-Vondran mapping, the paper's references [26, 27]).
 func (ctx *Context) AblationAllocation() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "ablation-allocation",
 		Caption: "Ablation: coupled-pipeline node allocation — fixed heuristic (popexp = P/8) vs " +
@@ -225,15 +237,15 @@ func (ctx *Context) AblationAllocation() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		hres, err := frn.ReplayCoupledGroups(ctx.LA, model, par, hg, true, frn.ScenarioA)
+		hres, err := frn.ReplayCoupledGroups(la, model, par, hg, true, frn.ScenarioA)
 		if err != nil {
 			return nil, err
 		}
-		og, err := frn.AutoGroups(ctx.LA, model, par, p)
+		og, err := frn.AutoGroups(la, model, par, p)
 		if err != nil {
 			return nil, err
 		}
-		ores, err := frn.ReplayCoupledGroups(ctx.LA, model, par, og, true, frn.ScenarioA)
+		ores, err := frn.ReplayCoupledGroups(la, model, par, og, true, frn.ScenarioA)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ package figures
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 
 	"airshed/internal/core"
 	"airshed/internal/datasets"
@@ -38,6 +39,12 @@ type Context struct {
 	NE *core.Trace
 	// Hours is the simulated duration the traces cover.
 	Hours int
+
+	// One Pricer per trace, made on first use: the traces are
+	// read-only after Load, so each one is validated once and its
+	// per-group work lives as long as the Context.
+	mu      sync.Mutex
+	pricers map[*core.Trace]*core.Pricer
 
 	// Claim bookkeeping from the last WriteExperiments run.
 	lastClaims, lastHeld int
@@ -89,15 +96,32 @@ type Figure struct {
 	Gantts  []*report.Gantt
 }
 
-// replayOrDie wraps Replay for figure construction.
-func replay(tr *core.Trace, prof *machine.Profile, p int, mode core.Mode) (*core.ReplayResult, error) {
-	return core.Replay(tr, prof, p, mode)
+// pricer returns the Pricer of one of the context's traces.
+func (ctx *Context) pricer(tr *core.Trace) (*core.Pricer, error) {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	if pr, ok := ctx.pricers[tr]; ok {
+		return pr, nil
+	}
+	pr, err := core.NewPricer(tr)
+	if err != nil {
+		return nil, err
+	}
+	if ctx.pricers == nil {
+		ctx.pricers = make(map[*core.Trace]*core.Pricer)
+	}
+	ctx.pricers[tr] = pr
+	return pr, nil
 }
 
 // Fig2 reproduces Figure 2: execution times of the LA data set on the
 // T3E, T3D and Paragon, 4-128 nodes, as a table plus linear- and
 // log-scale charts.
 func (ctx *Context) Fig2() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig2",
 		Caption: "Figure 2: Execution times for the Airshed application using the LA data set " +
@@ -113,7 +137,7 @@ func (ctx *Context) Fig2() (*Figure, error) {
 		row := []interface{}{p}
 		xs = append(xs, float64(p))
 		for _, prof := range machine.PaperTrio() {
-			rr, err := replay(ctx.LA, prof, p, core.DataParallel)
+			rr, err := la.Replay(prof, p, core.DataParallel)
 			if err != nil {
 				return nil, err
 			}
@@ -137,6 +161,14 @@ func (ctx *Context) Fig3() (*Figure, error) {
 	if ctx.NE == nil {
 		return nil, fmt.Errorf("figures: Fig3 needs the NE trace (run with NE enabled)")
 	}
+	laPr, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
+	nePr, err := ctx.pricer(ctx.NE)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig3",
 		Caption: "Figure 3: Airshed execution times on the Cray T3E for the LA and NE data sets " +
@@ -148,11 +180,11 @@ func (ctx *Context) Fig3() (*Figure, error) {
 	t3e := machine.CrayT3E()
 	var xs, las, nes []float64
 	for _, p := range NodeCounts {
-		la, err := replay(ctx.LA, t3e, p, core.DataParallel)
+		la, err := laPr.Replay(t3e, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
-		ne, err := replay(ctx.NE, t3e, p, core.DataParallel)
+		ne, err := nePr.Replay(t3e, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -171,6 +203,10 @@ func (ctx *Context) Fig3() (*Figure, error) {
 // Fig4 reproduces Figure 4: scaling of the application components on the
 // T3E with the LA data set.
 func (ctx *Context) Fig4() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig4",
 		Caption: "Figure 4: Scaling of Airshed components on a Cray T3E, LA data set " +
@@ -184,7 +220,7 @@ func (ctx *Context) Fig4() (*Figure, error) {
 	var xs []float64
 	comp := map[string][]float64{}
 	for _, p := range NodeCounts {
-		rr, err := replay(ctx.LA, t3e, p, core.DataParallel)
+		rr, err := la.Replay(t3e, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -208,6 +244,10 @@ func (ctx *Context) Fig4() (*Figure, error) {
 // Fig5 reproduces Figure 5: the per-kind redistribution times on the T3E
 // with the LA data set.
 func (ctx *Context) Fig5() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig5",
 		Caption: "Figure 5: Scaling of communication steps (redistribution kinds), Cray T3E, LA data set " +
@@ -221,7 +261,7 @@ func (ctx *Context) Fig5() (*Figure, error) {
 	var xs []float64
 	series := map[string][]float64{}
 	for _, p := range NodeCounts {
-		rr, err := replay(ctx.LA, t3e, p, core.DataParallel)
+		rr, err := la.Replay(t3e, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -243,6 +283,10 @@ func (ctx *Context) Fig5() (*Figure, error) {
 // Fig6 reproduces Figure 6: predicted (analytic model, Section 4.2) versus
 // measured (replayed) redistribution times on the T3E.
 func (ctx *Context) Fig6() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig6",
 		Caption: "Figure 6: Predicted (P) and measured (M) times for the communication steps, " +
@@ -255,7 +299,7 @@ func (ctx *Context) Fig6() (*Figure, error) {
 		"Chem->Repl M", "Chem->Repl P")
 	t3e := machine.CrayT3E()
 	for _, p := range NodeCounts {
-		rr, err := replay(ctx.LA, t3e, p, core.DataParallel)
+		rr, err := la.Replay(t3e, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -275,6 +319,10 @@ func (ctx *Context) Fig6() (*Figure, error) {
 // Fig7 reproduces Figure 7: predicted versus measured computation phase
 // times on the T3E.
 func (ctx *Context) Fig7() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig7",
 		Caption: "Figure 7: Predicted (P) and measured (M) times for the computation phases, " +
@@ -284,7 +332,7 @@ func (ctx *Context) Fig7() (*Figure, error) {
 		"Nodes", "Chem M", "Chem P", "Trans M", "Trans P", "I/O M", "I/O P", "Total M", "Total P")
 	t3e := machine.CrayT3E()
 	for _, p := range NodeCounts {
-		rr, err := replay(ctx.LA, t3e, p, core.DataParallel)
+		rr, err := la.Replay(t3e, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -306,13 +354,17 @@ func (ctx *Context) Fig7() (*Figure, error) {
 // task+data-parallel Airshed on the Intel Paragon, including the paper's
 // observation about the sequential I/O fraction.
 func (ctx *Context) Fig9() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig9",
 		Caption: "Figure 9: Speedup on the Intel Paragon, data-parallel vs task+data-parallel " +
 			"(paper: task parallelism removes the I/O bottleneck; ~25% faster at 64 nodes)",
 	}
 	par := machine.IntelParagon()
-	seq, err := replay(ctx.LA, par, 1, core.DataParallel)
+	seq, err := la.Replay(par, 1, core.DataParallel)
 	if err != nil {
 		return nil, err
 	}
@@ -324,11 +376,11 @@ func (ctx *Context) Fig9() (*Figure, error) {
 	var xs, dps, tps []float64
 	var ioFrac64 float64
 	for _, p := range ParagonCounts {
-		dp, err := replay(ctx.LA, par, p, core.DataParallel)
+		dp, err := la.Replay(par, p, core.DataParallel)
 		if err != nil {
 			return nil, err
 		}
-		tp, err := replay(ctx.LA, par, p, core.TaskParallel)
+		tp, err := la.Replay(par, p, core.TaskParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -356,6 +408,10 @@ func (ctx *Context) Fig9() (*Figure, error) {
 // Fig13 reproduces Figure 13: the coupled Airshed+PopExp application with
 // PopExp as a native task versus as a PVM foreign module, on the Paragon.
 func (ctx *Context) Fig13() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig13",
 		Caption: "Figure 13: Airshed+PopExp with PopExp native vs as PVM foreign module, Intel Paragon " +
@@ -372,11 +428,11 @@ func (ctx *Context) Fig13() (*Figure, error) {
 	ch.LogY = true
 	var xs, nats, frns []float64
 	for _, p := range ParagonCounts {
-		nat, err := frn.ReplayCoupled(ctx.LA, model, par, p, false, frn.ScenarioA)
+		nat, err := frn.ReplayCoupled(la, model, par, p, false, frn.ScenarioA)
 		if err != nil {
 			return nil, err
 		}
-		fr, err := frn.ReplayCoupled(ctx.LA, model, par, p, true, frn.ScenarioA)
+		fr, err := frn.ReplayCoupled(la, model, par, p, true, frn.ScenarioA)
 		if err != nil {
 			return nil, err
 		}

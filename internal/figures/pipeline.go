@@ -30,12 +30,16 @@ func timelineGantt(title string, rows []string, timeline []core.StageInterval) *
 // here the same structure is rendered from the actual replayed schedule on
 // the Intel Paragon.
 func (ctx *Context) Fig8() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig8",
 		Caption: "Figure 8: Pipelined task parallelism in Airshed — the measured schedule " +
 			"(input reads hour i+1 while hour i computes and hour i-1 writes), Intel Paragon, 16 nodes",
 	}
-	rr, err := core.Replay(ctx.LA, machine.IntelParagon(), 16, core.TaskParallel)
+	rr, err := la.Replay(machine.IntelParagon(), 16, core.TaskParallel)
 	if err != nil {
 		return nil, err
 	}
@@ -54,6 +58,10 @@ func (ctx *Context) Fig8() (*Figure, error) {
 // combined Airshed + PopExp computation, rendered from the replayed
 // coupled schedule.
 func (ctx *Context) Fig12() (*Figure, error) {
+	la, err := ctx.pricer(ctx.LA)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "fig12",
 		Caption: "Figure 12: The structure of the Airshed and PopExp computation — the measured " +
@@ -63,7 +71,7 @@ func (ctx *Context) Fig12() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr, err := frn.ReplayCoupled(ctx.LA, model, machine.IntelParagon(), 32, true, frn.ScenarioA)
+	rr, err := frn.ReplayCoupled(la, model, machine.IntelParagon(), 32, true, frn.ScenarioA)
 	if err != nil {
 		return nil, err
 	}

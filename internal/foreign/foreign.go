@@ -171,10 +171,8 @@ type CoupledResult struct {
 // pipeline bottleneck. This is the extension the paper sketches: "the
 // techniques used in Fx to manage processor allocation among tasks can be
 // extended to foreign modules".
-func AutoGroups(tr *core.Trace, model *popexp.Model, prof *machine.Profile, p int) (CoupledGroups, error) {
-	if err := tr.Validate(); err != nil {
-		return CoupledGroups{}, err
-	}
+func AutoGroups(pr *core.Pricer, model *popexp.Model, prof *machine.Profile, p int) (CoupledGroups, error) {
+	tr := pr.Trace()
 	if p < 4 {
 		return CoupledGroups{}, fmt.Errorf("foreign: coupled pipeline needs at least 4 nodes, got %d", p)
 	}
@@ -226,19 +224,17 @@ func AutoGroups(tr *core.Trace, model *popexp.Model, prof *machine.Profile, p in
 // false) or as a PVM foreign module coupled under the given scenario
 // (foreign = true). Node groups are sized with the default heuristic
 // (GroupsFor); use ReplayCoupledGroups for explicit or optimised sizes.
-func ReplayCoupled(tr *core.Trace, model *popexp.Model, prof *machine.Profile, p int, foreign bool, scn Scenario) (*CoupledResult, error) {
+func ReplayCoupled(pr *core.Pricer, model *popexp.Model, prof *machine.Profile, p int, foreign bool, scn Scenario) (*CoupledResult, error) {
 	groups, err := GroupsFor(p)
 	if err != nil {
 		return nil, err
 	}
-	return ReplayCoupledGroups(tr, model, prof, groups, foreign, scn)
+	return ReplayCoupledGroups(pr, model, prof, groups, foreign, scn)
 }
 
 // ReplayCoupledGroups is ReplayCoupled with an explicit node partition.
-func ReplayCoupledGroups(tr *core.Trace, model *popexp.Model, prof *machine.Profile, groups CoupledGroups, foreign bool, scn Scenario) (*CoupledResult, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
+func ReplayCoupledGroups(pr *core.Pricer, model *popexp.Model, prof *machine.Profile, groups CoupledGroups, foreign bool, scn Scenario) (*CoupledResult, error) {
+	tr := pr.Trace()
 	if groups.Input != 1 || groups.Output != 1 {
 		return nil, fmt.Errorf("foreign: the pipeline uses exactly one input and one output node, got %+v", groups)
 	}
@@ -261,7 +257,7 @@ func ReplayCoupledGroups(tr *core.Trace, model *popexp.Model, prof *machine.Prof
 	for i := range compute {
 		compute[i] = 2 + groups.PopExp + i
 	}
-	rp, err := core.NewRedistPlans(tr.Shape, groups.Compute, prof.WordSize)
+	rp, err := core.NewRedistPlans(pr, groups.Compute, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -272,10 +268,6 @@ func ReplayCoupledGroups(tr *core.Trace, model *popexp.Model, prof *machine.Prof
 	// tracked species.
 	popFlopsHour := popexp.WorkScale * float64(tr.Shape.Cells*model.Cohorts*model.NumSpecies())
 
-	cres := &core.ReplayResult{
-		CommSeconds:  make(map[string]float64),
-		RedistCounts: make(map[string]int),
-	}
 	for hi := range tr.Hours {
 		ht := &tr.Hours[hi]
 		// Stage 1: input.
@@ -288,8 +280,8 @@ func ReplayCoupledGroups(tr *core.Trace, model *popexp.Model, prof *machine.Prof
 		// Stage 2: compute.
 		m.AdvanceTo(compute, inputDone)
 		computeStart := m.GroupElapsed(compute)
-		core.ChargeHourSteps(m, compute, rp, ht, cres)
-		core.ChargeHourlyGather(m, compute, rp, cres)
+		core.ChargeHourSteps(m, compute, rp, hi)
+		core.ChargeHourlyGather(m, compute, rp)
 		// Native-side handoff to PopExp. In the all-Fx version the
 		// compiler-generated transfer spreads over the compute group
 		// (every node ships its slice); in the foreign prototype the

@@ -12,7 +12,8 @@ import (
 	"airshed/internal/vm"
 )
 
-func miniTrace(t *testing.T) *core.Trace {
+// miniPricer prices a 2-hour mini run's trace.
+func miniPricer(t *testing.T) *core.Pricer {
 	t.Helper()
 	ds, err := datasets.Mini()
 	if err != nil {
@@ -24,7 +25,11 @@ func miniTrace(t *testing.T) *core.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace
+	pr, err := core.NewPricer(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
 }
 
 func testModel(t *testing.T) *popexp.Model {
@@ -68,15 +73,15 @@ func TestScenarioString(t *testing.T) {
 // The foreign module (scenario A) must cost more than the native task,
 // but only by a small fixed overhead — the paper's Figure 13.
 func TestForeignOverheadSmallButPositive(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
 	prof := machine.IntelParagon()
 	for _, p := range []int{8, 16, 32} {
-		native, err := ReplayCoupled(tr, model, prof, p, false, ScenarioA)
+		native, err := ReplayCoupled(pr, model, prof, p, false, ScenarioA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frn, err := ReplayCoupled(tr, model, prof, p, true, ScenarioA)
+		frn, err := ReplayCoupled(pr, model, prof, p, true, ScenarioA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,18 +104,18 @@ func TestForeignOverheadSmallButPositive(t *testing.T) {
 // Scenario ordering: A (interface node) costs at least B (direct), which
 // costs at least C (variable to variable).
 func TestScenarioOrdering(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
 	prof := machine.IntelParagon()
-	a, err := ReplayCoupled(tr, model, prof, 32, true, ScenarioA)
+	a, err := ReplayCoupled(pr, model, prof, 32, true, ScenarioA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayCoupled(tr, model, prof, 32, true, ScenarioB)
+	b, err := ReplayCoupled(pr, model, prof, 32, true, ScenarioB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ReplayCoupled(tr, model, prof, 32, true, ScenarioC)
+	c, err := ReplayCoupled(pr, model, prof, 32, true, ScenarioC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestScenarioOrdering(t *testing.T) {
 			a.CouplingSeconds, b.CouplingSeconds, c.CouplingSeconds)
 	}
 	// Scenario C equals the native path.
-	native, err := ReplayCoupled(tr, model, prof, 32, false, ScenarioA)
+	native, err := ReplayCoupled(pr, model, prof, 32, false, ScenarioA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +135,9 @@ func TestScenarioOrdering(t *testing.T) {
 
 // The coupled ledger must contain PopExp time.
 func TestCoupledLedgerHasPopExp(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
-	res, err := ReplayCoupled(tr, model, machine.CrayT3E(), 16, true, ScenarioA)
+	res, err := ReplayCoupled(pr, model, machine.CrayT3E(), 16, true, ScenarioA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +152,11 @@ func TestCoupledLedgerHasPopExp(t *testing.T) {
 // The Fx optimal allocation must never lose to the fixed heuristic, must
 // partition exactly, and must respect the 1-input/1-output layout.
 func TestAutoGroups(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
 	prof := machine.IntelParagon()
 	for _, p := range []int{8, 16, 32, 64} {
-		og, err := AutoGroups(tr, model, prof, p)
+		og, err := AutoGroups(pr, model, prof, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +166,7 @@ func TestAutoGroups(t *testing.T) {
 		if og.Input+og.Output+og.Compute+og.PopExp != p {
 			t.Errorf("p=%d: groups %+v do not sum to p", p, og)
 		}
-		ores, err := ReplayCoupledGroups(tr, model, prof, og, true, ScenarioA)
+		ores, err := ReplayCoupledGroups(pr, model, prof, og, true, ScenarioA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +174,7 @@ func TestAutoGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hres, err := ReplayCoupledGroups(tr, model, prof, hg, true, ScenarioA)
+		hres, err := ReplayCoupledGroups(pr, model, prof, hg, true, ScenarioA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,16 +189,13 @@ func TestAutoGroups(t *testing.T) {
 				p, ores.Ledger.Total, hres.Ledger.Total)
 		}
 	}
-	if _, err := AutoGroups(tr, model, prof, 3); err == nil {
+	if _, err := AutoGroups(pr, model, prof, 3); err == nil {
 		t.Error("3 nodes accepted")
-	}
-	if _, err := AutoGroups(&core.Trace{}, model, prof, 8); err == nil {
-		t.Error("invalid trace accepted")
 	}
 }
 
 func TestReplayCoupledGroupsValidation(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
 	bad := []CoupledGroups{
 		{Input: 2, Output: 1, Compute: 4, PopExp: 1},
@@ -201,21 +203,21 @@ func TestReplayCoupledGroupsValidation(t *testing.T) {
 		{Input: 1, Output: 1, Compute: 4, PopExp: 0},
 	}
 	for i, g := range bad {
-		if _, err := ReplayCoupledGroups(tr, model, machine.CrayT3E(), g, true, ScenarioA); err == nil {
+		if _, err := ReplayCoupledGroups(pr, model, machine.CrayT3E(), g, true, ScenarioA); err == nil {
 			t.Errorf("case %d: bad groups accepted", i)
 		}
 	}
 }
 
 func TestCoupledTimeline(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
-	res, err := ReplayCoupled(tr, model, machine.IntelParagon(), 16, true, ScenarioA)
+	res, err := ReplayCoupled(pr, model, machine.IntelParagon(), 16, true, ScenarioA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 4 stages per hour.
-	if want := 4 * len(tr.Hours); len(res.Timeline) != want {
+	if want := 4 * len(pr.Trace().Hours); len(res.Timeline) != want {
 		t.Fatalf("timeline has %d intervals, want %d", len(res.Timeline), want)
 	}
 	for _, iv := range res.Timeline {
@@ -240,12 +242,13 @@ func TestCoupledTimeline(t *testing.T) {
 }
 
 func TestReplayCoupledErrors(t *testing.T) {
-	tr := miniTrace(t)
+	pr := miniPricer(t)
 	model := testModel(t)
-	if _, err := ReplayCoupled(tr, model, machine.CrayT3E(), 3, true, ScenarioA); err == nil {
+	if _, err := ReplayCoupled(pr, model, machine.CrayT3E(), 3, true, ScenarioA); err == nil {
 		t.Error("3 nodes accepted")
 	}
-	if _, err := ReplayCoupled(&core.Trace{}, model, machine.CrayT3E(), 8, true, ScenarioA); err == nil {
+	// A coupled replay needs a Pricer, and an invalid trace has none.
+	if _, err := core.NewPricer(&core.Trace{}); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }

@@ -14,9 +14,10 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Side enumerates the four faces of a cell.
@@ -298,21 +299,25 @@ func (g *Grid) safeToSplit(k key) bool {
 	return true
 }
 
+// compareKeys orders keys by level, then row, then column.
+func compareKeys(a, b key) int {
+	if c := cmp.Compare(a.level, b.level); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.iy, b.iy); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ix, b.ix)
+}
+
+// keyLess reports whether a orders before b; every key orders before a
+// negative-level sentinel.
 func keyLess(a, b key) bool {
-	if b.level < 0 {
-		return true
-	}
-	if a.level != b.level {
-		return a.level < b.level
-	}
-	if a.iy != b.iy {
-		return a.iy < b.iy
-	}
-	return a.ix < b.ix
+	return b.level < 0 || compareKeys(a, b) < 0
 }
 
 func sortKeys(ks []key) {
-	sort.Slice(ks, func(i, j int) bool { return keyLess(ks[i], ks[j]) })
+	slices.SortFunc(ks, compareKeys)
 }
 
 // NumCells returns the current leaf count (valid before Finalize too).
@@ -349,7 +354,6 @@ func (g *Grid) Finalize() error {
 
 	g.Faces = g.Faces[:0]
 	g.Boundary = g.Boundary[:0]
-	seen := make(map[[2]int]bool)
 	for i, k := range keys {
 		for _, side := range Sides() {
 			nbrs, boundary := g.sideNeighbors(k, side)
@@ -371,18 +375,18 @@ func (g *Grid) Finalize() error {
 				if dl := abs(g.Cells[i].Level - g.Cells[j].Level); dl > 1 {
 					return fmt.Errorf("grid: 2:1 balance violated between %v and %v", k, nk)
 				}
-				pair := [2]int{min(i, j), max(i, j)}
-				if seen[pair] {
+				// Each interior face is emitted once, by its
+				// lower-indexed cell, so A < B and the normal
+				// points out of A.
+				if j < i {
 					continue
 				}
-				seen[pair] = true
-				a, b := i, j
 				nx, ny := sideNormal(side)
-				ca, cb := &g.Cells[a], &g.Cells[b]
+				ca, cb := &g.Cells[i], &g.Cells[j]
 				length := math.Min(ca.Size, cb.Size)
 				dx, dy := cb.X-ca.X, cb.Y-ca.Y
 				g.Faces = append(g.Faces, Face{
-					A: a, B: b, Length: length,
+					A: i, B: j, Length: length,
 					Dist: math.Hypot(dx, dy),
 					NX:   nx, NY: ny,
 				})
@@ -390,11 +394,11 @@ func (g *Grid) Finalize() error {
 		}
 	}
 	// Deterministic face order.
-	sort.Slice(g.Faces, func(i, j int) bool {
-		if g.Faces[i].A != g.Faces[j].A {
-			return g.Faces[i].A < g.Faces[j].A
+	slices.SortFunc(g.Faces, func(a, b Face) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		return g.Faces[i].B < g.Faces[j].B
+		return cmp.Compare(a.B, b.B)
 	})
 	g.CellFaces = make([][]int, len(g.Cells))
 	for fi, f := range g.Faces {

@@ -130,6 +130,30 @@ func (m *Machine) ChargeSeconds(node int, cat Category, t float64) {
 	m.chargeSeconds(node, cat, t)
 }
 
+// ChargePhase charges secs[i] seconds of category cat to nodes[i] and
+// synchronises the group at the phase's end, returning the group's clock
+// before and after the phase. It equals GroupElapsed, then ChargeSeconds
+// on each node, then BarrierGroup, in two passes over the group instead
+// of four.
+func (m *Machine) ChargePhase(nodes []int, cat Category, secs []float64) (before, after float64) {
+	if len(secs) != len(nodes) {
+		panic(fmt.Sprintf("vm: %d phase charges for %d nodes", len(secs), len(nodes)))
+	}
+	for i, n := range nodes {
+		if c := m.clock[n]; c > before {
+			before = c
+		}
+		m.chargeSeconds(n, cat, secs[i])
+		if c := m.clock[n]; i == 0 || c > after {
+			after = c
+		}
+	}
+	for _, n := range nodes {
+		m.clock[n] = after
+	}
+	return before, after
+}
+
 // Barrier synchronises all node clocks to the maximum, modelling a
 // bulk-synchronous phase boundary, and returns the barrier time.
 func (m *Machine) Barrier() float64 {

@@ -232,3 +232,61 @@ func TestUtilization(t *testing.T) {
 		t.Errorf("idle machine efficiency %g", eff)
 	}
 }
+
+// ChargePhase equals GroupElapsed, ChargeSeconds on each node, then
+// BarrierGroup, bit for bit: clocks, per-category spent time and the
+// returned before/after, on subgroups of nodes with unequal clocks.
+func TestChargePhaseMatchesThreeCalls(t *testing.T) {
+	const p = 7
+	start := []float64{0.3, 1.7, 0, 2.25, 1e-9, 0.1 + 0.2, 5}
+	for _, nodes := range [][]int{
+		{0, 1, 2, 3, 4, 5, 6},
+		{2, 5, 3},
+		{6},
+		{4, 0},
+		{},
+	} {
+		for _, cat := range []Category{CatComm, CatChemistry} {
+			want, got := newTestVM(t, p), newTestVM(t, p)
+			for n, c := range start {
+				want.ChargeSeconds(n, CatOther, c)
+				got.ChargeSeconds(n, CatOther, c)
+			}
+			secs := make([]float64, len(nodes))
+			for i := range secs {
+				secs[i] = 0.1*float64(i+1) + 1.0/3
+			}
+			if len(secs) > 1 {
+				secs[1] = 0 // a node with nothing to do in the phase
+			}
+			wantBefore := want.GroupElapsed(nodes)
+			for i, n := range nodes {
+				want.ChargeSeconds(n, cat, secs[i])
+			}
+			wantAfter := want.BarrierGroup(nodes)
+			before, after := got.ChargePhase(nodes, cat, secs)
+			if before != wantBefore || after != wantAfter {
+				t.Errorf("nodes %v: ChargePhase returned (%v, %v), three calls (%v, %v)",
+					nodes, before, after, wantBefore, wantAfter)
+			}
+			for n := 0; n < p; n++ {
+				if got.clock[n] != want.clock[n] {
+					t.Errorf("nodes %v: node %d clock %v, want %v", nodes, n, got.clock[n], want.clock[n])
+				}
+				if got.spent[n] != want.spent[n] {
+					t.Errorf("nodes %v: node %d spent %v, want %v", nodes, n, got.spent[n], want.spent[n])
+				}
+			}
+		}
+	}
+}
+
+func TestChargePhaseRejectsNegativeCharge(t *testing.T) {
+	m := newTestVM(t, 3)
+	defer func() {
+		if recover() == nil {
+			t.Error("negative phase charge did not panic")
+		}
+	}()
+	m.ChargePhase([]int{0, 1, 2}, CatComm, []float64{1, -1, 1})
+}
