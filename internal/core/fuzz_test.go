@@ -33,12 +33,16 @@ func gzipGob(t testing.TB, tr *Trace, level int) []byte {
 // FuzzLoadTrace writes arbitrary bytes to a file and loads it as a trace.
 // LoadTrace may not panic, and any trace it accepts must replay, in both
 // modes, to a finite, non-negative ledger. The stored-block seeds
-// (gzip level 0) expose the gob bytes to the mutator directly.
+// (gzip level 0) expose the gob bytes to the mutator directly; besides
+// the synthetic trace they hold two of the replay oracle's generated
+// traces.
 func FuzzLoadTrace(f *testing.F) {
 	good := syntheticTrace()
 	bad := syntheticTrace()
 	bad.Hours[0].Steps[0].CellFlops[1] = math.NaN()
-	for _, tr := range []*Trace{good, bad} {
+	gen1, _, _ := oracleCase(1)
+	gen2, _, _ := oracleCase(2)
+	for _, tr := range []*Trace{good, bad, gen1, gen2} {
 		for _, level := range []int{gzip.NoCompression, gzip.DefaultCompression} {
 			data := gzipGob(f, tr, level)
 			f.Add(data)
