@@ -162,7 +162,7 @@ func (pr *Pricer) Replay(prof *machine.Profile, p int, mode Mode) (*ReplayResult
 	}
 }
 
-// Indices of the redistribution kinds in RedistPlans' tallies, in
+// Indices of the redistribution kinds in redistPlans' tallies, in
 // RedistKinds order.
 const (
 	kReplToTrans = iota
@@ -172,13 +172,13 @@ const (
 	numKinds
 )
 
-// RedistPlans prices a g-node group's share of one replay: it holds the
+// redistPlans prices a g-node group's share of one replay: it holds the
 // group's work split and the per-node seconds of the three
 // redistributions of the Airshed cycle, priced once on the replay's
 // profile, and tallies the communication it charges by kind. The hourly
 // D_Trans->D_Repl gather is priced as transToChem then chemToRepl (see
-// ChargeHourlyGather).
-type RedistPlans struct {
+// chargeHour).
+type redistPlans struct {
 	pr   *Pricer
 	prof *machine.Profile
 	work *groupWork
@@ -191,10 +191,10 @@ type RedistPlans struct {
 	counts                        [numKinds]int
 }
 
-// NewRedistPlans prices the redistributions of pr's trace on a g-node
+// newRedistPlans prices the redistributions of pr's trace on a g-node
 // group of prof.
-func NewRedistPlans(pr *Pricer, g int, prof *machine.Profile) (*RedistPlans, error) {
-	rp := &RedistPlans{pr: pr, prof: prof}
+func newRedistPlans(pr *Pricer, g int, prof *machine.Profile) (*redistPlans, error) {
+	rp := &redistPlans{pr: pr, prof: prof}
 	var err error
 	if rp.replToTrans, err = planSeconds(pr.tr.Shape, dist.DRepl, dist.DTrans, g, prof); err != nil {
 		return nil, err
@@ -230,7 +230,7 @@ func planSeconds(sh dist.Shape, from, to dist.Dist, g int, prof *machine.Profile
 
 // chargeRedist prices one redistribution on the group and tallies it
 // under its kind.
-func (rp *RedistPlans) chargeRedist(m *vm.Machine, nodes []int, secs []float64, kind int) {
+func (rp *redistPlans) chargeRedist(m *vm.Machine, nodes []int, secs []float64, kind int) {
 	before, after := m.ChargePhase(nodes, vm.CatComm, secs)
 	rp.comm[kind] += after - before
 	rp.counts[kind]++
@@ -238,17 +238,23 @@ func (rp *RedistPlans) chargeRedist(m *vm.Machine, nodes []int, secs []float64, 
 
 // setSeconds sets the leading entries of secs to the compute time of
 // each owner's flops.
-func (rp *RedistPlans) setSeconds(secs, flops []float64) {
+func (rp *redistPlans) setSeconds(secs, flops []float64) {
 	for i, f := range flops {
 		secs[i] = rp.prof.ComputeTime(f)
 	}
 }
 
-// ChargeHourSteps prices the inner loop of an hour of the trace on the
-// group: transport over owned layers, chemistry over owned cell columns,
-// the replicated aerosol step and the redistributions between them. The
-// hour starts from the replicated I/O state and ends in D_Trans.
-func ChargeHourSteps(m *vm.Machine, nodes []int, rp *RedistPlans, hour int) {
+// chargeHour prices one hour of the trace on the group. The inner loop —
+// transport over owned layers, chemistry over owned cell columns, the
+// replicated aerosol step and the redistributions between them — starts
+// from the replicated I/O state and ends in D_Trans. The hour-boundary
+// gather back to the replicated I/O distribution is routed in two phases
+// through D_Chem: a direct D_Trans -> D_Repl plan would make each of the
+// few layer owners send its whole slab to every node (O(P) slab copies),
+// while the two-phase route costs a cheap slab scatter plus the
+// all-gather the step loop already performs. This is the classic
+// two-phase redistribution optimisation; see DESIGN.md.
+func (rp *redistPlans) chargeHour(m *vm.Machine, nodes []int, hour int) {
 	lo, co := rp.work.layerOwners, rp.work.cellOwners
 	rp.chargeRedist(m, nodes, rp.replToTrans, kReplToTrans)
 	steps := rp.pr.tr.Hours[hour].Steps
@@ -268,23 +274,15 @@ func ChargeHourSteps(m *vm.Machine, nodes []int, rp *RedistPlans, hour int) {
 		rp.chargeRedist(m, nodes, rp.replToTrans, kReplToTrans)
 		m.ChargePhase(nodes, vm.CatTransport, rp.transport)
 	}
-}
-
-// ChargeHourlyGather prices the hour-boundary gather to the replicated
-// I/O distribution, routed in two phases through D_Chem: a direct
-// D_Trans -> D_Repl plan would make each of the few layer owners send its
-// whole slab to every node (O(P) slab copies), while the two-phase route
-// costs a cheap slab scatter plus the all-gather the step loop already
-// performs. This is the classic two-phase redistribution optimisation;
-// see DESIGN.md.
-func ChargeHourlyGather(m *vm.Machine, nodes []int, rp *RedistPlans) {
 	rp.chargeRedist(m, nodes, rp.transToChem, kTransToRepl)
 	rp.chargeRedist(m, nodes, rp.chemToRepl, kTransToRepl)
 }
 
-// newReplayResult returns a result carrying rp's communication tallies.
-func (rp *RedistPlans) newReplayResult() *ReplayResult {
+// result returns the replay's ledger on m with rp's communication
+// tallies. It snapshots both, so it runs after the last charge.
+func (rp *redistPlans) result(m *vm.Machine) *ReplayResult {
 	res := &ReplayResult{
+		Ledger:       m.Ledger(),
 		CommSeconds:  make(map[string]float64, numKinds),
 		RedistCounts: make(map[string]int, numKinds),
 	}
@@ -295,6 +293,81 @@ func (rp *RedistPlans) newReplayResult() *ReplayResult {
 	return res
 }
 
+// Stage is one stage of a software pipeline over a run's hours: a node
+// group that, for each hour, waits until an earlier stage has finished
+// that hour and then charges the hour's work.
+type Stage struct {
+	// Name labels the stage's timeline intervals.
+	Name string
+	// Nodes is the stage's node group.
+	Nodes []int
+	// After is the index of the earlier stage whose end of the same
+	// hour this stage waits for, or -1 if it waits for none.
+	After int
+	// Charge charges the stage's work for one hour.
+	Charge func(hour int)
+}
+
+// RunPipeline prices hours hours of a software pipeline on m, the
+// schedule of the paper's Figures 8 and 12: hour by hour, each stage in
+// order moves its nodes' clocks up to its predecessor's end, charges the
+// hour and records its busy interval. A stage whose nodes are ahead
+// starts at once, so the input stage reads hour h+1 while later stages
+// still work on hour h. The intervals are returned hour by hour, in
+// stage order.
+func RunPipeline(m *vm.Machine, hours int, stages []Stage) []StageInterval {
+	timeline := make([]StageInterval, 0, hours*len(stages))
+	ends := make([]float64, len(stages))
+	for h := 0; h < hours; h++ {
+		for i := range stages {
+			s := &stages[i]
+			if s.After >= 0 {
+				m.AdvanceTo(s.Nodes, ends[s.After])
+			}
+			start := m.GroupElapsed(s.Nodes)
+			s.Charge(h)
+			ends[i] = m.GroupElapsed(s.Nodes)
+			timeline = append(timeline, StageInterval{s.Name, h, start, ends[i]})
+		}
+	}
+	return timeline
+}
+
+// TaskStages returns the three stages of the Section 5 pipeline on m for
+// RunPipeline: hour h's inputhour and pretrans on the input node; its
+// step loop and hourly gather on the compute group once the input is
+// read; the transfer of the hour's state to the output node and its
+// outputhour once the hour is computed. The input and output node may be
+// one node.
+func (pr *Pricer) TaskStages(m *vm.Machine, input int, compute []int, output int) ([]Stage, error) {
+	stages, _, err := pr.taskStages(m, input, compute, output)
+	return stages, err
+}
+
+// taskStages is TaskStages, also returning the compute group's plans and
+// tallies.
+func (pr *Pricer) taskStages(m *vm.Machine, input int, compute []int, output int) ([]Stage, *redistPlans, error) {
+	prof := m.Profile()
+	rp, err := newRedistPlans(pr, len(compute), prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	concBytes := pr.tr.Shape.Bytes(prof.WordSize)
+	return []Stage{
+		{Name: "input", Nodes: []int{input}, After: -1, Charge: func(h int) {
+			m.ChargeIO(input, pr.tr.Hours[h].InBytes)
+			m.ChargeCompute(input, vm.CatIO, pr.tr.Hours[h].PretransFlops)
+		}},
+		{Name: "compute", Nodes: compute, After: 0, Charge: func(h int) {
+			rp.chargeHour(m, compute, h)
+		}},
+		{Name: "output", Nodes: []int{output}, After: 1, Charge: func(h int) {
+			m.ChargeCommAs(output, vm.CatComm, 1, concBytes, 0)
+			m.ChargeIO(output, pr.tr.Hours[h].OutBytes)
+		}},
+	}, rp, nil
+}
+
 // replayData prices the pure data-parallel schedule of Sections 2-4:
 // sequential I/O on node 0, then the step loop and the hourly gather on
 // every node.
@@ -303,7 +376,7 @@ func (pr *Pricer) replayData(prof *machine.Profile, p int) (*ReplayResult, error
 	if err != nil {
 		return nil, err
 	}
-	rp, err := NewRedistPlans(pr, p, prof)
+	rp, err := newRedistPlans(pr, p, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -313,13 +386,11 @@ func (pr *Pricer) replayData(prof *machine.Profile, p int) (*ReplayResult, error
 		m.ChargeIO(0, ht.InBytes)
 		m.ChargeCompute(0, vm.CatIO, ht.PretransFlops)
 		m.BarrierGroup(nodes)
-		ChargeHourSteps(m, nodes, rp, hi)
-		ChargeHourlyGather(m, nodes, rp)
+		rp.chargeHour(m, nodes, hi)
 		m.ChargeIO(0, ht.OutBytes)
 		m.BarrierGroup(nodes)
 	}
-	res := rp.newReplayResult()
-	res.Ledger = m.Ledger()
+	res := rp.result(m)
 	res.NodeUtilization, res.Efficiency = m.Utilization()
 	return res, nil
 }
@@ -338,37 +409,18 @@ func (pr *Pricer) ReplayTaskCombined(prof *machine.Profile, p int) (*ReplayResul
 	if err != nil {
 		return nil, err
 	}
-	ioNode := 0
-	compute := make([]int, p-1)
-	for i := range compute {
-		compute[i] = i + 1
-	}
-	rp, err := NewRedistPlans(pr, p-1, prof)
+	const ioNode = 0
+	compute := m.AllNodes()[1:]
+	stages, rp, err := pr.taskStages(m, ioNode, compute, ioNode)
 	if err != nil {
 		return nil, err
 	}
-	concBytes := pr.tr.Shape.Bytes(prof.WordSize)
-	for hi := range pr.tr.Hours {
-		ht := &pr.tr.Hours[hi]
-		m.ChargeIO(ioNode, ht.InBytes)
-		m.ChargeCompute(ioNode, vm.CatIO, ht.PretransFlops)
-		inputDone := m.Clock(ioNode)
-		m.AdvanceTo(compute, inputDone)
-		ChargeHourSteps(m, compute, rp, hi)
-		ChargeHourlyGather(m, compute, rp)
-		computeDone := m.GroupElapsed(compute)
-		// The same node must now write the hour's output before it
-		// can read the next hour's input.
-		m.AdvanceTo([]int{ioNode}, computeDone)
-		m.ChargeCommAs(ioNode, vm.CatComm, 1, concBytes, 0)
-		m.ChargeIO(ioNode, ht.OutBytes)
-	}
-	res := rp.newReplayResult()
+	RunPipeline(m, len(pr.tr.Hours), stages)
+	res := rp.result(m)
 	res.StageBound = map[string]float64{
 		"io":      m.Clock(ioNode),
 		"compute": m.GroupElapsed(compute),
 	}
-	res.Ledger = m.Ledger()
 	return res, nil
 }
 
@@ -382,55 +434,20 @@ func (pr *Pricer) replayTask(prof *machine.Profile, p int) (*ReplayResult, error
 	if err != nil {
 		return nil, err
 	}
-	pc := p - 2 // compute group size
-	inputNode := 0
-	outputNode := 1
-	compute := make([]int, pc)
-	for i := range compute {
-		compute[i] = i + 2
-	}
-	rp, err := NewRedistPlans(pr, pc, prof)
+	const inputNode, outputNode = 0, 1
+	compute := m.AllNodes()[2:]
+	stages, rp, err := pr.taskStages(m, inputNode, compute, outputNode)
 	if err != nil {
 		return nil, err
 	}
-	concBytes := pr.tr.Shape.Bytes(prof.WordSize)
-	var timeline []StageInterval
-	for hi := range pr.tr.Hours {
-		ht := &pr.tr.Hours[hi]
-		// Input stage: hour hi's inputhour + pretrans on the input
-		// node (it read ahead while earlier hours computed).
-		inputStart := m.Clock(inputNode)
-		m.ChargeIO(inputNode, ht.InBytes)
-		m.ChargeCompute(inputNode, vm.CatIO, ht.PretransFlops)
-		inputDone := m.Clock(inputNode)
-		timeline = append(timeline, StageInterval{"input", hi, inputStart, inputDone})
-
-		// Compute stage waits for its input.
-		m.AdvanceTo(compute, inputDone)
-		computeStart := m.GroupElapsed(compute)
-		ChargeHourSteps(m, compute, rp, hi)
-		// Hand the hour's state to the output task: gather to
-		// replicated inside the group, then one transfer to the
-		// output node.
-		ChargeHourlyGather(m, compute, rp)
-		computeDone := m.GroupElapsed(compute)
-		timeline = append(timeline, StageInterval{"compute", hi, computeStart, computeDone})
-
-		// Output stage waits for the computed hour.
-		m.AdvanceTo([]int{outputNode}, computeDone)
-		outputStart := m.Clock(outputNode)
-		m.ChargeCommAs(outputNode, vm.CatComm, 1, concBytes, 0)
-		m.ChargeIO(outputNode, ht.OutBytes)
-		timeline = append(timeline, StageInterval{"output", hi, outputStart, m.Clock(outputNode)})
-	}
-	res := rp.newReplayResult()
+	timeline := RunPipeline(m, len(pr.tr.Hours), stages)
+	res := rp.result(m)
 	res.Timeline = timeline
 	res.StageBound = map[string]float64{
 		"input":   m.Clock(inputNode),
 		"compute": m.GroupElapsed(compute),
 		"output":  m.Clock(outputNode),
 	}
-	res.Ledger = m.Ledger()
 	res.NodeUtilization, res.Efficiency = m.Utilization()
 	return res, nil
 }

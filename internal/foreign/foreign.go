@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"airshed/internal/core"
+	"airshed/internal/dist"
 	"airshed/internal/fx"
 	"airshed/internal/machine"
 	"airshed/internal/popexp"
@@ -247,17 +248,10 @@ func ReplayCoupledGroups(pr *core.Pricer, model *popexp.Model, prof *machine.Pro
 		return nil, err
 	}
 	// Node layout: [input][output][popexp...][compute...].
-	inputNode := 0
-	outputNode := 1
-	popNodes := make([]int, groups.PopExp)
-	for i := range popNodes {
-		popNodes[i] = 2 + i
-	}
-	compute := make([]int, groups.Compute)
-	for i := range compute {
-		compute[i] = 2 + groups.PopExp + i
-	}
-	rp, err := core.NewRedistPlans(pr, groups.Compute, prof)
+	nodes := m.AllNodes()
+	popNodes := nodes[2 : 2+groups.PopExp]
+	compute := nodes[2+groups.PopExp:]
+	stages, err := pr.TaskStages(m, 0, compute, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -268,20 +262,9 @@ func ReplayCoupledGroups(pr *core.Pricer, model *popexp.Model, prof *machine.Pro
 	// tracked species.
 	popFlopsHour := popexp.WorkScale * float64(tr.Shape.Cells*model.Cohorts*model.NumSpecies())
 
-	for hi := range tr.Hours {
-		ht := &tr.Hours[hi]
-		// Stage 1: input.
-		inputStart := m.Clock(inputNode)
-		m.ChargeIO(inputNode, ht.InBytes)
-		m.ChargeCompute(inputNode, vm.CatIO, ht.PretransFlops)
-		inputDone := m.Clock(inputNode)
-		res.Timeline = append(res.Timeline, core.StageInterval{Stage: "input", Hour: hi, Start: inputStart, End: inputDone})
-
-		// Stage 2: compute.
-		m.AdvanceTo(compute, inputDone)
-		computeStart := m.GroupElapsed(compute)
-		core.ChargeHourSteps(m, compute, rp, hi)
-		core.ChargeHourlyGather(m, compute, rp)
+	computeHour := stages[1].Charge
+	stages[1].Charge = func(h int) {
+		computeHour(h)
 		// Native-side handoff to PopExp. In the all-Fx version the
 		// compiler-generated transfer spreads over the compute group
 		// (every node ships its slice); in the foreign prototype the
@@ -297,31 +280,22 @@ func ReplayCoupledGroups(pr *core.Pricer, model *popexp.Model, prof *machine.Pro
 			}
 		}
 		m.BarrierGroup(compute)
-		computeDone := m.GroupElapsed(compute)
-		res.Timeline = append(res.Timeline, core.StageInterval{Stage: "compute", Hour: hi, Start: computeStart, End: computeDone})
-
-		// Stage 3: output.
-		m.AdvanceTo([]int{outputNode}, computeDone)
-		outputStart := m.Clock(outputNode)
-		m.ChargeCommAs(outputNode, vm.CatComm, 1, concBytes, 0)
-		m.ChargeIO(outputNode, ht.OutBytes)
-		res.Timeline = append(res.Timeline, core.StageInterval{Stage: "output", Hour: hi, Start: outputStart, End: m.Clock(outputNode)})
-
-		// Stage 4: PopExp consumes the hour's concentrations.
-		m.AdvanceTo(popNodes, computeDone)
-		popStart := m.GroupElapsed(popNodes)
+	}
+	// Stage 4: PopExp consumes each hour's concentrations once the
+	// compute stage has produced them.
+	stages = append(stages, core.Stage{Name: "popexp", Nodes: popNodes, After: 1, Charge: func(int) {
 		couplingBefore := m.GroupElapsed(popNodes)
 		chargeCoupling(m, popNodes, concBytes, foreign, scn)
 		res.CouplingSeconds += m.GroupElapsed(popNodes) - couplingBefore
 		// The exposure computation, block-partitioned over the
 		// module's nodes.
 		for i, n := range popNodes {
-			share := blockShare(tr.Shape.Cells, groups.PopExp, i)
+			share := float64(dist.BlockOwner(tr.Shape.Cells, groups.PopExp, i).Len()) / float64(tr.Shape.Cells)
 			m.ChargeCompute(n, vm.CatPopExp, popFlopsHour*share)
 		}
 		m.BarrierGroup(popNodes)
-		res.Timeline = append(res.Timeline, core.StageInterval{Stage: "popexp", Hour: hi, Start: popStart, End: m.GroupElapsed(popNodes)})
-	}
+	}})
+	res.Timeline = core.RunPipeline(m, len(tr.Hours), stages)
 	res.Ledger = m.Ledger()
 	return res, nil
 }
@@ -359,19 +333,4 @@ func chargeCoupling(m *vm.Machine, popNodes []int, bytes int64, foreign bool, sc
 		}
 	}
 	m.BarrierGroup(popNodes)
-}
-
-// blockShare returns the fraction of n items node i owns under BLOCK on p
-// nodes.
-func blockShare(n, p, i int) float64 {
-	bs := (n + p - 1) / p
-	lo := i * bs
-	hi := lo + bs
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return float64(hi-lo) / float64(n)
 }

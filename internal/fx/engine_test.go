@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"airshed/internal/resilience"
-	"airshed/internal/vm"
 )
 
 // TestEngineCoversItemSpace checks that Run visits every item exactly
@@ -200,24 +198,5 @@ func TestEnginePanicContained(t *testing.T) {
 	}
 	if visited.Load() != 100 {
 		t.Errorf("post-panic run covered %d of 100 items", visited.Load())
-	}
-}
-
-// TestParallelNodesPanicContained panics one node body and asserts the
-// group converts it to that node's error slot instead of dying.
-func TestParallelNodesPanicContained(t *testing.T) {
-	rt := newRT(t, 4)
-	err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatOther, func(node int) (float64, error) {
-		if node == 2 {
-			panic(fmt.Sprintf("node %d exploded", node))
-		}
-		return 0, nil
-	})
-	var pe *resilience.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v does not carry the PanicError", err)
-	}
-	if !strings.Contains(err.Error(), "node 2") {
-		t.Errorf("panic not attributed to its node: %v", err)
 	}
 }

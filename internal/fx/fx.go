@@ -1,7 +1,7 @@
 // Package fx is an explicit Go reconstruction of the programming model the
 // paper's Fx compiler provides: HPF-style distributed arrays with
-// compiler-generated redistribution communication, task parallelism on
-// node subgroups, optimal pipeline mapping, and the host execution engine
+// compiler-generated redistribution communication, the optimal mapping
+// of a task pipeline onto node subgroups, and the host execution engine
 // the simulation's data-parallel phases run on.
 //
 // The runtime executes real data movement and real numerics in ordinary Go
@@ -13,12 +13,8 @@ package fx
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"airshed/internal/dist"
-	"airshed/internal/resilience"
 	"airshed/internal/vm"
 )
 
@@ -309,46 +305,4 @@ func (a *Array) Redistribute(to dist.Dist) (*dist.Plan, error) {
 	}
 	a.rt.VM.Barrier()
 	return plan, nil
-}
-
-// ParallelGroup runs body once per node of the subgroup, concurrently,
-// then charges each node the work units the body returned under the given
-// category — in index order after the join — and barriers the group. The
-// bodies must touch disjoint data (they own disjoint shard regions), so
-// results are independent of scheduling.
-func (rt *Runtime) ParallelGroup(nodes []int, cat vm.Category, body func(node int) (float64, error)) error {
-	flops := make([]float64, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, n := range nodes {
-		// Acquire before spawning: with 128 virtual nodes the old
-		// spawn-then-acquire order created 128 live goroutines no
-		// matter how many cores the host has.
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// A panicking node body becomes that node's deterministic
-			// error slot instead of killing the process.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = resilience.NewPanicError(r, debug.Stack())
-				}
-			}()
-			flops[i], errs[i] = body(n)
-		}(i, n)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("fx: node %d: %w", nodes[i], err)
-		}
-	}
-	for i, n := range nodes {
-		rt.VM.ChargeCompute(n, cat, flops[i])
-	}
-	rt.VM.BarrierGroup(nodes)
-	return nil
 }

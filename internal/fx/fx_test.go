@@ -138,61 +138,6 @@ func TestRedistributeChargesPlanCost(t *testing.T) {
 	}
 }
 
-func TestParallelNodesCharges(t *testing.T) {
-	rt := newRT(t, 4)
-	err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatChemistry, func(node int) (float64, error) {
-		return float64(node+1) * 1e6, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Barrier takes the max: node 3's 4e6 flops.
-	want := rt.VM.Profile().ComputeTime(4e6)
-	if got := rt.VM.Elapsed(); math.Abs(got-want) > 1e-15 {
-		t.Errorf("elapsed %g, want %g", got, want)
-	}
-}
-
-func TestParallelNodesConcurrent(t *testing.T) {
-	m, err := vm.New(machine.CrayT3E(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRuntime(m)
-	results := make([]float64, 8)
-	err = rt.ParallelGroup(rt.VM.AllNodes(), vm.CatTransport, func(node int) (float64, error) {
-		results[node] = float64(node) // disjoint writes
-		return 1e6, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range results {
-		if v != float64(i) {
-			t.Errorf("node %d body did not run", i)
-		}
-	}
-}
-
-func TestParallelNodesError(t *testing.T) {
-	rt := newRT(t, 4)
-	err := rt.ParallelGroup(rt.VM.AllNodes(), vm.CatOther, func(node int) (float64, error) {
-		if node == 2 {
-			return 0, errTest
-		}
-		return 0, nil
-	})
-	if err == nil {
-		t.Error("body error swallowed")
-	}
-}
-
-var errTest = &testErr{}
-
-type testErr struct{}
-
-func (*testErr) Error() string { return "test error" }
-
 // Property: redistribution through any sequence of the Airshed cycle
 // preserves data for random shapes and node counts.
 func TestRedistributeQuick(t *testing.T) {

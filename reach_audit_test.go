@@ -29,7 +29,6 @@ var reachAllow = map[string]string{
 	"species.StandardComposition":     "the element composition AuditElements checks the standard mechanism against",
 	"species.KnownNitrogenLeaks":      "the lumped reactions whose nitrogen imbalance the audit expects",
 	"transport.Operator2D.Mass":       "the mass integral the transport conservation tests check",
-	"popexp.ComputeHourFx":            "the paper's §6 all-Fx exposure, compared with ComputeHour and the PVM version in TestFxMatchesSerial",
 	"grid.Grid.Refine":                "builds the multiscale grids the transport tests run on",
 }
 
