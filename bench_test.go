@@ -136,9 +136,19 @@ func BenchmarkParams_FitLGH(b *testing.B) {
 
 // --- Ablation studies (DESIGN.md section 5) ---
 
+// freshContext returns a Context over ctx's traces that has priced and
+// computed nothing yet, so a benchmark of a once-per-Context result times
+// the work rather than a cache hit.
+func freshContext(ctx *figures.Context) *figures.Context {
+	return &figures.Context{LA: ctx.LA, NE: ctx.NE, Hours: ctx.Hours}
+}
+
+// The transport-scheme and integrator ablations read no trace, so a
+// Context computes them once; these two time the numerics on a fresh
+// Context per iteration.
 func BenchmarkAblation_TransportScheme(b *testing.B) {
 	ctx := benchContext(b, false)
-	runFigure(b, ctx.AblationTransportScheme)
+	runFigure(b, func() (*figures.Figure, error) { return freshContext(ctx).AblationTransportScheme() })
 }
 
 func BenchmarkAblation_AerosolRedist(b *testing.B) {
@@ -163,7 +173,7 @@ func BenchmarkAblation_Allocation(b *testing.B) {
 
 func BenchmarkAblation_Integrator(b *testing.B) {
 	ctx := benchContext(b, false)
-	runFigure(b, ctx.AblationIntegrator)
+	runFigure(b, func() (*figures.Figure, error) { return freshContext(ctx).AblationIntegrator() })
 }
 
 func BenchmarkStudy_LoadBalance(b *testing.B) {
@@ -174,6 +184,51 @@ func BenchmarkStudy_LoadBalance(b *testing.B) {
 func BenchmarkStudy_DiurnalWork(b *testing.B) {
 	ctx := benchContext(b, false)
 	runFigure(b, ctx.StudyDiurnalWork)
+}
+
+// figureSet builds one full set on ctx, as the replay-figs workload does:
+// every figure, every ablation, every claim.
+func figureSet(b *testing.B, ctx *figures.Context) {
+	b.Helper()
+	if _, err := ctx.All(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ctx.Ablations(); err != nil {
+		b.Fatal(err)
+	}
+	held, total, failures, err := ctx.CheckClaims()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if held != total {
+		b.Fatalf("claims %d/%d: %v", held, total, failures)
+	}
+}
+
+// BenchmarkFigureSet times a figure set two ways: reused, every set after
+// the first on one Context (what regenerating the figures costs once the
+// traces are loaded), and fresh, figures.Load plus the first set (what a
+// new process pays).
+func BenchmarkFigureSet(b *testing.B) {
+	b.Run("reused", func(b *testing.B) {
+		ctx := benchContext(b, true)
+		figureSet(b, ctx)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			figureSet(b, ctx)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx, err := figures.Load(traceCacheDir, 24, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			figureSet(b, ctx)
+		}
+	})
 }
 
 // --- Substrate micro-benchmarks ---

@@ -87,3 +87,65 @@ func TestFigureRenderPinned(t *testing.T) {
 		}
 	}
 }
+
+// Three figure sets on one Context render the same bytes as the pinned
+// ones and hold every claim: what a Context computes once (the Pricers,
+// the input-free ablation numbers) changes nothing a later set prints,
+// and a caller that edits a returned Figure does not reach the next set.
+func TestFigureSetRepeatable(t *testing.T) {
+	ctx := loadRealTraces(t, true)
+	const (
+		allSHA       = "c7fb75a93602983243d805a5367d9f0a5ae94fe6426d38eaa9f6ab6ee1933227"
+		ablationsSHA = "074e6be5f9d556afb875cbe63b5064942340f7fb1d114de8974c968d29538f21"
+		claims       = 19
+	)
+	var first []byte
+	for set := 0; set < 3; set++ {
+		figs, err := ctx.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		abl, err := ctx.Ablations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, total, failures, err := ctx.CheckClaims()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held != claims || total != claims {
+			t.Errorf("set %d: claims %d/%d, want %d/%d: %v", set, held, total, claims, claims, failures)
+		}
+		allText, ablText := renderFigures(t, figs), renderFigures(t, abl)
+		for _, c := range []struct {
+			name string
+			text []byte
+			want string
+		}{{"All", allText, allSHA}, {"Ablations", ablText, ablationsSHA}} {
+			sum := sha256.Sum256(c.text)
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("set %d: %s renders to sha256 %s, pinned %s", set, c.name, got, c.want)
+			}
+		}
+		text := append(allText, ablText...)
+		if set == 0 {
+			first = text
+		} else if !bytes.Equal(text, first) {
+			t.Errorf("set %d renders %d bytes that differ from the first set's %d", set, len(text), len(first))
+		}
+		// Deface every returned ablation table; the next set must not
+		// see it.
+		for _, f := range abl {
+			f.Caption = "defaced"
+			for _, tb := range f.Tables {
+				tb.Title = "defaced"
+				for _, row := range tb.Rows {
+					for i := range row {
+						row[i] = "defaced"
+					}
+				}
+				tb.Rows = append(tb.Rows, []string{"defaced"})
+			}
+		}
+	}
+}

@@ -51,3 +51,28 @@ func TestSharedPricerMatchesPins(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Pricer.Sums, asked from several goroutines at once, is the trace's own
+// Sum* totals bit for bit.
+func TestPricerSumsMatchTrace(t *testing.T) {
+	tr, err := LoadTrace(filepath.Join("..", "..", "testdata", "traces", "LA24h.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := NewPricer(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := WorkSums{Chem: tr.SumChemFlops(), Transport: tr.SumTransportFlops(), Aero: tr.SumAeroFlops()}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := pr.Sums(); got != want {
+				t.Errorf("Pricer.Sums = %+v, trace sums %+v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}

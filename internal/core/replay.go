@@ -67,6 +67,16 @@ type Pricer struct {
 
 	mu     sync.Mutex
 	groups map[int]*groupWork
+
+	sumsOnce sync.Once
+	sums     WorkSums
+}
+
+// WorkSums are a trace's sequential work totals, the aggregates the
+// Section 4 analytic model reads: Trace.SumChemFlops,
+// Trace.SumTransportFlops and Trace.SumAeroFlops.
+type WorkSums struct {
+	Chem, Transport, Aero float64
 }
 
 // groupWork is a trace's parallel work split over a g-node group under
@@ -98,6 +108,18 @@ func NewPricer(tr *Trace) (*Pricer, error) {
 
 // Trace returns the priced trace.
 func (pr *Pricer) Trace() *Trace { return pr.tr }
+
+// Sums returns the trace's work totals, summed on first use.
+func (pr *Pricer) Sums() WorkSums {
+	pr.sumsOnce.Do(func() {
+		pr.sums = WorkSums{
+			Chem:      pr.tr.SumChemFlops(),
+			Transport: pr.tr.SumTransportFlops(),
+			Aero:      pr.tr.SumAeroFlops(),
+		}
+	})
+	return pr.sums
+}
 
 // group returns the work split over a g-node group, deriving it on first
 // use. Each node's sums run in the owned records' order, as a per-step

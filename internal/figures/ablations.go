@@ -20,35 +20,65 @@ import (
 // trade-off (Sections 2.1 and 3): the 2-D multiscale operator needs far
 // fewer points than a uniform grid of equal peak resolution but
 // parallelises only over layers, while the 1-D uniform splitting
-// parallelises over layers x rows at a higher sequential cost.
+// parallelises over layers x rows at a higher sequential cost. Its
+// numbers read no trace, so a Context computes them once.
 func (ctx *Context) AblationTransportScheme() (*Figure, error) {
+	n, err := ctx.transport.get(runTransportSchemes)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "ablation-transport",
 		Caption: "Ablation: 2-D multiscale SUPG vs 1-D uniform-grid splitting " +
 			"(paper: uniform 1-D models offer better speedups but not necessarily better absolute performance)",
 	}
+	tb := report.NewTable("Transport scheme comparison (one hour, all layers and species, T3E model)",
+		"Scheme", "Cells", "Seq time (s)", "Useful parallelism", "T @ P=4", "T @ P=64", "T @ P=400")
+	timeAt := func(seq float64, par, p int) float64 {
+		return seq * float64(dist.BlockSize(par, p)) / float64(par)
+	}
+	tb.AddRow("2-D multiscale SUPG", n.multiCells, n.seq2, n.par2,
+		timeAt(n.seq2, n.par2, 4), timeAt(n.seq2, n.par2, 64), timeAt(n.seq2, n.par2, 400))
+	tb.AddRow("1-D uniform splitting", n.uniCells, n.seq1, n.par1,
+		timeAt(n.seq1, n.par1, 4), timeAt(n.seq1, n.par1, 64), timeAt(n.seq1, n.par1, 400))
+	fig.Tables = append(fig.Tables, tb)
+	return fig, nil
+}
+
+// transportRun is what AblationTransportScheme computes: each scheme's
+// cell count, sequential time for one hour and useful parallelism.
+type transportRun struct {
+	multiCells, uniCells int
+	seq2, seq1           float64
+	par2, par1           int
+}
+
+// runTransportSchemes runs one hour of plume advection under both
+// transport schemes and prices it on the T3E model.
+func runTransportSchemes() (transportRun, error) {
+	var n transportRun
 	// The LA multiscale grid vs a uniform grid at the finest LA
 	// resolution (level 3: 2.5 km cells over 200 km -> 80x80).
 	multi, err := grid.New(200e3, 200e3, 10, 10)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 	multi.RefineNear(90e3, 100e3, 3, 700)
 	if err := multi.Finalize(); err != nil {
-		return nil, err
+		return n, err
 	}
 	uni, err := grid.Uniform(200e3, 200e3, 80, 80)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 
 	op2, err := transport.New2D(multi)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 	op1, err := transport.New1D(uni)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 
 	// One hour of advection of a plume, identical physics.
@@ -72,43 +102,33 @@ func (ctx *Context) AblationTransportScheme() (*Figure, error) {
 
 	env2 := mkEnv(multi)
 	if _, err := op2.Prepare(env2); err != nil {
-		return nil, err
+		return n, err
 	}
 	c2 := mkField(multi)
 	w2, err := op2.StepField(c2, env2, 3600)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 	env1 := mkEnv(uni)
 	if _, err := op1.Prepare(env1); err != nil {
-		return nil, err
+		return n, err
 	}
 	c1 := mkField(uni)
 	w1, err := op1.StepField(c1, env1, 3600)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 
 	layers := 5
 	// Useful parallelism: 2-D only across layers; 1-D across layers and
 	// one grid dimension (rows).
-	par2 := layers
-	par1 := layers * uni.NX0
+	n.par2 = layers
+	n.par1 = layers * uni.NX0
 	prof := machine.CrayT3E()
-	seq2 := prof.ComputeTime(w2 * 6.0 * float64(layers) * 35) // all species, all layers
-	seq1 := prof.ComputeTime(w1 * 6.0 * float64(layers) * 35)
-
-	tb := report.NewTable("Transport scheme comparison (one hour, all layers and species, T3E model)",
-		"Scheme", "Cells", "Seq time (s)", "Useful parallelism", "T @ P=4", "T @ P=64", "T @ P=400")
-	timeAt := func(seq float64, par, p int) float64 {
-		return seq * float64(dist.BlockSize(par, p)) / float64(par)
-	}
-	tb.AddRow("2-D multiscale SUPG", len(multi.Cells), seq2, par2,
-		timeAt(seq2, par2, 4), timeAt(seq2, par2, 64), timeAt(seq2, par2, 400))
-	tb.AddRow("1-D uniform splitting", len(uni.Cells), seq1, par1,
-		timeAt(seq1, par1, 4), timeAt(seq1, par1, 64), timeAt(seq1, par1, 400))
-	fig.Tables = append(fig.Tables, tb)
-	return fig, nil
+	n.seq2 = prof.ComputeTime(w2 * 6.0 * float64(layers) * 35) // all species, all layers
+	n.seq1 = prof.ComputeTime(w1 * 6.0 * float64(layers) * 35)
+	n.multiCells, n.uniCells = len(multi.Cells), len(uni.Cells)
+	return n, nil
 }
 
 // AblationAerosolRedist quantifies the redistribution cost the replicated
@@ -261,13 +281,40 @@ func (ctx *Context) AblationAllocation() (*Figure, error) {
 
 // AblationIntegrator shows why the Young-Boris hybrid is necessary: the
 // explicit scheme must track the fastest radical timescale, exploding the
-// evaluation count on the photochemical mechanism.
+// evaluation count on the photochemical mechanism. Its numbers read no
+// trace, so a Context computes them once.
 func (ctx *Context) AblationIntegrator() (*Figure, error) {
+	n, err := ctx.integrator.get(runIntegrators)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID: "ablation-integrator",
 		Caption: "Ablation: Young-Boris hybrid vs fully explicit integration of one daytime " +
 			"parcel for 1 minute (the hybrid's stiff branch is what makes hour-scale steps affordable)",
 	}
+	hw, ew := n.hybrid, n.explicit
+	tb := report.NewTable("Integrator comparison (1 simulated minute, daytime urban parcel)",
+		"Scheme", "Substeps", "Rejected", "ProdLoss evals", "Evals ratio")
+	tb.AddRow("Young-Boris hybrid", hw.Substeps, hw.Rejected, hw.Evals, 1.0)
+	tb.AddRow("Fully explicit", ew.Substeps, ew.Rejected, ew.Evals, float64(ew.Evals)/float64(hw.Evals))
+	note := report.NewTable("", "Note", "Value")
+	note.AddRow("max relative state difference (explicit is also less accurate at its floor step)",
+		fmt.Sprintf("%.3g", n.maxDiff))
+	fig.Tables = append(fig.Tables, tb, note)
+	return fig, nil
+}
+
+// integratorRun is what AblationIntegrator computes: the work of each
+// scheme and the largest relative difference of their end states.
+type integratorRun struct {
+	hybrid, explicit chemistry.Work
+	maxDiff          float64
+}
+
+// runIntegrators integrates one daytime parcel for a minute with the
+// hybrid and the fully explicit scheme.
+func runIntegrators() (integratorRun, error) {
 	mech := species.StandardMechanism()
 	run := func(disableStiff bool) (chemistry.Work, []float64, error) {
 		cfg := chemistry.DefaultConfig()
@@ -283,30 +330,23 @@ func (ctx *Context) AblationIntegrator() (*Figure, error) {
 		w, err := in.Integrate(c, 1.0, 298, 1.0)
 		return w, c, err
 	}
+	var n integratorRun
 	hw, hc, err := run(false)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
 	ew, ec, err := run(true)
 	if err != nil {
-		return nil, err
+		return n, err
 	}
-	maxDiff := 0.0
 	for i := range hc {
 		d := math.Abs(hc[i] - ec[i])
-		if s := math.Abs(hc[i]) + 1e-9; d/s > maxDiff {
-			maxDiff = d / s
+		if s := math.Abs(hc[i]) + 1e-9; d/s > n.maxDiff {
+			n.maxDiff = d / s
 		}
 	}
-	tb := report.NewTable("Integrator comparison (1 simulated minute, daytime urban parcel)",
-		"Scheme", "Substeps", "Rejected", "ProdLoss evals", "Evals ratio")
-	tb.AddRow("Young-Boris hybrid", hw.Substeps, hw.Rejected, hw.Evals, 1.0)
-	tb.AddRow("Fully explicit", ew.Substeps, ew.Rejected, ew.Evals, float64(ew.Evals)/float64(hw.Evals))
-	note := report.NewTable("", "Note", "Value")
-	note.AddRow("max relative state difference (explicit is also less accurate at its floor step)",
-		fmt.Sprintf("%.3g", maxDiff))
-	fig.Tables = append(fig.Tables, tb, note)
-	return fig, nil
+	n.hybrid, n.explicit = hw, ew
+	return n, nil
 }
 
 // Ablations runs all ablation studies.

@@ -46,9 +46,27 @@ type Context struct {
 	mu      sync.Mutex
 	pricers map[*core.Trace]*core.Pricer
 
+	// The numbers of the two ablations that read no trace, computed on
+	// first use; every call still builds a fresh Figure from them.
+	transport  once[transportRun]
+	integrator once[integratorRun]
+
 	// Claim bookkeeping from the last WriteExperiments run.
 	lastClaims, lastHeld int
 	lastFailures         []string
+}
+
+// once holds a value computed on first use, with its error.
+type once[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+// get returns the value, computing it with f on the first call.
+func (o *once[T]) get(f func() (T, error)) (T, error) {
+	o.once.Do(func() { o.v, o.err = f() })
+	return o.v, o.err
 }
 
 // Load builds (or loads from cacheDir) the LA trace, and the NE trace when
@@ -303,7 +321,7 @@ func (ctx *Context) Fig6() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := perfmodel.Predict(ctx.LA, t3e, p)
+		pred, err := perfmodel.PredictWith(la, t3e, p)
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +354,7 @@ func (ctx *Context) Fig7() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := perfmodel.Predict(ctx.LA, t3e, p)
+		pred, err := perfmodel.PredictWith(la, t3e, p)
 		if err != nil {
 			return nil, err
 		}

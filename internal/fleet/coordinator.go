@@ -127,6 +127,7 @@ type shard struct {
 	specs     []scenario.Spec
 	remoteID  string
 	state     string // "dispatching", "running", "done", "lost", "cancelled"
+	repair    bool   // dispatched as a sweep.Request with Repair set
 	completed int
 	failed    int
 	pollFails int
@@ -166,6 +167,10 @@ type fleetSweep struct {
 	// retire queues shard journal IDs whose Done must be written; the
 	// append (an fsync) happens outside c.mu via drainRetire.
 	retire []string
+	// repairs counts, by spec hash, the specs a shard reported done whose
+	// results the store could not give back, each time sent back to
+	// pending; a shard that holds any of them is dispatched as a repair.
+	repairs map[string]int
 }
 
 // sweepRecord is the journal payload of one sweep submission ("fs:" ids).
@@ -531,29 +536,7 @@ func (c *Coordinator) Recover() (int, error) {
 	}
 	sort.Strings(ids)
 
-	// stored reports whether a spec's result can be read back: its row is
-	// there and the physics it names verifies — read once per physics,
-	// however many journaled specs price it — or, in a store from before
-	// rows, its whole result does. A row without its physics is work
-	// still to do, not a hit.
-	type physics struct {
-		hours []*store.PhysicsRecord
-		final []float64
-	}
-	verified := map[string]physics{} // by end-of-run prefix hash
-	stored := func(hash string) bool {
-		_, ok := c.opts.Store.Restore(hash, func(row *store.SpecManifest) ([]*store.PhysicsRecord, []float64) {
-			end := row.PrefixHashes[len(row.PrefixHashes)-1]
-			p, seen := verified[end]
-			if !seen {
-				p.hours, p.final = c.opts.Store.Physics(row)
-				verified[end] = p
-			}
-			return p.hours, p.final
-		})
-		return ok
-	}
-
+	stored := c.readback()
 	recovered := 0
 	for _, id := range ids {
 		if strings.HasPrefix(id, "sh:") {
@@ -628,6 +611,40 @@ func (c *Coordinator) Recover() (int, error) {
 	return recovered, nil
 }
 
+// readback returns a check of whether a spec's result can be read back
+// from the store: its row is there and the physics it names verifies —
+// read once per physics, however many specs the check is asked about
+// price it — or, in a store from before rows, its whole result does. A
+// row without its physics is work still to do, not a result. It needs
+// opts.Store.
+func (c *Coordinator) readback() func(hash string) bool {
+	type physics struct {
+		hours []*store.PhysicsRecord
+		final []float64
+	}
+	verified := map[string]physics{} // by end-of-run prefix hash
+	return func(hash string) bool {
+		_, ok := c.opts.Store.Restore(hash, func(row *store.SpecManifest) ([]*store.PhysicsRecord, []float64) {
+			end := row.PrefixHashes[len(row.PrefixHashes)-1]
+			p, seen := verified[end]
+			if !seen {
+				p.hours, p.final = c.opts.Store.Physics(row)
+				verified[end] = p
+			}
+			return p.hours, p.final
+		})
+		return ok
+	}
+}
+
+// maxRepairs bounds how often one spec is sent back because a shard
+// reported it done while the store could not give its result back. A
+// worker's store writes fail while the coordinator is unreachable, and
+// the worker then answers the spec from memory without rewriting what
+// was lost; a repair re-runs it cold. A spec still unreadable after
+// maxRepairs repairs fails the sweep rather than loop.
+const maxRepairs = 3
+
 // assignPending packs fs's pending specs over the live workers and
 // dispatches the new shards. A dispatch failure marks that worker lost
 // and sends its specs back to pending — the run loop retries.
@@ -666,6 +683,7 @@ func (c *Coordinator) assignPending(fs *fleetSweep) error {
 			worker:     caps[i].Name,
 			url:        urls[caps[i].Name],
 			specs:      specs,
+			repair:     fs.holdsRepair(specs),
 			state:      "dispatching",
 			dispatched: time.Now(),
 			est:        estimateShardDuration(specs, caps[i]),
@@ -685,6 +703,16 @@ func (c *Coordinator) assignPending(fs *fleetSweep) error {
 	}
 	c.drainRetire(fs)
 	return nil
+}
+
+// holdsRepair reports whether any of specs was sent back for a repair.
+func (fs *fleetSweep) holdsRepair(specs []scenario.Spec) bool {
+	for _, sp := range specs {
+		if fs.repairs[sp.Hash()] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // estimateShardDuration prices a shard on its worker: the perfmodel
@@ -718,8 +746,9 @@ func (c *Coordinator) dispatch(fs *fleetSweep, sh *shard) {
 		return
 	}
 	req := sweep.Request{
-		Name:  fmt.Sprintf("%s/%s", fs.id, sh.worker),
-		Specs: sh.specs,
+		Name:   fmt.Sprintf("%s/%s", fs.id, sh.worker),
+		Specs:  sh.specs,
+		Repair: sh.repair,
 	}
 	var st sweep.Status
 	_, err := resilience.Retry(c.ctx, c.opts.Retry, resilience.HashKey(sh.worker), func(int) error {
@@ -834,19 +863,17 @@ func (c *Coordinator) run(fs *fleetSweep) {
 		c.drainRetire(fs)
 
 		for _, sh := range toPoll {
-			c.poll(fs, sh)
+			if err := c.poll(fs, sh); err != nil {
+				c.fail(fs, err)
+				return
+			}
 		}
 		c.drainRetire(fs)
 
 		c.hedgePass(fs)
 
 		if err := c.assignPending(fs); err != nil {
-			c.mu.Lock()
-			fs.state, fs.errMsg = "failed", err.Error()
-			fs.ended = time.Now()
-			c.mu.Unlock()
-			close(fs.done)
-			c.journalDone(sweepJournalID(fs.id))
+			c.fail(fs, err)
 			return
 		}
 
@@ -870,6 +897,16 @@ func (c *Coordinator) run(fs *fleetSweep) {
 		}
 		c.mu.Unlock()
 	}
+}
+
+// fail ends a sweep's run as failed with err.
+func (c *Coordinator) fail(fs *fleetSweep, err error) {
+	c.mu.Lock()
+	fs.state, fs.errMsg = "failed", err.Error()
+	fs.ended = time.Now()
+	c.mu.Unlock()
+	close(fs.done)
+	c.journalDone(sweepJournalID(fs.id))
 }
 
 // hedgePass speculatively re-dispatches stragglers: a running shard
@@ -917,6 +954,7 @@ func (c *Coordinator) hedgePass(fs *fleetSweep) {
 			worker:     caps[best].Name,
 			url:        urls[caps[best].Name],
 			specs:      sh.specs,
+			repair:     sh.repair,
 			state:      "dispatching",
 			dispatched: time.Now(),
 			est:        estimateShardDuration(sh.specs, caps[best]),
@@ -960,13 +998,26 @@ func (c *Coordinator) busyWorkersLocked() map[string]bool {
 
 // poll refreshes one running shard from its worker. The first of a
 // hedged pair to reach done wins; the loser is cancelled locally and,
-// best-effort, on its worker.
-func (c *Coordinator) poll(fs *fleetSweep, sh *shard) {
+// best-effort, on its worker. A done shard's specs count as done only if
+// their results read back from the store; the others go back to pending
+// as repairs. The error is a spec that has exhausted its repairs.
+func (c *Coordinator) poll(fs *fleetSweep, sh *shard) error {
 	var st sweep.Status
 	// Not under c.ctx: a poll cut short by Close must not count as a
 	// poll failure and lose the shard on the way out.
 	_, err := resilience.Exchange{Method: http.MethodGet, URL: sh.url + "/v1/sweeps/" + sh.remoteID,
 		Into: &st}.Do(context.Background(), c.opts.Client)
+	var unread []scenario.Spec
+	if err == nil && st.State == "done" && c.opts.Store != nil {
+		// Off the lock: each check reads the store. Only the specs the
+		// worker finished are owed a result.
+		stored := c.readback()
+		for _, jv := range st.Jobs {
+			if jv.State == "done" && !stored(jv.Spec.Hash()) {
+				unread = append(unread, jv.Spec)
+			}
+		}
+	}
 	type cancelTarget struct{ url, remoteID string }
 	var loserCancel *cancelTarget
 	c.mu.Lock()
@@ -974,7 +1025,7 @@ func (c *Coordinator) poll(fs *fleetSweep, sh *shard) {
 		// Resolved (cancelled by the hedge race, lost, …) while the poll
 		// was in flight; nothing to record.
 		c.mu.Unlock()
-		return
+		return nil
 	}
 	if err != nil {
 		sh.pollFails++
@@ -985,14 +1036,16 @@ func (c *Coordinator) poll(fs *fleetSweep, sh *shard) {
 		}
 		c.mu.Unlock()
 		c.drainRetire(fs)
-		return
+		return nil
 	}
 	sh.pollFails = 0
 	sh.completed = st.Completed
 	sh.failed = st.Failed
+	var repairErr error
 	if st.State == "done" {
 		sh.state = "done"
 		fs.retire = append(fs.retire, shardJournalID(fs.id, sh.seq))
+		repairErr = c.repairLocked(fs, sh, unread)
 		if p := sh.partner; p != nil && !terminalShard(p.state) {
 			p.state = "cancelled"
 			fs.retire = append(fs.retire, shardJournalID(fs.id, p.seq))
@@ -1008,6 +1061,32 @@ func (c *Coordinator) poll(fs *fleetSweep, sh *shard) {
 	if loserCancel != nil {
 		go c.cancelRemote(loserCancel.url, loserCancel.remoteID)
 	}
+	return repairErr
+}
+
+// repairLocked sends the specs of a done shard whose results did not
+// read back to pending as repairs, and takes them out of the shard's
+// completed count; c.mu held. It fails on a spec already repaired
+// maxRepairs times.
+func (c *Coordinator) repairLocked(fs *fleetSweep, sh *shard, unread []scenario.Spec) error {
+	if len(unread) == 0 {
+		return nil
+	}
+	if fs.repairs == nil {
+		fs.repairs = make(map[string]int)
+	}
+	for _, sp := range unread {
+		h := sp.Hash()
+		if fs.repairs[h] >= maxRepairs {
+			return fmt.Errorf("fleet: spec %s: result does not read back from the store after %d repairs", h, maxRepairs)
+		}
+		fs.repairs[h]++
+	}
+	sh.completed = max(sh.completed-len(unread), 0)
+	fs.pending = append(fs.pending, unread...)
+	c.opts.Logf("fleet: sweep %s: shard on %s done, but %d of its %d specs do not read back from the store; repairing",
+		fs.id, sh.worker, len(unread), len(sh.specs))
+	return nil
 }
 
 // cancelRemote asks a worker to abandon a sweep (DELETE /v1/sweeps/{id});

@@ -860,3 +860,130 @@ func TestAgentHeartbeatDropInjection(t *testing.T) {
 		t.Errorf("agent re-registered %d times, want >= 2 (boot + post-drop)", registers.Load())
 	}
 }
+
+// storeDownFleet is a coordinator with a store, one worker, and a switch
+// that takes the store's blob routes down while the registry stays up.
+type storeDownFleet struct {
+	coord     *Coordinator
+	store     *store.Store
+	worker    *testWorker
+	blobsDown *atomic.Bool
+}
+
+func newStoreDownFleet(t *testing.T) *storeDownFleet {
+	t.Helper()
+	coordStore, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(Options{
+		HeartbeatTimeout: 5 * time.Second,
+		PollInterval:     50 * time.Millisecond,
+		Retry:            fastRetry(3),
+		Store:            coordStore,
+		Logf:             t.Logf,
+	})
+	t.Cleanup(coord.Close)
+	mux := http.NewServeMux()
+	coord.RegisterRoutes(mux, store.NewBlobServer(coordStore))
+	f := &storeDownFleet{coord: coord, store: coordStore, blobsDown: new(atomic.Bool)}
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f.blobsDown.Load() && strings.HasPrefix(r.URL.Path, "/v1/fleet/blobs") {
+			http.Error(w, "store down", http.StatusBadGateway)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	f.worker = startTestWorker(t, "w1", front.URL)
+	t.Cleanup(f.worker.shutdown)
+	waitForWorkers(t, coord, 1)
+	return f
+}
+
+// unreadableRequest is a two-spec sweep the worker of f runs on its own
+// while the store is down: it ends with both results in the worker's
+// memory and neither in the store.
+func (f *storeDownFleet) unreadableRequest(ctx context.Context, t *testing.T) (sweep.Request, []scenario.Spec) {
+	t.Helper()
+	base := scenario.Spec{Dataset: "mini", Machine: "t3e", Nodes: 2, Hours: 1}
+	req := sweep.Request{Name: "unreadable", Base: base, Grid: sweep.Grid{NOxScales: []float64{1.0, 0.7}}}
+	specs, err := req.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.blobsDown.Store(true)
+	ws, err := f.worker.engine.Start(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws, err = f.worker.engine.Await(ctx, ws.ID); err != nil || ws.Completed != len(specs) {
+		t.Fatalf("worker-side sweep: %+v, %v", ws, err)
+	}
+	for _, sp := range specs {
+		if _, ok := f.store.GetResult(sp.Hash()); ok {
+			t.Fatalf("spec %s reached the store while it was down", sp.Hash())
+		}
+	}
+	return req, specs
+}
+
+// A shard that reports done counts only the specs whose results read
+// back from the store. A worker whose store writes failed (the
+// coordinator was unreachable) holds its results in memory and answers a
+// later dispatch of the same specs from there, writing nothing; the
+// coordinator must see the gap and repair it, not finish the sweep.
+func TestDoneShardWithUnreadableResultsIsRepaired(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet integration test is not short")
+	}
+	f := newStoreDownFleet(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	req, specs := f.unreadableRequest(ctx, t)
+	f.blobsDown.Store(false)
+	// Let the worker's store breaker (1 s cooldown) admit writes again.
+	time.Sleep(1100 * time.Millisecond)
+
+	st, err := f.coord.StartSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := f.coord.Await(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "done" || final.Completed != len(specs) {
+		t.Fatalf("sweep ended %q with %d of %d specs completed: %+v", final.State, final.Completed, len(specs), final)
+	}
+	for _, sp := range specs {
+		if _, ok := f.store.GetResult(sp.Hash()); !ok {
+			t.Errorf("sweep done, but spec %s does not read back from the store", sp.Hash())
+		}
+	}
+}
+
+// A store that never takes the worker's writes fails the sweep after
+// maxRepairs repairs of a spec, naming it, instead of repairing forever
+// or reporting done.
+func TestUnreadableResultsFailTheSweepAfterRepairs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet integration test is not short")
+	}
+	f := newStoreDownFleet(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	req, _ := f.unreadableRequest(ctx, t)
+
+	st, err := f.coord.StartSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := f.coord.Await(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "failed" || !strings.Contains(final.Error, "does not read back") {
+		t.Fatalf("sweep over a store that takes no writes ended %q (%s), want failed on an unreadable spec", final.State, final.Error)
+	}
+}

@@ -186,9 +186,10 @@ func AutoGroups(pr *core.Pricer, model *popexp.Model, prof *machine.Profile, p i
 	}
 	inCost /= hours
 	outCost /= hours
-	chemHour := prof.ComputeTime(tr.SumChemFlops()) / hours
-	transHour := prof.ComputeTime(tr.SumTransportFlops()) / hours
-	aeroHour := prof.ComputeTime(tr.SumAeroFlops()) / hours
+	sums := pr.Sums()
+	chemHour := prof.ComputeTime(sums.Chem) / hours
+	transHour := prof.ComputeTime(sums.Transport) / hours
+	aeroHour := prof.ComputeTime(sums.Aero) / hours
 	popHour := prof.ComputeTime(popexp.WorkScale * float64(tr.Shape.Cells*model.Cohorts*model.NumSpecies()))
 
 	compute := func(q int) float64 {

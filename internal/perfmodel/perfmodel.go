@@ -86,17 +86,27 @@ type Prediction struct {
 
 // Predict runs the full analytic model for a trace on a machine at p
 // nodes. Only aggregate trace quantities (sequential work sums, step and
-// hour counts, array shape) are used — no per-node accounting.
+// hour counts, array shape) are used — no per-node accounting. It is
+// core.NewPricer followed by PredictWith; to predict one trace many
+// times, keep the Pricer.
 func Predict(tr *core.Trace, prof *machine.Profile, p int) (*Prediction, error) {
-	if err := tr.Validate(); err != nil {
+	pricer, err := core.NewPricer(tr)
+	if err != nil {
 		return nil, err
 	}
+	return PredictWith(pricer, prof, p)
+}
+
+// PredictWith is Predict over a kept Pricer, whose trace is validated
+// and whose work sums are formed once for every prediction.
+func PredictWith(pricer *core.Pricer, prof *machine.Profile, p int) (*Prediction, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
 	if p <= 0 {
 		return nil, fmt.Errorf("perfmodel: node count must be positive, got %d", p)
 	}
+	tr := pricer.Trace()
 	sh := tr.Shape
 	steps := tr.TotalSteps()
 	hours := len(tr.Hours)
@@ -108,11 +118,12 @@ func Predict(tr *core.Trace, prof *machine.Profile, p int) (*Prediction, error) 
 	}
 
 	// Computation phases: sequential time / useful parallelism.
-	chemSeq := prof.ComputeTime(tr.SumChemFlops())
-	transSeq := prof.ComputeTime(tr.SumTransportFlops())
+	sums := pricer.Sums()
+	chemSeq := prof.ComputeTime(sums.Chem)
+	transSeq := prof.ComputeTime(sums.Transport)
 	pr.Chemistry = PredictComputation(chemSeq, sh.Cells, p)
 	pr.Transport = PredictComputation(transSeq, sh.Layers, p)
-	pr.Aerosol = prof.ComputeTime(tr.SumAeroFlops()) // replicated: constant
+	pr.Aerosol = prof.ComputeTime(sums.Aero) // replicated: constant
 
 	// I/O processing: sequential, constant in P.
 	for hi := range tr.Hours {

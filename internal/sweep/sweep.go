@@ -57,12 +57,16 @@ type Grid struct {
 
 // Request is a declarative batch study: a base scenario, a grid of
 // variations, and optionally explicit extra specs (which only inherit
-// nothing — they are complete scenarios of their own).
+// nothing — they are complete scenarios of their own). Repair re-runs
+// every spec cold through sched.Recompute, rewriting all its artifacts
+// even when a result is held: a fleet coordinator sends it for specs a
+// worker finished whose results the store could not give back.
 type Request struct {
-	Name  string          `json:"name,omitempty"`
-	Base  scenario.Spec   `json:"base"`
-	Grid  Grid            `json:"grid,omitempty"`
-	Specs []scenario.Spec `json:"specs,omitempty"`
+	Name   string          `json:"name,omitempty"`
+	Base   scenario.Spec   `json:"base"`
+	Grid   Grid            `json:"grid,omitempty"`
+	Specs  []scenario.Spec `json:"specs,omitempty"`
+	Repair bool            `json:"repair,omitempty"`
 }
 
 // Expand produces the sweep's concrete scenario list: the grid's cross
@@ -275,10 +279,11 @@ type Status struct {
 
 // sweepState is the engine's internal record of one sweep.
 type sweepState struct {
-	id    string
-	name  string
-	specs []scenario.Spec
-	seeds []scenario.Spec
+	id     string
+	name   string
+	specs  []scenario.Spec
+	seeds  []scenario.Spec
+	repair bool
 
 	mu        sync.Mutex
 	jobIDs    []string // parallel to specs; "" until submitted
@@ -365,15 +370,16 @@ func (e *Engine) Start(req Request) (Status, error) {
 		return Status{}, fmt.Errorf("sweep: request expands to no jobs")
 	}
 	var seeds []scenario.Spec
-	if e.sched.Persistent() {
+	if e.sched.Persistent() && !req.Repair {
 		// Without a store a seed's checkpoints evaporate with the run, so
-		// the pass would be pure overhead.
+		// the pass would be pure overhead; a repair runs cold anyway.
 		seeds = SeedSpecs(specs)
 	}
 	st := &sweepState{
 		name:    req.Name,
 		specs:   specs,
 		seeds:   seeds,
+		repair:  req.Repair,
 		jobIDs:  make([]string, len(specs)),
 		jobErrs: make([]string, len(specs)),
 		started: time.Now(),
@@ -455,11 +461,15 @@ var errSweepCancelled = errors.New("sweep: cancelled")
 // correct throttle). A cancelled sweep stops submitting — including
 // mid-backpressure.
 func (e *Engine) submit(st *sweepState, spec scenario.Spec) (sched.JobStatus, error) {
+	submit := e.sched.Submit
+	if st.repair {
+		submit = e.sched.Recompute
+	}
 	for {
 		if st.isCancelled() {
 			return sched.JobStatus{}, errSweepCancelled
 		}
-		js, err := e.sched.Submit(spec)
+		js, err := submit(spec)
 		if !errors.Is(err, sched.ErrQueueFull) {
 			return js, err
 		}

@@ -96,13 +96,27 @@ func (m *Machine) P() int { return len(m.clock) }
 // Profile returns the machine profile.
 func (m *Machine) Profile() *machine.Profile { return m.prof }
 
-// chargeSeconds adds t seconds of category cat to node's clock.
+// chargeSeconds adds t seconds of category cat to node's clock. It is
+// small enough to inline into the Charge* methods and they into their
+// callers; keep formatting out of it (CI checks that it inlines).
 func (m *Machine) chargeSeconds(node int, cat Category, t float64) {
 	if t < 0 {
-		panic(fmt.Sprintf("vm: negative charge %g on node %d", t, node))
+		panic(negativeCharge{node, t})
 	}
 	m.clock[node] += t
 	m.spent[node][cat] += t
+}
+
+// negativeCharge is the panic value of a negative charge. Panicking with
+// a value, formatted only when printed, keeps the check cheap enough to
+// inline.
+type negativeCharge struct {
+	node int
+	t    float64
+}
+
+func (e negativeCharge) Error() string {
+	return fmt.Sprintf("vm: negative charge %g on node %d", e.t, e.node)
 }
 
 // ChargeCompute charges flops units of computational work of category cat
@@ -133,23 +147,31 @@ func (m *Machine) ChargeSeconds(node int, cat Category, t float64) {
 // ChargePhase charges secs[i] seconds of category cat to nodes[i] and
 // synchronises the group at the phase's end, returning the group's clock
 // before and after the phase. It equals GroupElapsed, then ChargeSeconds
-// on each node, then BarrierGroup, in two passes over the group instead
-// of four.
+// on each node, then BarrierGroup: one pass charges each node and tracks
+// both maxima, a second sets the group's clocks.
 func (m *Machine) ChargePhase(nodes []int, cat Category, secs []float64) (before, after float64) {
 	if len(secs) != len(nodes) {
 		panic(fmt.Sprintf("vm: %d phase charges for %d nodes", len(secs), len(nodes)))
 	}
+	clock, spent := m.clock, m.spent
 	for i, n := range nodes {
-		if c := m.clock[n]; c > before {
+		t := secs[i]
+		if t < 0 {
+			panic(negativeCharge{n, t})
+		}
+		c := clock[n]
+		if c > before {
 			before = c
 		}
-		m.chargeSeconds(n, cat, secs[i])
-		if c := m.clock[n]; i == 0 || c > after {
+		c += t
+		clock[n] = c
+		spent[n][cat] += t
+		if i == 0 || c > after {
 			after = c
 		}
 	}
 	for _, n := range nodes {
-		m.clock[n] = after
+		clock[n] = after
 	}
 	return before, after
 }

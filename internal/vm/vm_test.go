@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,7 +9,7 @@ import (
 	"airshed/internal/machine"
 )
 
-func newTestVM(t *testing.T, p int) *Machine {
+func newTestVM(t testing.TB, p int) *Machine {
 	t.Helper()
 	m, err := New(machine.CrayT3E(), p)
 	if err != nil {
@@ -289,4 +290,24 @@ func TestChargePhaseRejectsNegativeCharge(t *testing.T) {
 		}
 	}()
 	m.ChargePhase([]int{0, 1, 2}, CatComm, []float64{1, -1, 1})
+}
+
+// BenchmarkChargePhase charges one phase on every node of a p-node
+// machine, the unit a replay repeats for each phase of each step.
+func BenchmarkChargePhase(b *testing.B) {
+	for _, p := range []int{8, 64, 128} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			m := newTestVM(b, p)
+			nodes := m.AllNodes()
+			secs := make([]float64, p)
+			for i := range secs {
+				secs[i] = 1e-3 * float64(i%5+1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ChargePhase(nodes, CatComm, secs)
+			}
+		})
+	}
 }
